@@ -35,7 +35,7 @@ for alpha in (0.30, 0.40, 0.45, 0.49):
 cfg = SuiteConfig()
 print("\n== equivalence-ratio sweep over power tails (CSV) ==")
 rows, footer = sweep_cont("power_tail", "beta",
-                          [1.1, 1.5, 2.0, 2.5, 3.0, 4.0], cfg, jobs=2)
+                          [1.1, 1.5, 2.0, 2.5, 3.0, 4.0], cfg)
 print(sweep_to_csv(rows, footer))
 
 print("== equivalence-ratio sweep over unit impulses ==")

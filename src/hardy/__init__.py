@@ -16,9 +16,8 @@ from .funcspace import (
     parse_function, scale, total_integral_exact,
 )
 from .quad import (
-    DEFAULT_CONFIG, EvaluationError, HalflineIntegrand, HalflineResult,
-    ProbeResult, QuadConfig, QuadResult, integrate, integrate_halfline,
-    probe_divergence,
+    DEFAULT_CONFIG, EvaluationError, HalflineResult, ProbeResult, QuadConfig,
+    QuadResult, integrate, integrate_halfline, probe_divergence,
 )
 from . import cont_ops, harness, seq_ops
 

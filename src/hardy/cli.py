@@ -20,8 +20,9 @@ from pathlib import Path
 
 from . import cont_ops, funcspace, harness, seq_ops
 
-_CONFIG_KEYS = {"rel_tol", "abs_tol", "max_depth", "seq_horizon", "sharp_n",
-                "claims", "seed"}
+# config file keys and the JSON value types each accepts
+_CONFIG_TYPES = {"rel_tol": (int, float), "abs_tol": (int, float), "max_depth": int,
+                 "seq_horizon": int, "sharp_n": int, "claims": str, "seed": int}
 
 
 def _load_config(path: str) -> dict:
@@ -31,9 +32,13 @@ def _load_config(path: str) -> dict:
         raise harness.ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise harness.ConfigError("config file must hold a JSON object")
-    unknown = set(data) - _CONFIG_KEYS
+    unknown = set(data) - set(_CONFIG_TYPES)
     if unknown:
         raise harness.ConfigError(f"unknown config keys: {sorted(unknown)}")
+    mistyped = sorted(k for k, v in data.items()
+                      if isinstance(v, bool) or not isinstance(v, _CONFIG_TYPES[k]))
+    if mistyped:
+        raise harness.ConfigError(f"config values of the wrong type: {mistyped}")
     return data
 
 
@@ -145,15 +150,13 @@ def _run_sweep(args, domain: str) -> int:
     if domain == "auto":
         domain = "cont" if args.family in harness._CONT_FAMILIES else "disc"
     if domain == "cont":
-        rows, footer = harness.sweep_cont(args.family, param, values, cfg, fixed,
-                                          jobs=args.jobs)
+        rows, footer = harness.sweep_cont(args.family, param, values, cfg, fixed)
     else:
         if param == "m":
             values = [int(v) for v in values]
         if args.family == "powcut" or args.family == "em":
             fixed = {k: int(v) if k in ("N", "m") else v for k, v in fixed.items()}
-        rows, footer = harness.sweep_disc(args.family, param, values, cfg, fixed,
-                                          jobs=args.jobs)
+        rows, footer = harness.sweep_disc(args.family, param, values, cfg, fixed)
     if args.emit == "csv":
         _write_or_print(harness.sweep_to_csv(rows, footer), args.out)
     else:
@@ -178,8 +181,6 @@ def _add_sweep_flags(p: argparse.ArgumentParser):
                    help="extra fixed parameter name=value (repeatable)")
     p.add_argument("--emit", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker threads; output is order-stable regardless")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -15,6 +15,12 @@ The splits I1 and I2 are computed as genuine iterated double integrals (outer
 quadrature over an inner cumulative integral); the single-integral identities
 I1 = int |f| ln(1+1/t) dt and I2 = int |f| ln(1+t) dt are computed separately
 so the two routes can be compared as an order-of-integration check.
+
+Each half-line functional is written once, as its density d(v) = g(e**v) e**v
+in v = ln t on the whole real line (see :func:`hardy.quad.integrate_halfline`);
+where the far tail and the origin need different cancellation-free forms,
+the density branches on the sign of v.  Cumulative integrals F and T come
+exactly from the piecewise antiderivatives, so every piece must carry one.
 """
 
 from __future__ import annotations
@@ -26,8 +32,8 @@ from functools import lru_cache
 from .envelopes import Envelope
 from .funcspace import DomainError, TestFunction, absolute, total_integral_exact
 from .quad import (
-    DEFAULT_CONFIG, HalflineIntegrand, HalflineResult, ProbeResult, QuadConfig,
-    integrate, integrate_halfline, probe_divergence,
+    DEFAULT_CONFIG, HalflineResult, ProbeResult, QuadConfig, integrate_halfline,
+    probe_divergence,
 )
 
 __all__ = [
@@ -78,93 +84,57 @@ def _probe_start(f: TestFunction) -> float:
 
 
 # ---------------------------------------------------------------------------
-# cumulative integrals with a monotone node cache
+# cumulative integrals through the piecewise antiderivatives
 # ---------------------------------------------------------------------------
 
+def _require_antiderivatives(f: TestFunction) -> None:
+    for p in f.pieces:
+        if p.antiderivative is None:
+            raise DomainError(
+                f"{f.name}: piece on ({p.lo}, {p.hi}] has no antiderivative")
+
+
 class _Cumulative:
-    """F(x) = int_0^x f with an exact piecewise-antiderivative fast path.
+    """F(x) = int_0^x f and T(x) = int_x^inf f, exact within each piece."""
 
-    When some piece lacks an antiderivative, increments are integrated
-    numerically between cached nodes, so ascending query patterns (panel
-    nodes of an outer quadrature) cost one short integral each instead of a
-    fresh integral from the origin.  The cache is built single-threaded;
-    after that, reads are safe from any number of threads on the exact path.
-    """
-
-    def __init__(self, f: TestFunction, cfg: QuadConfig):
+    def __init__(self, f: TestFunction):
+        _require_antiderivatives(f)
         self.f = f
-        self.cfg = cfg
-        self.exact = all(p.antiderivative is not None for p in f.pieces)
-        if self.exact:
-            # prefix[i] = int_0^{lo_i} f, exact within each piece
-            prefix = [0.0]
-            for p in f.pieces[:-1]:
-                lo = p.antiderivative.eval_ext(p.lo)
-                hi = p.antiderivative.eval_ext(p.hi)
-                prefix.append(prefix[-1] + (hi - lo))
-            self._prefix = prefix
-            self._first_base = f.pieces[0].antiderivative.eval_ext(0.0)
-            last = f.pieces[-1]
-            self._last_inf = last.antiderivative.eval_ext(math.inf)
-            self._total = prefix[-1] + (
-                self._last_inf - last.antiderivative.eval_ext(last.lo))
-            self._total_err = 0.0
-        else:
-            self._nodes: list[tuple[float, float]] = []
-            self._total, self._total_err = self._numeric_total()
-
-    def _numeric_total(self) -> tuple[float, float]:
-        fa = self.f
-        res = integrate_halfline(
-            HalflineIntegrand(fa.eval, breakpoints=fa.breakpoints),
-            self.cfg,
-            origin_envs=(fa.origin.envelope_reciprocal(),),
-            tail_envs=(fa.tail.envelope(),),
-        )
-        if res.verdict not in ("converged", "not-converged"):
-            raise DomainError(f"{fa.name}: total integral did not resolve ({res.verdict})")
-        return res.value, res.total_error
-
-    @property
-    def total(self) -> float:
-        return self._total
-
-    @property
-    def total_err(self) -> float:
-        return self._total_err
+        # prefix[i] = int_0^{lo_i} f
+        prefix = [0.0]
+        for p in f.pieces[:-1]:
+            lo = p.antiderivative.eval_ext(p.lo)
+            hi = p.antiderivative.eval_ext(p.hi)
+            prefix.append(prefix[-1] + (hi - lo))
+        self._prefix = prefix
+        self._first_base = f.pieces[0].antiderivative.eval_ext(0.0)
+        last = f.pieces[-1]
+        self._last_inf = last.antiderivative.eval_ext(math.inf)
+        self.total = prefix[-1] + (self._last_inf - last.antiderivative.eval_ext(last.lo))
 
     def value(self, x: float) -> float:
         if x <= 0.0:
             raise DomainError("cumulative integral needs x > 0")
-        if self.exact:
-            i = self.f.piece_index(x)
-            p = self.f.pieces[i]
-            base = self._first_base if i == 0 else p.antiderivative.eval_ext(p.lo)
-            return self._prefix[i] + (p.antiderivative.eval_ext(x) - base)
-        return self._value_numeric(x)
+        i = self.f.piece_index(x)
+        p = self.f.pieces[i]
+        base = self._first_base if i == 0 else p.antiderivative.eval_ext(p.lo)
+        return self._prefix[i] + (p.antiderivative.eval_ext(x) - base)
 
     def value_logarg(self, v: float) -> float:
         """F(e**v), stable far beyond the float range of e**v itself."""
-        if self.exact:
-            if v > 690.0:
-                p = self.f.pieces[-1]
-                la, s = p.antiderivative.log_eval(v)
-                aval = s * math.exp(la)
-                return self._prefix[-1] + (aval - p.antiderivative.eval_ext(p.lo))
-            if v < -690.0:
-                p = self.f.pieces[0]
-                la, s = p.antiderivative.log_eval(v)
-                return s * math.exp(la) - self._first_base
-            return self.value(math.exp(v))
-        if abs(v) > 690.0:
-            raise DomainError("numeric cumulative cannot reach |ln t| > 690")
-        return self._value_numeric(math.exp(v))
+        if v > 690.0:
+            p = self.f.pieces[-1]
+            la, s = p.antiderivative.log_eval(v)
+            aval = s * math.exp(la)
+            return self._prefix[-1] + (aval - p.antiderivative.eval_ext(p.lo))
+        if v < -690.0:
+            p = self.f.pieces[0]
+            la, s = p.antiderivative.log_eval(v)
+            return s * math.exp(la) - self._first_base
+        return self.value(math.exp(v))
 
     def tail(self, x: float) -> float:
-        """int_x^inf f, computed without subtracting nearly equal totals
-        whenever the exact path is available."""
-        if not self.exact:
-            return self._total - self._value_numeric(x)
+        """int_x^inf f, computed without subtracting nearly equal totals."""
         pieces = self.f.pieces
         i = self.f.piece_index(x)
         last = pieces[-1]
@@ -177,68 +147,33 @@ class _Cumulative:
         return out + (self._last_inf - last.antiderivative.eval_ext(last.lo))
 
     def tail_logarg(self, v: float) -> float:
-        if self.exact and v > 690.0:
+        if v > 690.0:
             p = self.f.pieces[-1]
             la, s = p.antiderivative.log_eval(v)
             return self._last_inf - s * math.exp(la)
-        if v > 690.0:
-            raise DomainError("numeric cumulative cannot reach ln t > 690")
         return self.tail(math.exp(v))
 
-    # numeric path ------------------------------------------------------
 
-    def _seed(self) -> tuple[float, float]:
-        f = self.f
-        x0 = min([1.0, 1.0 / f.origin.envelope_reciprocal().valid_from]
-                 + [b for b in f.breakpoints])
-        from .quad import _tail_side  # reuse of the certified log-tail walker
-        val, _err, _bound, _sub = _tail_side(
-            lambda w: f.eval(math.exp(-w)) * math.exp(-w),
-            math.log(1.0 / x0), (f.origin.envelope_reciprocal(),), self.cfg)
-        return x0, val
-
-    def _value_numeric(self, x: float) -> float:
-        from bisect import bisect_right, insort
-        if not self._nodes:
-            insort(self._nodes, self._seed())
-        idx = bisect_right(self._nodes, (x, math.inf))
-        if idx == 0:
-            x0, f0 = self._nodes[0]
-            inc = integrate(self.f.eval, x, x0, self.cfg,
-                            breakpoints=self.f.breakpoints).value
-            val = f0 - inc
-        else:
-            x0, f0 = self._nodes[idx - 1]
-            if x0 == x:
-                return f0
-            inc = integrate(self.f.eval, x0, x, self.cfg,
-                            breakpoints=self.f.breakpoints).value
-            val = f0 + inc
-        insort(self._nodes, (x, val))
-        return val
+@lru_cache(maxsize=None)
+def _cumulative(f: TestFunction) -> _Cumulative:
+    return _Cumulative(f)
 
 
 @lru_cache(maxsize=None)
-def _cumulative(f: TestFunction, cfg: QuadConfig) -> _Cumulative:
-    return _Cumulative(f, cfg)
-
-
-@lru_cache(maxsize=None)
-def _cumulative_abs(f: TestFunction, cfg: QuadConfig) -> _Cumulative:
+def _cumulative_abs(f: TestFunction) -> _Cumulative:
     if _is_nonnegative(f):
-        return _cumulative(f, cfg)
-    return _Cumulative(absolute(f), cfg)
+        return _cumulative(f)
+    return _Cumulative(absolute(f))
 
 
 def total_integral(f: TestFunction, cfg: QuadConfig = DEFAULT_CONFIG) -> tuple[float, float]:
-    """(value, error bound) of int_0^inf f; exact catalog values have error 0."""
+    """(value, error bound) of int_0^inf f; exact through the piecewise
+    antiderivatives, so the error bound is 0."""
+    _require_antiderivatives(f)
     exact = total_integral_exact(f)
-    if exact is not None:
-        if math.isinf(exact):
-            raise DomainError(f"{f.name}: total integral diverges")
-        return exact, 0.0
-    cum = _cumulative(f, cfg)
-    return cum.total, cum.total_err
+    if math.isinf(exact):
+        raise DomainError(f"{f.name}: total integral diverges")
+    return exact, 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +184,7 @@ def hardy_avg(f: TestFunction, x: float, cfg: QuadConfig = DEFAULT_CONFIG) -> fl
     """Q f(x): the average of f over (0, x)."""
     if x <= 0.0:
         raise DomainError("hardy_avg needs x > 0")
-    return _cumulative(f, cfg).value(x) / x
+    return _cumulative(f).value(x) / x
 
 
 def modified_hardy(f: TestFunction, x: float, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
@@ -257,7 +192,7 @@ def modified_hardy(f: TestFunction, x: float, cfg: QuadConfig = DEFAULT_CONFIG) 
     if x <= 0.0:
         raise DomainError("modified_hardy needs x > 0")
     m, _ = total_integral(f, cfg)
-    return _cumulative(f, cfg).value(x) / x - m / (1.0 + x)
+    return _cumulative(f).value(x) / x - m / (1.0 + x)
 
 
 def oracle_qf0(x: float) -> float:
@@ -290,16 +225,11 @@ def oracle_qfe(x: float) -> float:
 # weighted norm and the I1 / I2 split
 # ---------------------------------------------------------------------------
 
-def _abs_density_factory(f: TestFunction):
-    def vdensity(v: float) -> float:
-        la, _ = f.log_eval(v)
-        return math.exp(la + v)
-
-    def udensity(w: float) -> float:
-        la, _ = f.log_eval(-w)
-        return math.exp(la - w)
-
-    return vdensity, udensity
+def _abs_density(f: TestFunction):
+    """v -> |f(e**v)| e**v, the density of int |f| dt in v = ln t."""
+    def density(v: float) -> float:
+        return math.exp(f.log_eval(v)[0] + v)
+    return density
 
 
 def _env_weight_full(env: Envelope) -> Envelope:
@@ -311,34 +241,23 @@ def _env_weight_full(env: Envelope) -> Envelope:
 def log_weight_norm(f: TestFunction, cfg: QuadConfig = DEFAULT_CONFIG) -> HalflineResult:
     """W(f) = int |f| w dt; DIVERGENT when a declared lower envelope or the
     doubling probe certifies it."""
-    fn = lambda t: abs(f.eval(t)) * weight(t)
-    vdensity, udensity = _abs_density_factory(f)
-    integrand = HalflineIntegrand(
-        fn,
-        vdensity=lambda v: vdensity(v) * _weight_logarg(v),
-        udensity=lambda w: udensity(w) * _weight_logarg(w),
-        breakpoints=f.breakpoints,
-    )
+    abs_density = _abs_density(f)
     return integrate_halfline(
-        integrand, cfg,
+        lambda v: abs_density(v) * _weight_logarg(v), cfg,
         origin_envs=(_env_weight_full(f.origin.envelope_reciprocal()),),
         tail_envs=(_env_weight_full(f.tail.envelope()),),
-        probe_start=_probe_start(f),
+        probe_start=_probe_start(f), breakpoints=f.breakpoints,
     )
 
 
 def _single_weight_result(f: TestFunction, side: str, cfg: QuadConfig) -> HalflineResult:
     """int |f| ln(1+1/t) dt (side='small') or int |f| ln(1+t) dt (side='large')."""
-    vdensity, udensity = _abs_density_factory(f)
+    abs_density = _abs_density(f)
     env_o = f.origin.envelope_reciprocal()
     env_t = f.tail.envelope()
     if side == "small":
-        fn = lambda t: abs(f.eval(t)) * math.log1p(1.0 / t)
-        integrand = HalflineIntegrand(
-            fn,
-            vdensity=lambda v: vdensity(v) * _ln1p_exp(-v),
-            udensity=lambda w: udensity(w) * _ln1p_exp(w),
-            breakpoints=f.breakpoints)
+        # ln(1 + 1/t) = ln(1 + e**-v)
+        density = lambda v: abs_density(v) * _ln1p_exp(-v)
         # ln(1+1/t) <= 1/t at infinity; behaves like ln u at the origin
         origin = (Envelope(env_o.coeff * (1.0 + math.log(2.0)), env_o.power,
                            env_o.logpow + 1.0, env_o.valid_from, lower=env_o.lower),)
@@ -346,12 +265,7 @@ def _single_weight_result(f: TestFunction, side: str, cfg: QuadConfig) -> Halfli
                 else (Envelope(env_t.coeff, env_t.power + 1.0, env_t.logpow,
                                env_t.valid_from),))
     elif side == "large":
-        fn = lambda t: abs(f.eval(t)) * math.log1p(t)
-        integrand = HalflineIntegrand(
-            fn,
-            vdensity=lambda v: vdensity(v) * _ln1p_exp(v),
-            udensity=lambda w: udensity(w) * _ln1p_exp(-w),
-            breakpoints=f.breakpoints)
+        density = lambda v: abs_density(v) * _ln1p_exp(v)
         # ln(1+t) <= t at the origin, i.e. one extra power of 1/u
         origin = (Envelope(env_o.coeff, env_o.power + 1.0, env_o.logpow,
                            env_o.valid_from),)
@@ -360,30 +274,22 @@ def _single_weight_result(f: TestFunction, side: str, cfg: QuadConfig) -> Halfli
                                env_t.logpow + 1.0, env_t.valid_from, lower=env_t.lower),))
     else:
         raise ValueError(side)
-    return integrate_halfline(integrand, cfg, origin_envs=origin, tail_envs=tail,
-                              probe_start=_probe_start(f))
+    return integrate_halfline(density, cfg, origin_envs=origin, tail_envs=tail,
+                              probe_start=_probe_start(f), breakpoints=f.breakpoints)
 
 
 def split_i1(f: TestFunction, cfg: QuadConfig = DEFAULT_CONFIG) -> HalflineResult:
     """I1 as the iterated double integral int (1/x - 1/(x+1)) F(x) dx,
     F(x) = int_0^x |f|."""
-    cum = _cumulative_abs(f, cfg)
-    m_up = cum.total + cum.total_err
+    cum = _cumulative_abs(f)
 
-    def fn(x: float) -> float:
-        return cum.value(x) / (x * (x + 1.0))
-
-    def vdensity(v: float) -> float:
+    def density(v: float) -> float:
         # F(e^v) / (e^v + 1)
         if v > 690.0:
             return cum.value_logarg(v) * math.exp(-v)
+        if v < -690.0:
+            return cum.value_logarg(v)
         t = math.exp(v)
-        return cum.value(t) / (t + 1.0)
-
-    def udensity(w: float) -> float:
-        if w > 690.0:
-            return cum.value_logarg(-w)
-        t = math.exp(-w)
         return cum.value(t) / (t + 1.0)
 
     org = f.origin
@@ -397,32 +303,24 @@ def split_i1(f: TestFunction, cfg: QuadConfig = DEFAULT_CONFIG) -> HalflineResul
         low = None if org.lower is None else org.lower / (2.0 * (org.beta - 1.0))
         origin_env = Envelope(org.coeff / (org.beta - 1.0), 1.0,
                               1.0 - org.beta, env_u.valid_from, lower=low)
-    tail_env = Envelope(max(m_up, 1e-300), 2.0, 0.0)
-    integrand = HalflineIntegrand(fn, vdensity, udensity, f.breakpoints)
-    return integrate_halfline(integrand, cfg, origin_envs=(origin_env,),
-                              tail_envs=(tail_env,), probe_start=_probe_start(f))
+    tail_env = Envelope(max(cum.total, 1e-300), 2.0, 0.0)
+    return integrate_halfline(density, cfg, origin_envs=(origin_env,),
+                              tail_envs=(tail_env,), probe_start=_probe_start(f),
+                              breakpoints=f.breakpoints)
 
 
 def split_i2(f: TestFunction, cfg: QuadConfig = DEFAULT_CONFIG) -> HalflineResult:
     """I2 as the iterated double integral int (x+1)^-1 T(x) dx,
     T(x) = int_x^inf |f|."""
-    cum = _cumulative_abs(f, cfg)
-    m_up = cum.total + cum.total_err
+    cum = _cumulative_abs(f)
 
-    def fn(x: float) -> float:
-        return cum.tail(x) / (x + 1.0)
-
-    def vdensity(v: float) -> float:
+    def density(v: float) -> float:
         # T(e^v) * e^v / (e^v + 1)
         if v > 690.0:
             return cum.tail_logarg(v)
+        if v < -690.0:
+            return 0.0  # T(t) t / (t+1) <= m * e^v, below any tolerance here
         t = math.exp(v)
-        return cum.tail(t) * t / (t + 1.0)
-
-    def udensity(w: float) -> float:
-        if w > 690.0:
-            return 0.0  # T(t) t / (t+1) <= m * e^-w, below any tolerance here
-        t = math.exp(-w)
         return cum.tail(t) * t / (t + 1.0)
 
     tl = f.tail
@@ -434,10 +332,10 @@ def split_i2(f: TestFunction, cfg: QuadConfig = DEFAULT_CONFIG) -> HalflineResul
         low = None if tl.lower is None else tl.lower / (2.0 * (tl.beta - 1.0))
         tail_env = Envelope(tl.coeff / (tl.beta - 1.0), 1.0, 1.0 - tl.beta,
                             tl.valid_from, lower=low)
-    origin_env = Envelope(max(m_up, 1e-300), 2.0, 0.0)
-    integrand = HalflineIntegrand(fn, vdensity, udensity, f.breakpoints)
-    return integrate_halfline(integrand, cfg, origin_envs=(origin_env,),
-                              tail_envs=(tail_env,), probe_start=_probe_start(f))
+    origin_env = Envelope(max(cum.total, 1e-300), 2.0, 0.0)
+    return integrate_halfline(density, cfg, origin_envs=(origin_env,),
+                              tail_envs=(tail_env,), probe_start=_probe_start(f),
+                              breakpoints=f.breakpoints)
 
 
 @dataclass(frozen=True)
@@ -487,7 +385,7 @@ def fubini_check_cont(f: TestFunction, cfg: QuadConfig = DEFAULT_CONFIG) -> Fubi
 # L1 norm of the corrected image
 # ---------------------------------------------------------------------------
 
-def _modified_envelopes(f: TestFunction, m: float, m_err: float, cfg: QuadConfig):
+def _modified_envelopes(f: TestFunction, m: float):
     """Upper (and where derivable, lower) envelopes for |H f|.
 
     Tail side, from H f(x) = m/(x(x+1)) - T(x)/x with T(x) = int_x^inf f:
@@ -497,7 +395,7 @@ def _modified_envelopes(f: TestFunction, m: float, m_err: float, cfg: QuadConfig
     beyond the computable point where lower(T)(x)/x dominates 2|m|/x^2.
     The origin side is symmetric with F(x) = int_0^x f in place of T.
     """
-    am = abs(m) + m_err
+    am = abs(m)
     tl, org = f.tail, f.origin
     nonneg = _is_nonnegative(f)
 
@@ -540,29 +438,25 @@ def _modified_envelopes(f: TestFunction, m: float, m_err: float, cfg: QuadConfig
 
 def l1_norm_modified(f: TestFunction, cfg: QuadConfig = DEFAULT_CONFIG) -> HalflineResult:
     """int_0^inf |H f(x)| dx, with DIVERGENT as a first-class outcome."""
-    m, m_err = total_integral(f, cfg)
-    cum = _cumulative(f, cfg)
+    m, _ = total_integral(f, cfg)
+    cum = _cumulative(f)
 
-    def fn(x: float) -> float:
-        return abs(cum.value(x) / x - m / (1.0 + x))
+    def density(v: float) -> float:
+        if v >= 0.0:
+            # |H f(e^v)| e^v = |m/(e^v + 1) - T(e^v)|
+            if v > 690.0:
+                return abs(math.exp(math.log(abs(m)) - v) - cum.tail_logarg(v)) \
+                    if m != 0.0 else abs(cum.tail_logarg(v))
+            t = math.exp(v)
+            return abs(m / (t + 1.0) - cum.tail(t))
+        # |H f(e^v)| e^v = |F(e^v) - m e^v/(1 + e^v)|
+        t = math.exp(v) if v > -690.0 else 0.0
+        return abs(cum.value_logarg(v) - m * t / (1.0 + t))
 
-    def vdensity(v: float) -> float:
-        # |H f(e^v)| e^v = |m/(e^v + 1) - T(e^v)|
-        if v > 690.0:
-            return abs(math.exp(math.log(abs(m)) - v) - cum.tail_logarg(v)) if m != 0.0 \
-                else abs(cum.tail_logarg(v))
-        t = math.exp(v)
-        return abs(m / (t + 1.0) - cum.tail(t))
-
-    def udensity(w: float) -> float:
-        # |H f(e^-w)| e^-w = |F(e^-w) - m e^-w/(1 + e^-w)|
-        t_frac = math.exp(-w) if w < 690.0 else 0.0
-        return abs(cum.value_logarg(-w) - m * t_frac / (1.0 + t_frac))
-
-    origin_envs, tail_envs = _modified_envelopes(f, m, m_err, cfg)
-    integrand = HalflineIntegrand(fn, vdensity, udensity, f.breakpoints)
-    return integrate_halfline(integrand, cfg, origin_envs=origin_envs,
-                              tail_envs=tail_envs, probe_start=_probe_start(f))
+    origin_envs, tail_envs = _modified_envelopes(f, m)
+    return integrate_halfline(density, cfg, origin_envs=origin_envs,
+                              tail_envs=tail_envs, probe_start=_probe_start(f),
+                              breakpoints=f.breakpoints)
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +497,7 @@ def mean_limit_check(f: TestFunction, cfg: QuadConfig = DEFAULT_CONFIG,
     if decades < 4.0:
         raise ValueError("need at least four decades of samples")
     m, m_err = total_integral(f, cfg)
-    cum = _cumulative(f, cfg)
+    cum = _cumulative(f)
     n = int(2 * decades) + 1
     xs = tuple(10.0 ** (decades * i / (n - 1)) * 1.0137 for i in range(n))
     values = tuple(cum.value(x) for x in xs)
@@ -662,23 +556,17 @@ def cont_hardy_ratio(f: TestFunction, p: float,
     org, tl = f.origin, f.tail
     if org.kind == "power_log" or (org.kind == "power" and p * org.alpha >= 1.0):
         raise DomainError(f"{f.name} is not p-integrable near the origin for p={p}")
-    m, m_err = total_integral(f, cfg)
-    cum = _cumulative(f, cfg)
+    m, _ = total_integral(f, cfg)
+    cum = _cumulative(f)
 
-    def num_fn(x: float) -> float:
-        return (cum.value(x) / x) ** p
-
-    def num_vdensity(v: float) -> float:
+    def num_density(v: float) -> float:
+        # (F(e^v) / e^v)^p e^v
         F = cum.value_logarg(v)
         if F <= 0.0:
             return 0.0
-        return math.exp(p * math.log(F) + (1.0 - p) * v)
-
-    def num_udensity(w: float) -> float:
-        F = cum.value_logarg(-w)
-        if F <= 0.0:
-            return 0.0
-        return math.exp(p * (math.log(F) + w) - w)
+        if v >= 0.0:
+            return math.exp(p * math.log(F) + (1.0 - p) * v)
+        return math.exp(p * (math.log(F) - v) + v)
 
     env_u = org.envelope_reciprocal()
     if org.kind == "bounded":
@@ -688,7 +576,7 @@ def cont_hardy_ratio(f: TestFunction, p: float,
         c_avg = (org.coeff / (1.0 - org.alpha)) ** p
         num_origin = Envelope(c_avg, 2.0 - p * org.alpha, 0.0, env_u.valid_from)
         den_origin = Envelope(org.coeff ** p, 2.0 - p * org.alpha, 0.0, env_u.valid_from)
-    num_tail = Envelope(max((abs(m) + m_err) ** p, 1e-300), p, 0.0)
+    num_tail = Envelope(max(abs(m) ** p, 1e-300), p, 0.0)
     if tl.kind == "compact":
         den_tail = Envelope.compact(tl.support_end)
     elif tl.kind == "power":
@@ -696,21 +584,16 @@ def cont_hardy_ratio(f: TestFunction, p: float,
     else:
         den_tail = Envelope(tl.coeff ** p, p, -p * tl.beta, tl.valid_from)
 
-    num = integrate_halfline(
-        HalflineIntegrand(num_fn, num_vdensity, num_udensity, f.breakpoints),
-        cfg, origin_envs=(num_origin,), tail_envs=(num_tail,))
+    num = integrate_halfline(num_density, cfg, origin_envs=(num_origin,),
+                             tail_envs=(num_tail,), breakpoints=f.breakpoints)
     if num.verdict not in ("converged", "not-converged"):
         raise ArithmeticError(
             f"{f.name}: p-norm of the average did not resolve ({num.verdict}); "
             "this contradicts the averaging bound and flags a defect")
 
-    vdensity, udensity = _abs_density_factory(f)
-    den = integrate_halfline(
-        HalflineIntegrand(lambda t: abs(f.eval(t)) ** p,
-                          vdensity=lambda v: math.exp(p * f.log_eval(v)[0] + v),
-                          udensity=lambda w: math.exp(p * f.log_eval(-w)[0] - w),
-                          breakpoints=f.breakpoints),
-        cfg, origin_envs=(den_origin,), tail_envs=(den_tail,))
+    den = integrate_halfline(lambda v: math.exp(p * f.log_eval(v)[0] + v), cfg,
+                             origin_envs=(den_origin,), tail_envs=(den_tail,),
+                             breakpoints=f.breakpoints)
     den_val = den.require_value()
     if den_val <= den.total_error:
         raise DomainError(f"{f.name}: p-norm denominator vanishes")
@@ -762,7 +645,7 @@ class ContReport:
 
 def build_report(f: TestFunction, cfg: QuadConfig = DEFAULT_CONFIG) -> ContReport:
     m, m_err = total_integral(f, cfg)
-    l1_cum = _cumulative_abs(f, cfg)
+    l1_cum = _cumulative_abs(f)
     wf = log_weight_norm(f, cfg)
     hf = l1_norm_modified(f, cfg)
     i1 = split_i1(f, cfg)
@@ -774,8 +657,9 @@ def build_report(f: TestFunction, cfg: QuadConfig = DEFAULT_CONFIG) -> ContRepor
     return ContReport(
         name=f.name,
         total_integral=m, total_err=m_err,
+        # exact through the antiderivatives of |f|
         l1_norm={"verdict": "converged", "value": l1_cum.total,
-                 "err_est": l1_cum.total_err, "tail_bound": 0.0},
+                 "err_est": 0.0, "tail_bound": 0.0},
         weighted_norm=_functional_dict(wf),
         l1_norm_modified=_functional_dict(hf),
         i1=_functional_dict(i1),

@@ -1,10 +1,12 @@
 """Piecewise closed-form test functions on (0, inf).
 
 A :class:`TestFunction` is a finite list of pieces covering (0, inf), each an
-expression node with an optional hand-supplied antiderivative.  Functions are
-closed-form rather than black-box callables so that exact integrals, piece
-boundaries and decay certificates are all available independently of the
-numerical quadrature engine.
+expression node with a hand-supplied antiderivative.  Every catalog piece
+carries one and the algebra (``absolute``, ``scale``, ``add``) keeps them;
+the operators of ``cont_ops`` integrate through them and reject a piece
+without one.  Functions are closed-form rather than black-box callables so
+that exact integrals, piece boundaries and decay certificates are all
+available independently of the numerical quadrature engine.
 
 Conventions
 -----------
@@ -33,7 +35,7 @@ __all__ = [
     "DomainError", "CatalogError", "ParameterError",
     "catalog", "catalog_names", "parse_function",
     "exact_antiderivative", "total_integral_exact", "l1_norm_exact",
-    "absolute", "scale", "add", "strip_antiderivatives",
+    "absolute", "scale", "add",
 ]
 
 _E = math.e
@@ -403,6 +405,13 @@ def scale(f: TestFunction, c: float) -> TestFunction:
     return TestFunction(f"scale({f.name},{c:g})", pieces, f.breakpoints, origin, tail, exact)
 
 
+def _sup_power_exp(beta: float, rate: float, v0: float) -> float:
+    """sup over v >= v0 >= 0 of v**beta * e**(-rate*v), beta >= 0, rate > 0;
+    the maximum sits at v = beta/rate or, past it, at v0."""
+    v = max(v0, beta / rate)
+    return v ** beta * math.exp(-rate * v)
+
+
 def _join_origin(a: OriginClass, b: OriginClass) -> OriginClass:
     """Conservative origin class for a sum |f + g| <= |f| + |g|."""
     order = {"bounded": 0, "power": 1, "power_log": 2}
@@ -412,10 +421,14 @@ def _join_origin(a: OriginClass, b: OriginClass) -> OriginClass:
     if hi.kind == lo_cls.kind == "power_log":
         hi = replace(hi, beta=min(a.beta, b.beta))
     valid = min(a.valid_below, b.valid_below)
-    # the slower class dominates the faster one at small t up to a constant,
-    # conservatively absorbed by summing coefficients once t <= valid
-    if hi.kind != "bounded" and lo_cls.kind == "bounded":
-        extra = lo_cls.coeff / (hi.bound(valid) / hi.coeff) if hi.coeff > 0 else lo_cls.coeff
+    # the slower class absorbs the faster one: in w = ln(1/t) their shapes
+    # differ by the factor w**beta e**(-rate w), at most its sup over
+    # w >= ln(1/valid) (a bounded class has alpha = 0)
+    w0 = math.log(1.0 / valid)
+    if hi.kind == "power" and lo_cls.kind == "bounded":
+        extra = lo_cls.coeff * _sup_power_exp(0.0, hi.alpha, w0)
+    elif hi.kind == "power_log" and lo_cls.kind != "power_log":
+        extra = lo_cls.coeff * _sup_power_exp(hi.beta, 1.0 - lo_cls.alpha, w0)
     else:
         extra = lo_cls.coeff
     return OriginClass(hi.kind, hi.coeff + extra, hi.alpha, hi.beta, valid, lower=None)
@@ -435,13 +448,11 @@ def _join_tail(a: TailClass, b: TailClass) -> TailClass:
     if lo_cls.kind == "compact":
         return replace(hi, valid_from=valid, lower=None)
     if hi.kind == "power_log" and lo_cls.kind == "power":
-        # find where t**(alpha-1) >= ln(t)**beta so the power class slips
-        # under the power-log shape with its own coefficient
-        t0 = valid
-        while t0 ** (lo_cls.alpha - 1.0) < math.log(t0) ** hi.beta:
-            t0 *= 2.0
-        return TailClass("power_log", coeff=hi.coeff + lo_cls.coeff, beta=hi.beta,
-                         valid_from=t0, lower=None)
+        # in v = ln t the two shapes differ by the factor v**beta e**(-(alpha-1)v),
+        # at most its sup over v >= ln(valid)
+        sup = _sup_power_exp(hi.beta, lo_cls.alpha - 1.0, math.log(valid))
+        return TailClass("power_log", coeff=hi.coeff + lo_cls.coeff * sup, beta=hi.beta,
+                         valid_from=valid, lower=None)
     return replace(hi, coeff=hi.coeff + lo_cls.coeff, valid_from=valid, lower=None)
 
 
@@ -471,12 +482,6 @@ def add(f: TestFunction, g: TestFunction) -> TestFunction:
     return TestFunction(f"({f.name}+{g.name})", tuple(pieces), bps,
                         _join_origin(f.origin, g.origin), _join_tail(f.tail, g.tail),
                         tuple(exact))
-
-
-def strip_antiderivatives(f: TestFunction) -> TestFunction:
-    """Copy of f with antiderivatives removed; exercises quadrature fallbacks."""
-    pieces = tuple(replace(p, antiderivative=None) for p in f.pieces)
-    return replace(f, name=f"{f.name}~noanti", pieces=pieces, exact_values=())
 
 
 # ---------------------------------------------------------------------------

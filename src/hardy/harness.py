@@ -29,7 +29,7 @@ from functools import lru_cache
 from importlib import resources
 
 from . import cont_ops, funcspace, seq_ops
-from .quad import HalflineIntegrand, QuadConfig, integrate_halfline
+from .quad import QuadConfig, integrate_halfline
 
 __all__ = [
     "SuiteConfig", "ClaimCheck", "ClaimRecord", "ConfigError",
@@ -66,10 +66,15 @@ class SuiteConfig:
     def __post_init__(self):
         if self.fmt not in ("json", "csv"):
             raise ConfigError(f"unknown report format {self.fmt!r}")
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ConfigError("tolerances must be positive")
         if self.seq_horizon < 10 ** 3 or self.sharp_n < 10 ** 3:
             raise ConfigError("horizons below 10^3 are not meaningful here")
+        if max(self.seq_horizon, self.sharp_n) > seq_ops.MAX_FLOAT_TERMS:
+            raise ConfigError(
+                f"horizons above {seq_ops.MAX_FLOAT_TERMS} terms are not supported")
+        try:
+            self.quad()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def quad(self) -> QuadConfig:
         return QuadConfig(rel_tol=self.rel_tol, abs_tol=self.abs_tol,
@@ -174,7 +179,7 @@ def _claim_theta(cfg: SuiteConfig, qcfg: QuadConfig):
     checks.append(_chk("running average equals 1/(1+x)", worst <= 1e-12,
                        worst, "<= 1e-12", "closed-form"))
     total = integrate_halfline(
-        HalflineIntegrand(theta.eval),
+        lambda v: math.exp(theta.log_eval(v)[0] + v),
         qcfg,
         origin_envs=(theta.origin.envelope_reciprocal(),),
         tail_envs=(theta.tail.envelope(),))
@@ -736,100 +741,86 @@ _CONT_FAMILIES = ("power_tail", "power_cutoff", "log_tail", "box")
 _DISC_FAMILIES = ("em", "powcut", "power", "logdecay")
 
 
-def _run_pool(worker, values, jobs: int) -> list[dict]:
-    """Map worker over grid points; with jobs > 1 a thread pool is used and
-    rows are still assembled in grid order, so parallelism never changes the
-    output bytes.  Per-point failures are recorded in-row."""
-    if jobs <= 1:
-        return [worker(v) for v in values]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, values))
+def _cont_row(family, param, val, fixed, qcfg) -> dict:
+    """One sweep point; a bad point is recorded in its row, not raised."""
+    params = dict(fixed or {})
+    params[param] = val
+    row = {"family": family, param: val}
+    try:
+        f = funcspace.catalog(family, **params)
+        l1 = cont_ops.total_integral(funcspace.absolute(f), qcfg)[0]
+        w = cont_ops.log_weight_norm(f, qcfg)
+        h = cont_ops.l1_norm_modified(f, qcfg)
+        i1 = cont_ops.split_i1(f, qcfg)
+        i2 = cont_ops.split_i2(f, qcfg)
+        row.update({
+            "l1_norm": l1,
+            "weighted_norm": w.value if w.verdict == "converged" else None,
+            "weighted_verdict": w.verdict,
+            "l1_norm_modified": h.value if h.verdict == "converged" else None,
+            "modified_verdict": h.verdict,
+            "i1": i1.value if i1.verdict == "converged" else None,
+            "i2": i2.value if i2.verdict == "converged" else None,
+        })
+        if w.verdict == "converged" and h.verdict == "converged" and w.value > 0:
+            row["equivalence_ratio"] = (h.value + l1) / w.value
+        else:
+            row["equivalence_ratio"] = None
+    except (funcspace.ParameterError, funcspace.DomainError) as exc:
+        row["error"] = str(exc)
+    return row
 
 
-def _cont_point(family, param, fixed, cfg, qcfg):
-    def worker(val):
-        params = dict(fixed or {})
-        params[param] = val
-        row = {"family": family, param: val}
-        try:
-            f = funcspace.catalog(family, **params)
-            l1 = cont_ops.total_integral(funcspace.absolute(f), qcfg)[0]
-            w = cont_ops.log_weight_norm(f, qcfg)
-            h = cont_ops.l1_norm_modified(f, qcfg)
-            i1 = cont_ops.split_i1(f, qcfg)
-            i2 = cont_ops.split_i2(f, qcfg)
-            row.update({
-                "l1_norm": l1,
-                "weighted_norm": w.value if w.verdict == "converged" else None,
-                "weighted_verdict": w.verdict,
-                "l1_norm_modified": h.value if h.verdict == "converged" else None,
-                "modified_verdict": h.verdict,
-                "i1": i1.value if i1.verdict == "converged" else None,
-                "i2": i2.value if i2.verdict == "converged" else None,
-            })
-            if w.verdict == "converged" and h.verdict == "converged" and w.value > 0:
-                row["equivalence_ratio"] = (h.value + l1) / w.value
-            else:
-                row["equivalence_ratio"] = None
-        except (funcspace.ParameterError, funcspace.DomainError) as exc:
-            row["error"] = str(exc)
-        return row
-    return worker
+def _footer(rows: list[dict]) -> dict:
+    ratios = [r["equivalence_ratio"] for r in rows
+              if r.get("equivalence_ratio") is not None]
+    return {"ratio_min": min(ratios) if ratios else None,
+            "ratio_max": max(ratios) if ratios else None}
 
 
 def sweep_cont(family: str, param: str, values, cfg: SuiteConfig,
-               fixed: dict | None = None, jobs: int = 1) -> tuple[list[dict], dict]:
+               fixed: dict | None = None) -> tuple[list[dict], dict]:
     if family not in _CONT_FAMILIES:
         raise ConfigError(f"unknown continuous family {family!r}")
-    rows = _run_pool(_cont_point(family, param, fixed, cfg, cfg.quad()),
-                     values, jobs)
-    ratios = [r["equivalence_ratio"] for r in rows
-              if r.get("equivalence_ratio") is not None]
-    footer = {"ratio_min": min(ratios) if ratios else None,
-              "ratio_max": max(ratios) if ratios else None}
-    return rows, footer
+    qcfg = cfg.quad()
+    rows = [_cont_row(family, param, v, fixed, qcfg) for v in values]
+    return rows, _footer(rows)
 
 
-def _disc_point(family, param, fixed, cfg):
-    def worker(val):
-        params = dict(fixed or {})
-        params[param] = val
-        row = {"family": family, param: val}
-        try:
-            seq = seq_ops.catalog_seq(family, **params)
-            total = seq_ops.total_sum(seq)
-            weight = seq_ops.l1_log_weight(seq)
-            norm = seq_ops.l1_norm_mod(seq, cfg.seq_horizon)
-            row.update({
-                "total_sum": total.value if total.verdict == "converged" else None,
-                "log_weight": weight.value if weight.verdict == "converged" else None,
-                "weight_verdict": weight.verdict,
-                "l1_norm_modified": norm.value if norm.verdict == "converged" else None,
-                "norm_verdict": norm.verdict,
-            })
-            if (weight.verdict == norm.verdict == total.verdict == "converged"
-                    and total.value > 0):
-                denom = seq_ops.EULER_GAMMA * total.value + weight.value
-                row["equivalence_ratio"] = (norm.value + total.value) / denom
-            else:
-                row["equivalence_ratio"] = None
-        except seq_ops.SequenceError as exc:
-            row["error"] = str(exc)
-        return row
-    return worker
+def _disc_row(family, param, val, fixed, cfg) -> dict:
+    """One sweep point; a bad point is recorded in its row, not raised."""
+    params = dict(fixed or {})
+    params[param] = val
+    row = {"family": family, param: val}
+    try:
+        seq = seq_ops.catalog_seq(family, **params)
+        total = seq_ops.total_sum(seq)
+        weight = seq_ops.l1_log_weight(seq)
+        norm = seq_ops.l1_norm_mod(seq, cfg.seq_horizon)
+        row.update({
+            "total_sum": total.value if total.verdict == "converged" else None,
+            "log_weight": weight.value if weight.verdict == "converged" else None,
+            "weight_verdict": weight.verdict,
+            "l1_norm_modified": norm.value if norm.verdict == "converged" else None,
+            "norm_verdict": norm.verdict,
+        })
+        if (weight.verdict == norm.verdict == total.verdict == "converged"
+                and total.value > 0):
+            denom = seq_ops.EULER_GAMMA * total.value + weight.value
+            row["equivalence_ratio"] = (norm.value + total.value) / denom
+        else:
+            row["equivalence_ratio"] = None
+    except seq_ops.SequenceError as exc:
+        row["error"] = str(exc)
+    return row
 
 
 def sweep_disc(family: str, param: str, values, cfg: SuiteConfig,
-               fixed: dict | None = None, jobs: int = 1) -> tuple[list[dict], dict]:
+               fixed: dict | None = None) -> tuple[list[dict], dict]:
     if family not in _DISC_FAMILIES:
         raise ConfigError(f"unknown discrete family {family!r}")
-    rows = _run_pool(_disc_point(family, param, fixed, cfg), values, jobs)
-    ratios = [r["equivalence_ratio"] for r in rows
-              if r.get("equivalence_ratio") is not None]
-    footer = {"ratio_min": min(ratios) if ratios else None,
-              "ratio_max": max(ratios) if ratios else None}
-    return rows, footer
+    rows = [_disc_row(family, param, v, fixed, cfg) for v in values]
+    return rows, _footer(rows)
 
 
 def sweep_to_csv(rows: list[dict], footer: dict) -> str:

@@ -1,17 +1,18 @@
 """Adaptive quadrature on (0, inf) with certified tail handling.
 
-The finite-interval workhorse is a Gauss(7)/Kronrod(15) embedded pair driven
-by a worst-panel-first heap; panels never straddle caller-supplied
-breakpoints, so jump discontinuities cost nothing.
+The finite-interval workhorse is QUADPACK's Gauss(7)/Kronrod(15) pair QK15
+(Piessens et al., 1983), driven by a worst-panel-first heap; panels never
+straddle caller-supplied breakpoints, so jump discontinuities cost nothing.
 
-Improper ranges are reduced to finite work by two substitutions:
-
-* the origin (0, A] is mapped through u = 1/t and treated as a tail in u;
-* every tail is integrated in the coordinate v = ln t, where power decay
-  t**-a becomes exponential decay e**-(a-1)v and power-log decay becomes
-  plain power decay.  The truncation point is chosen from a declared decay
-  envelope and the discarded remainder enters the result as an explicit,
-  auditable ``tail_bound``.
+The half line is integrated in the one coordinate v = ln t, which maps
+(0, inf) onto the whole real line, the map double-exponential quadrature
+(Takahasi & Mori, 1974) starts from.  The two ends of (0, inf) become the
+two ends of one line: power decay t**-a at infinity becomes exponential
+decay e**-(a-1)v as v -> +inf, and the origin becomes the mirror tail
+v -> -inf, walked in w = -v = ln(1/t).  A caller therefore writes one
+log-stable density d(v) = g(e**v) * e**v.  Each tail's truncation point is
+chosen from a declared decay envelope and the discarded remainder enters the
+result as an explicit, auditable ``tail_bound``.
 
 Divergence is a first-class verdict, produced two ways: a declared lower
 envelope whose integral diverges (a certificate), or the doubling-scale
@@ -28,7 +29,7 @@ from typing import Callable, Sequence
 from .envelopes import Envelope, sum_remainder, sum_v_for_remainder
 
 __all__ = [
-    "QuadConfig", "QuadResult", "HalflineIntegrand", "HalflineResult",
+    "QuadConfig", "QuadResult", "HalflineResult",
     "ProbeResult", "EvaluationError",
     "integrate", "integrate_halfline", "probe_divergence",
     "DEFAULT_CONFIG", "SAFETY",
@@ -70,8 +71,8 @@ class QuadConfig:
     probe_doublings: int = 20
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
         if self.max_depth < 10:
             raise ValueError("max_depth must be at least 10")
 
@@ -207,48 +208,6 @@ def _integrate_core(
 # half-line integration
 # ---------------------------------------------------------------------------
 
-def _default_vdensity(fn):
-    def density(v):
-        if v > 690.0:
-            raise EvaluationError(
-                "tail reaches beyond float range; supply a log-stable density")
-        t = math.exp(v)
-        return fn(t) * t
-    return density
-
-
-def _default_udensity(fn):
-    def density(w):
-        if w > 690.0:
-            raise EvaluationError(
-                "origin reaches beyond float range; supply a log-stable density")
-        t = math.exp(-w)
-        return fn(t) * t
-    return density
-
-
-@dataclass(frozen=True)
-class HalflineIntegrand:
-    """An integrand on (0, inf) with optional log-stable densities.
-
-    ``vdensity(v)`` must equal g(e**v) * e**v (the density of the integral in
-    v = ln t) and ``udensity(w)`` must equal g(e**-w) * e**-w (the density in
-    w = ln(1/t) covering the origin).  When omitted they are synthesized from
-    ``fn``, which restricts tails to t below the float overflow range.
-    """
-
-    fn: Callable[[float], float]
-    vdensity: Callable[[float], float] | None = None
-    udensity: Callable[[float], float] | None = None
-    breakpoints: tuple[float, ...] = ()
-
-    def v_density(self):
-        return self.vdensity if self.vdensity is not None else _default_vdensity(self.fn)
-
-    def u_density(self):
-        return self.udensity if self.udensity is not None else _default_udensity(self.fn)
-
-
 @dataclass(frozen=True)
 class ProbeResult:
     verdict: str  # "divergent-log" | "convergent" | "inconclusive"
@@ -358,64 +317,67 @@ def _tail_side(density, v0: float, envs: tuple[Envelope, ...], cfg: QuadConfig):
 
 
 def integrate_halfline(
-    integrand: HalflineIntegrand | Callable[[float], float],
+    density: Callable[[float], float],
     cfg: QuadConfig = DEFAULT_CONFIG,
     origin_envs: tuple[Envelope, ...] = (),
     tail_envs: tuple[Envelope, ...] = (),
     probe_start: float | None = None,
+    breakpoints: Sequence[float] = (),
 ) -> HalflineResult:
-    """Integral over (0, inf) split at breakpoints and 1.
+    """Integral over (0, inf) of g, given as its density d(v) = g(e**v) * e**v
+    on the whole real line; ``breakpoints`` are jumps of g, given in t.
 
-    The origin side is mapped through u = 1/t and both sides are walked in
-    log coordinates against the supplied envelopes.  A lower envelope whose
-    integral diverges yields the DIVERGENT verdict (after the certificate is
-    spot-checked against the integrand); an upper envelope that fails to
-    integrate and carries no certificate triggers the doubling probe, whose
-    inconclusive outcome is reported as such, never silently converted.
+    The tail walks d(v) from ln B0 and the origin walks d(-w) from ln(1/A0),
+    each against its envelopes (origin envelopes bound g(1/u) / u**2 in
+    u = 1/t); the middle [ln A0, ln B0] is integrated in v.  A lower
+    envelope whose integral diverges yields the DIVERGENT verdict (after the
+    certificate is spot-checked against the density); an upper envelope
+    that fails to integrate and carries no certificate triggers the doubling
+    probe, whose inconclusive outcome is reported as such, never silently
+    converted.
     """
-    if not isinstance(integrand, HalflineIntegrand):
-        integrand = HalflineIntegrand(integrand)
     if not origin_envs or not tail_envs:
         raise ValueError("half-line integration needs envelopes on both sides")
 
-    vdensity = integrand.v_density()
-    udensity = integrand.u_density()
+    def origin_density(w: float) -> float:
+        return density(-w)
 
-    for side, envs, density in (("origin", origin_envs, udensity),
-                                ("tail", tail_envs, vdensity)):
+    for side, envs, side_density in (("origin", origin_envs, origin_density),
+                                     ("tail", tail_envs, density)):
         if any(env.certified_divergent() for env in envs):
             certified = tuple(e for e in envs if e.certified_divergent())
-            _spot_check_lower(density, certified, math.log(certified[0].valid_from))
+            _spot_check_lower(side_density, certified, math.log(certified[0].valid_from))
             return HalflineResult(verdict="divergent", divergent_side=side)
 
-    for side, envs, density in (("tail", tail_envs, vdensity),
-                                ("origin", origin_envs, udensity)):
+    for side, envs, side_density in (("tail", tail_envs, density),
+                                     ("origin", origin_envs, origin_density)):
         if all(env.integrable() for env in envs):
             continue
-        # no certificate and no integrable bound: fall back to the probe
+        # no certificate and no integrable bound: fall back to the probe,
+        # first in t (or u = 1/t), where g(t) = d(ln t) / t
         start = probe_start if (probe_start is not None and side == "tail") else math.e
-        fn = integrand.fn if side == "tail" else (lambda u: integrand.fn(1.0 / u) / u ** 2)
-        probe = probe_divergence(fn, start, cfg)
+        probe = probe_divergence(lambda t: side_density(math.log(t)) / t, start, cfg)
         if probe.verdict == "divergent-log":
             return HalflineResult(verdict="divergent", divergent_side=side, probe=probe)
         if probe.verdict == "inconclusive":
             # second look on the doubly logarithmic scale
-            probe2 = probe_divergence(density, max(math.e, math.log(start) + 1.0), cfg)
+            probe2 = probe_divergence(side_density, max(math.e, math.log(start) + 1.0), cfg)
             if probe2.verdict == "divergent-log":
                 return HalflineResult(verdict="divergent", divergent_side=side, probe=probe2)
             return HalflineResult(verdict="inconclusive", divergent_side=side, probe=probe2)
         return HalflineResult(verdict="inconclusive", divergent_side=side, probe=probe)
 
-    bps = tuple(sorted(integrand.breakpoints))
+    bps = tuple(sorted(breakpoints))
     u_valid = max(env.valid_from for env in origin_envs)
     A0 = min([1.0, 1.0 / u_valid] + [b for b in bps if b > 0.0])
     B0 = max([1.0] + list(bps) + [
         env.valid_from for env in tail_envs if not env.is_compact])
-    inner = tuple(b for b in bps if A0 < b < B0)
+    w0, v0 = math.log(1.0 / A0), math.log(B0)
+    inner = tuple(math.log(b) for b in bps if A0 < b < B0)
 
-    middle = integrate(integrand.fn, A0, B0, cfg, breakpoints=inner)
-    t_val, t_err, t_bound, t_sub = _tail_side(vdensity, math.log(B0), tail_envs, cfg)
-    o_val, o_err, o_bound, o_sub = _tail_side(udensity, math.log(1.0 / A0), origin_envs, cfg)
+    middle = _integrate_core(density, -w0, v0, cfg, breakpoints=inner)
+    t_val, t_err, t_bound, t_sub = _tail_side(density, v0, tail_envs, cfg)
+    o_val, o_err, o_bound, o_sub = _tail_side(origin_density, w0, origin_envs, cfg)
 
     value = math.fsum((middle.value, t_val, o_val))
     err = math.fsum((middle.err_est, t_err, o_err))

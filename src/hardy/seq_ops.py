@@ -31,7 +31,7 @@ from .envelopes import Envelope
 
 __all__ = [
     "Rational", "SeqSpec", "DecayClass", "SumResult", "DiscMeanReport", "DiscReport",
-    "SequenceError", "EULER_GAMMA",
+    "SequenceError", "EULER_GAMMA", "MAX_FLOAT_TERMS",
     "catalog_seq", "parse_sequence", "finite_sequence", "load_rational_file",
     "cesaro", "modified_cesaro", "j1_term", "j2_term",
     "j1_sum", "j2_sum", "j1_sum_by_weights", "j2_sum_by_weights",
@@ -48,6 +48,9 @@ Rational = Fraction
 EULER_GAMMA = 0.57721566490153286061
 
 _LN2 = math.log(2.0)
+
+# Largest float term array any path builds (80 MB of float64).
+MAX_FLOAT_TERMS = 10 ** 7
 
 
 class SequenceError(ValueError):
@@ -193,7 +196,10 @@ class SeqSpec:
         return self.gen(k)
 
     def terms_float(self, n: int) -> np.ndarray:
-        """a_1..a_n as float64."""
+        """a_1..a_n as float64, for n up to MAX_FLOAT_TERMS."""
+        if n > MAX_FLOAT_TERMS:
+            raise SequenceError(
+                f"{self.name}: {n} float terms exceed the cap of {MAX_FLOAT_TERMS}")
         if self.finite:
             out = np.zeros(n)
             m = min(n, len(self.values))
@@ -382,8 +388,8 @@ def j1_sum_by_weights(seq: SeqSpec, horizon: int = 10 ** 6) -> SumResult:
             sum((v / Fraction(k) for k, v in enumerate(seq.values, start=1)),
                 Fraction(0)))
     n = max(horizon, seq.decay.valid_from)
-    ks = np.arange(1, n + 1, dtype=np.float64)
-    head = float(np.sum(seq.terms_float(n) / ks))
+    # terms first, so the size cap fires before any other array is built
+    head = float(np.sum(seq.terms_float(n) / np.arange(1, n + 1, dtype=np.float64)))
     rem = seq.decay.remainder(n)  # a_k/k <= a_k
     if math.isinf(rem):
         return SumResult.inconclusive()
@@ -404,10 +410,10 @@ def j2_sum_by_weights(seq: SeqSpec, horizon: int = 10 ** 6) -> SumResult:
     if math.isinf(wrem):
         return SumResult.inconclusive()
     n = horizon
-    ks = np.arange(1, n + 1, dtype=np.float64)
-    # float harmonic prefix; adequate against the certified remainder
-    hk = np.cumsum(1.0 / ks)
-    head = float(np.sum(seq.terms_float(n) * (hk - 1.0)))
+    # terms first, so the size cap fires before any other array is built;
+    # the float harmonic prefix is adequate against the certified remainder
+    head = float(np.sum(seq.terms_float(n)
+                        * (np.cumsum(1.0 / np.arange(1, n + 1, dtype=np.float64)) - 1.0)))
     return SumResult(head, wrem + 1e-12 * abs(head), "converged")
 
 
@@ -423,8 +429,9 @@ def l1_log_weight(seq: SeqSpec, horizon: int = 10 ** 6) -> SumResult:
         return SumResult.divergent()
     end = seq.support_end
     n = end if end is not None else max(horizon, seq.decay.valid_from)
-    ks = np.arange(1, n + 1, dtype=np.float64)
-    head = float(np.sum(np.abs(seq.terms_float(n)) * np.log(ks + 1.0)))
+    # terms first, so the size cap fires before any other array is built
+    head = float(np.sum(np.abs(seq.terms_float(n))
+                        * np.log(np.arange(1, n + 1, dtype=np.float64) + 1.0)))
     if end is not None:
         return SumResult(head, 1e-13 * head * math.log2(n + 2), "converged")
     wrem = seq.decay.weighted_remainder(n)
@@ -458,7 +465,7 @@ def l1_norm_mod(seq: SeqSpec, horizon: int = 10 ** 4) -> SumResult:
     if total.verdict != "converged":
         return SumResult.inconclusive()
     end = seq.support_end
-    if end is not None and end <= 10 ** 7:
+    if end is not None:
         arr = seq.terms_float(end)
         csum = np.cumsum(arr)
         ns = np.arange(1, end + 1, dtype=np.float64)

@@ -135,3 +135,39 @@ def test_main_callable_in_process(capsys):
     code = main(["cont", "eval", "--fn", "theta", "--x", "1"])
     assert code == 0
     assert float(capsys.readouterr().out) == 0.25
+
+
+@pytest.mark.parametrize("flags", [
+    ("--max-depth", "5"), ("--rel-tol", "nan"), ("--abs-tol", "inf"),
+    ("--sharp-n", str(10 ** 7 + 1)), ("--seq-horizon", str(10 ** 7 + 1)),
+])
+def test_bad_settings_exit_2_before_any_claim(flags):
+    proc = run_cli("verify", *flags)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "configuration error" in proc.stderr
+    assert proc.stdout == ""  # no claim line
+
+
+@pytest.mark.parametrize("text", ['{"max_depth": 5}', '{"rel_tol": NaN}',
+                                  '{"abs_tol": Infinity}', '{"rel_tol": "1e-8"}',
+                                  '{"max_depth": 60.5}', '{"seed": true}'])
+def test_bad_config_file_settings_exit_2_before_any_claim(tmp_path, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    proc = run_cli("verify", "--config", str(cfg))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "configuration error" in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("disc", "report", "--seq", f"powcut(alpha=0.5,N={10 ** 7 + 1})"),
+    ("disc", "hardy-ratio", "--seq", "lambda", "--p", "2", "--n", str(10 ** 7 + 1)),
+])
+def test_oversized_float_arrays_exit_2(argv):
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "exceed the cap" in proc.stderr

@@ -5,7 +5,6 @@ import pytest
 
 from hardy import cont_ops as co
 from hardy import funcspace as fs
-from hardy.quad import QuadConfig
 
 E = math.e
 LN32 = math.log(1.5)
@@ -59,12 +58,16 @@ def test_hardy_avg_theta(theta):
         assert co.hardy_avg(theta, x) == pytest.approx(1.0 / (1.0 + x), abs=1e-14)
 
 
-def test_hardy_avg_quadrature_fallback(theta):
-    bare = fs.strip_antiderivatives(theta)
-    rng = random.Random(3)
-    for x in sorted(_log_points(rng, 12, 1e-2, 1e3)):
-        assert co.hardy_avg(bare, x) == pytest.approx(
-            1.0 / (1.0 + x), rel=1e-8, abs=1e-12)
+def test_missing_antiderivative_is_a_domain_error(theta):
+    # every operator integrates through the piecewise antiderivatives, so a
+    # hand-built piece without one is rejected by name
+    bare = fs.TestFunction("bare", (fs.Piece(0.0, math.inf, theta.pieces[0].expr, None, 1),),
+                           (), theta.origin, theta.tail)
+    for op in (lambda: co.hardy_avg(bare, 1.0), lambda: co.total_integral(bare),
+               lambda: co.split_i1(bare), lambda: co.split_i2(bare),
+               lambda: co.l1_norm_modified(bare), lambda: co.build_report(bare)):
+        with pytest.raises(fs.DomainError, match=r"bare: piece on \(0.0, inf\]"):
+            op()
 
 
 def test_modified_hardy_values(theta, f0, fe):
@@ -124,14 +127,6 @@ def test_split_i2_box_closed_form():
                                   "power_tail(beta=3)"])
 def test_fubini_check(name):
     rep = co.fubini_check_cont(fs.parse_function(name))
-    assert rep.passed
-
-
-def test_fubini_check_on_quadrature_fallback(theta):
-    # same order-exchange identity with the cumulative cache instead of
-    # exact antiderivatives
-    rep = co.fubini_check_cont(fs.strip_antiderivatives(theta),
-                               QuadConfig(rel_tol=1e-8, abs_tol=1e-12))
     assert rep.passed
 
 

@@ -102,11 +102,6 @@ def test_exact_antiderivative_examples(theta, f0):
     assert fs.exact_antiderivative(theta, 0.0, math.inf) == 1.0
 
 
-def test_exact_antiderivative_absent_when_stripped(theta):
-    bare = fs.strip_antiderivatives(theta)
-    assert fs.exact_antiderivative(bare, 1.0, 2.0) is None
-
-
 def test_antiderivatives_differentiate_back():
     # central difference of each antiderivative reproduces the piece value
     rng = random.Random(11)
@@ -154,13 +149,10 @@ def test_catalog_l1_membership():
         f = fs.parse_function(name)
         declared = f.exact("l1_norm") or f.exact("total_integral")
         res = quad.integrate_halfline(
-            quad.HalflineIntegrand(
-                lambda t, f=f: abs(f.eval(t)),
-                vdensity=lambda v, f=f: math.exp(f.log_eval(v)[0] + v),
-                udensity=lambda w, f=f: math.exp(f.log_eval(-w)[0] - w),
-                breakpoints=f.breakpoints),
+            lambda v, f=f: math.exp(f.log_eval(v)[0] + v),
             origin_envs=(f.origin.envelope_reciprocal(),),
-            tail_envs=(f.tail.envelope(),))
+            tail_envs=(f.tail.envelope(),),
+            breakpoints=f.breakpoints)
         assert res.verdict == "converged"
         assert res.value == pytest.approx(declared, rel=1e-9)
 
@@ -204,3 +196,25 @@ def test_compact_declaration_checked():
             fs.OriginClass("bounded", 1.0),
             fs.TailClass("compact", support_end=2.0),
         )
+
+
+@pytest.mark.parametrize("alpha,beta", [(1.01, 2.0), (1.2, 3.0)])
+def test_add_absorbs_power_tail_into_power_log(alpha, beta):
+    # t**(alpha-1) >= ln(t)**beta only far beyond t = e here (for alpha=1.01,
+    # beta=2 near ln t = 1.5e3), so the power class is absorbed with the
+    # constant sup_v v**beta e**(-(alpha-1)v), reached at v = beta/(alpha-1)
+    g = fs.add(fs.catalog("power_tail", beta=alpha), fs.catalog("log_tail", beta=beta))
+    assert g.tail.kind == "power_log" and g.tail.beta == beta
+    env = g.tail.envelope()
+    for v in (1.5, beta / (alpha - 1.0), 10.0 * beta / (alpha - 1.0)):
+        la, _ = g.log_eval(v)
+        assert la <= math.log(env.coeff) - env.power * v + env.logpow * math.log(v) + 1e-9
+
+
+@pytest.mark.parametrize("names", [("theta", "fe"), ("power_cutoff(alpha=0.5,T=1)", "fe")])
+def test_add_absorbs_origin_class_into_power_log(names):
+    # t ln(1/t)**beta is not monotone on (0, 1/e], so the bounded or power
+    # class at the origin is absorbed with the sup of its ratio to the
+    # power-log shape, not with the ratio at valid_below
+    g = fs.add(*(fs.parse_function(n) for n in names))  # spot-checks the class
+    assert g.origin.kind == "power_log" and g.origin.beta == 2.0

@@ -46,6 +46,11 @@ def test_config_validation():
         harness.SuiteConfig(rel_tol=-1.0)
     with pytest.raises(harness.ConfigError):
         harness.SuiteConfig(seq_horizon=10)
+    # the quadrature settings are validated here too, as config errors
+    for bad in ({"max_depth": 5}, {"rel_tol": float("nan")}, {"abs_tol": float("inf")},
+                {"sharp_n": 10 ** 7 + 1}, {"seq_horizon": 10 ** 7 + 1}):
+        with pytest.raises(harness.ConfigError):
+            harness.SuiteConfig(**bad)
 
 
 def test_filter_matches_nothing_is_an_error():

@@ -6,7 +6,7 @@ import pytest
 from hardy import funcspace as fs
 from hardy.envelopes import Envelope
 from hardy.quad import (
-    DEFAULT_CONFIG, EvaluationError, HalflineIntegrand, QuadConfig,
+    DEFAULT_CONFIG, EvaluationError, QuadConfig,
     integrate, integrate_halfline, probe_divergence,
 )
 
@@ -48,6 +48,11 @@ def test_config_validation():
         QuadConfig(rel_tol=0.0)
     with pytest.raises(ValueError):
         QuadConfig(max_depth=5)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            QuadConfig(rel_tol=bad)
+        with pytest.raises(ValueError):
+            QuadConfig(abs_tol=bad)
 
 
 def test_additivity():
@@ -75,18 +80,15 @@ def test_error_estimate_covers_truth():
         assert abs(res.value - exact) <= res.err_est + 1e-13 * (1.0 + abs(exact))
 
 
-def _abs_integrand(f):
-    return HalflineIntegrand(
-        lambda t: abs(f.eval(t)),
-        vdensity=lambda v: math.exp(f.log_eval(v)[0] + v),
-        udensity=lambda w: math.exp(f.log_eval(-w)[0] - w),
-        breakpoints=f.breakpoints)
+def _abs_density(f):
+    # |f(e^v)| e^v, the density of int |f| dt in v = ln t
+    return lambda v: math.exp(f.log_eval(v)[0] + v)
 
 
 def test_halfline_theta():
     theta = fs.catalog("theta")
     res = integrate_halfline(
-        _abs_integrand(theta),
+        _abs_density(theta),
         origin_envs=(theta.origin.envelope_reciprocal(),),
         tail_envs=(theta.tail.envelope(),))
     assert res.verdict == "converged"
@@ -97,12 +99,14 @@ def test_halfline_theta():
 def test_halfline_weighted_theta():
     # int theta(t) ln(1+t) dt = 1 after the shift to t >= 1
     theta = fs.catalog("theta")
-    integrand = HalflineIntegrand(
-        lambda t: theta.eval(t) * math.log1p(t),
-        breakpoints=())
+
+    def density(v):
+        t = math.exp(v)
+        return theta.eval(t) * math.log1p(t) * t
+
     env_t = theta.tail.envelope().weighted_log()
     env_o = theta.origin.envelope_reciprocal()
-    res = integrate_halfline(integrand, origin_envs=(env_o,), tail_envs=(env_t,))
+    res = integrate_halfline(density, origin_envs=(env_o,), tail_envs=(env_t,))
     assert res.verdict == "converged"
     assert res.value == pytest.approx(1.0, abs=1e-9)
 
@@ -116,8 +120,7 @@ def test_halfline_divergent_by_certificate():
     # |running average of fe| = 1/(t ln t) beyond e: certified divergent
     env = Envelope(1.0, 1.0, -1.0, valid_from=E, lower=1.0)
     res = integrate_halfline(
-        HalflineIntegrand(lambda t: 1.0 / (t * math.log(t)) if t > E else 0.0,
-                          vdensity=lambda v: 1.0 / v if v > 1.0 else 0.0),
+        lambda v: 1.0 / v if v > 1.0 else 0.0,
         origin_envs=(Envelope.compact(E),),
         tail_envs=(env,))
     assert res.verdict == "divergent"
@@ -129,8 +132,7 @@ def test_halfline_rejects_false_divergence_certificate():
     env = Envelope(1.0, 1.0, 0.0, valid_from=E, lower=0.9)
     with pytest.raises(ValueError):
         integrate_halfline(
-            HalflineIntegrand(lambda t: t ** -3.0,
-                              vdensity=lambda v: math.exp(-2.0 * v)),
+            lambda v: math.exp(-2.0 * v),  # t**-3
             origin_envs=(Envelope.compact(E),),
             tail_envs=(env,))
 
@@ -139,7 +141,7 @@ def test_halfline_probe_fallback_divergent():
     # no usable upper envelope, no certificate: the probe catches 1/x
     env = Envelope(2.0, 1.0, 0.0, valid_from=E)  # not integrable, no lower
     res = integrate_halfline(
-        HalflineIntegrand(lambda t: 1.0 / t if t > E else 0.0),
+        lambda v: 1.0 if v > 1.0 else 0.0,  # 1/t beyond e
         origin_envs=(Envelope.compact(E),),
         tail_envs=(env,))
     assert res.verdict == "divergent"
@@ -147,19 +149,18 @@ def test_halfline_probe_fallback_divergent():
 
 
 def test_substitution_consistency():
-    # int_0^inf g(t) dt = int_0^inf g(1/u)/u^2 du with sides exchanged
+    # int_0^inf g(t) dt = int_0^inf g(1/u)/u^2 du with sides exchanged; in
+    # v = ln u the density of the mirrored integrand is the density of g at -v
     beta = 3.0
     g = fs.catalog("power_tail", beta=beta)
+    density = _abs_density(g)
     direct = integrate_halfline(
-        _abs_integrand(g),
+        density,
         origin_envs=(g.origin.envelope_reciprocal(),),
         tail_envs=(g.tail.envelope(),))
 
-    def mirrored(u: float) -> float:
-        return g.eval(1.0 / u) / u ** 2
-
     res = integrate_halfline(
-        HalflineIntegrand(mirrored),
+        lambda v: density(-v),
         origin_envs=(Envelope(1.0, 2.0, 0.0),),       # u(1+u)^-3 <= u^-2 near 0
         tail_envs=(Envelope(1.0, 2.0, 0.0),))         # and <= u^-2 at infinity
     assert direct.verdict == res.verdict == "converged"
@@ -209,7 +210,7 @@ def test_quadresult_converged_invariant():
     from hardy.quad import SAFETY
     theta = fs.catalog("theta")
     res = integrate_halfline(
-        _abs_integrand(theta),
+        _abs_density(theta),
         origin_envs=(theta.origin.envelope_reciprocal(),),
         tail_envs=(theta.tail.envelope(),))
     tol = max(DEFAULT_CONFIG.rel_tol * abs(res.value), DEFAULT_CONFIG.abs_tol)

@@ -117,6 +117,17 @@ def test_total_sum_tail_bound():
     assert abs(res.value - zeta_15) <= res.err
 
 
+def test_float_term_arrays_are_capped():
+    # one guard in terms_float, raised before any array is built
+    n = so.MAX_FLOAT_TERMS + 1
+    big = so.catalog_seq("powcut", alpha=0.5, N=n)
+    for op in (lambda: big.terms_float(n), lambda: so.total_sum(big),
+               lambda: so.l1_log_weight(big), lambda: so.l1_norm_mod(big),
+               lambda: so.hardy_ratio(so.catalog_seq("lambda"), 2.0, n)):
+        with pytest.raises(so.SequenceError, match="exceed the cap"):
+            op()
+
+
 def test_harmonic_exact():
     assert so.harmonic(1) == 1
     assert so.harmonic(4) == Fraction(25, 12)
