@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import fnmatch
 import io
+import itertools
 import json
 import math
 import random
@@ -411,7 +412,7 @@ def _claim_disc_fubini(cfg: SuiteConfig, qcfg: QuadConfig):
             bad += 1
             continue
         total = seq_ops.total_sum(seq).exact
-        pre = seq_ops._prefix_exact(seq, 200)
+        pre = list(itertools.accumulate(seq.values, initial=Fraction(0)))
         for n in range(1, 201):
             s_n = pre[n] if n <= n0 else pre[n0]
             gm = s_n / Fraction(n) - total / Fraction(n + 1)
@@ -499,10 +500,9 @@ def _claim_disc_weight(cfg: SuiteConfig, qcfg: QuadConfig):
                        "within its certified bound", ok, L.value,
                        f"{gold['value']!r} +- {L.err + gold['abs_err']:.3e}",
                        "frozen oracle"))
-    ld = seq_ops.catalog_seq("logdecay", beta=2.0)
+    L = seq_ops.l1_log_weight(seq_ops.catalog_seq("logdecay", beta=2.0))
     checks.append(_chk("borderline log-decay sequence has divergent weighted sum",
-                       seq_ops.l1_log_weight(ld).verdict == "divergent",
-                       seq_ops.l1_log_weight(ld).verdict, "divergent",
+                       L.verdict == "divergent", L.verdict, "divergent",
                        "certified envelope"))
     return checks
 
@@ -527,13 +527,11 @@ def _claim_disc_char_divergent(cfg: SuiteConfig, qcfg: QuadConfig):
     checks = []
     for name in ("logdecay(beta=1.5)", "logdecay(beta=2)"):
         seq = seq_ops.parse_sequence(name)
-        checks.append(_chk(f"{seq.name}: weighted sum divergent",
-                           seq_ops.l1_log_weight(seq).verdict == "divergent",
-                           seq_ops.l1_log_weight(seq).verdict, "divergent",
-                           "certified envelope"))
+        L, norm = seq_ops.l1_log_weight(seq), seq_ops.l1_norm_mod(seq)
+        checks.append(_chk(f"{seq.name}: weighted sum divergent", L.verdict == "divergent",
+                           L.verdict, "divergent", "certified envelope"))
         checks.append(_chk(f"{seq.name}: corrected image not summable",
-                           seq_ops.l1_norm_mod(seq).verdict == "divergent",
-                           seq_ops.l1_norm_mod(seq).verdict, "divergent",
+                           norm.verdict == "divergent", norm.verdict, "divergent",
                            "harmonic comparison"))
     return checks
 
@@ -565,13 +563,11 @@ def _claim_disc_equiv(cfg: SuiteConfig, qcfg: QuadConfig):
     checks.append(_near("unit impulse ratio", r1, gold["equivalence_e1"], 1e-12,
                         "frozen oracle"))
     interval = gold["em_ratio_interval"]
-    lo = hi = None
+    ratios = []
     for m in range(1, interval["m_max"] + 1):
-        em = seq_ops.catalog_seq("em", m=m)
-        norm = seq_ops.l1_norm_mod(em).exact
-        r = (float(norm) + 1.0) / (seq_ops.EULER_GAMMA + math.log(m + 1.0))
-        lo = r if lo is None else min(lo, r)
-        hi = r if hi is None else max(hi, r)
+        norm = seq_ops.l1_norm_mod(seq_ops.catalog_seq("em", m=m)).exact
+        ratios.append((float(norm) + 1.0) / (seq_ops.EULER_GAMMA + math.log(m + 1.0)))
+    lo, hi = min(ratios), max(ratios)
     inside = (lo >= interval["min"] - 1e-12) and (hi <= interval["max"] + 1e-12)
     checks.append(_chk("impulse sweep ratios inside the frozen interval",
                        inside, (lo, hi), (interval["min"], interval["max"]),

@@ -14,15 +14,23 @@ them is evaluated with zero tolerance: sum_n J1(n) telescopes to
 sum_k a_k / k and sum_n J2(n) rearranges to sum_k a_k (H_k - 1), both as
 exact ``Fraction`` equalities.  Generator sequences carry a declared decay
 class whose integral-test remainder certifies every truncated tail.
+
+Exact sums are taken over runs, not indices: the index range is cut into
+maximal runs a..b on which S_n = sum_{k<=n} a_k is constant (the run past a
+finite support is open), and each run adds a closed form to sum |Gm a|_n,
+sum J1 and sum J2 (see ``_run_sums``).  The harmonic differences these need
+are summed by binary splitting, with no cache, so a zero run of any length
+costs one split instead of one rational addition per index.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -49,12 +57,19 @@ EULER_GAMMA = 0.57721566490153286061
 
 _LN2 = math.log(2.0)
 
-# Largest float term array any path builds (80 MB of float64).
+# Largest term array any path builds: 80 MB of float64, or as many exact
+# rationals in a finite-support sequence.
 MAX_FLOAT_TERMS = 10 ** 7
 
 
 class SequenceError(ValueError):
     """Malformed sequence, parameters, or an operation off its domain."""
+
+
+def _require_within_cap(name: str, n: int) -> None:
+    """Refuse a term array of length n above the cap, before it is built."""
+    if n > MAX_FLOAT_TERMS:
+        raise SequenceError(f"{name}: {n} terms exceed the cap of {MAX_FLOAT_TERMS}")
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +153,7 @@ class SeqSpec:
     """A sequence given either by an exact finite-support list or a rule.
 
     Finite mode stores a_1..a_N as exact rationals (zero beyond N).
-    Generator mode supplies term(k) plus a declared decay class; terms may be
+    Generator mode supplies gen(k) plus a declared decay class; terms may be
     exact rationals (``is_exact``) or floats.  ``exact_sum`` records a known
     closed-form total.  ``vec`` is an optional vectorized term builder used
     by the large-scale float paths.
@@ -188,18 +203,20 @@ class SeqSpec:
             return self.decay.support_end
         return None
 
-    def term(self, k: int) -> Fraction | float:
-        if k < 1:
-            raise SequenceError("indices start at 1")
-        if self.finite:
-            return self.values[k - 1] if k <= len(self.values) else Fraction(0)
-        return self.gen(k)
+    @cached_property
+    def runs(self) -> tuple[tuple[int, int | None, Fraction], ...]:
+        """The constant-prefix runs (a, b, S) of a finite sequence, built
+        once and shared by every exact sum (see ``_constant_runs``)."""
+        return _constant_runs(self.values, None)
+
+    @cached_property
+    def run_sums(self) -> tuple[Fraction, Fraction, Fraction]:
+        """Exact (sum |Gm a|_n, sum J1, sum J2) of a finite sequence."""
+        return _run_sums(self.runs, self.runs[-1][2])
 
     def terms_float(self, n: int) -> np.ndarray:
         """a_1..a_n as float64, for n up to MAX_FLOAT_TERMS."""
-        if n > MAX_FLOAT_TERMS:
-            raise SequenceError(
-                f"{self.name}: {n} float terms exceed the cap of {MAX_FLOAT_TERMS}")
+        _require_within_cap(self.name, n)
         if self.finite:
             out = np.zeros(n)
             m = min(n, len(self.values))
@@ -240,35 +257,80 @@ class SumResult:
 # prefix sums
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=64)
-def _prefix_exact_block(seq: SeqSpec, cap: int) -> tuple[Fraction, ...]:
-    if not seq.is_exact:
-        raise SequenceError(f"{seq.name} has no exact terms")
-    out = [Fraction(0)] * (cap + 1)
-    acc = Fraction(0)
-    for k in range(1, cap + 1):
-        acc += seq.term(k)
-        out[k] = acc
-    return tuple(out)
-
-
-def _prefix_exact(seq: SeqSpec, n: int) -> tuple[Fraction, ...]:
-    """S_0..S_m as exact rationals with m >= n; block-cached so that varying
-    n does not recompute the walk."""
-    return _prefix_exact_block(seq, 1 << max(6, n.bit_length()))
-
-
 @lru_cache(maxsize=16)
 def _prefix_float(seq: SeqSpec, n: int) -> np.ndarray:
     arr = seq.terms_float(n)
     return np.cumsum(arr)
 
 
+def _constant_runs(terms, end: int | None) -> tuple[tuple[int, int | None, Fraction], ...]:
+    """The maximal runs a..b of n = 1..end on which S_n = S is constant, as
+    (a, b, S): a run starts at n = 1 and at every nonzero a_n.  With
+    end = None the last run is open, past a finite support."""
+    starts, sums, s = [], [], Fraction(0)
+    for n, t in enumerate(terms, start=1):
+        if t or n == 1:
+            s += t
+            starts.append(n)
+            sums.append(s)
+    ends = [a - 1 for a in starts[1:]] + [end]
+    return tuple(zip(starts or [1], ends, sums or [s]))
+
+
+def _partial_sum(seq: SeqSpec, n: int) -> Fraction | float:
+    """S_n: read from the run containing n, walked on an exact generator,
+    or taken from the float prefix."""
+    if seq.finite:
+        return seq.runs[bisect_right(seq.runs, n, key=lambda run: run[0]) - 1][2]
+    if seq.is_exact:
+        return sum((seq.gen(k) for k in range(1, n + 1)), Fraction(0))
+    return float(_prefix_float(seq, n)[n - 1])
+
+
+def _harmonic_split(lo: int, hi: int) -> tuple[int, int]:
+    """sum_{lo <= k < hi} 1/k as an unreduced (numerator, denominator), by
+    binary splitting (Haible and Papanikolaou, 1998): reduce once, at the end."""
+    if hi - lo == 1:
+        return 1, lo
+    mid = (lo + hi) // 2
+    n1, d1 = _harmonic_split(lo, mid)
+    n2, d2 = _harmonic_split(mid, hi)
+    return n1 * d2 + n2 * d1, d1 * d2
+
+
+def _run_sums(runs, m: Fraction) -> tuple[Fraction, Fraction, Fraction]:
+    """(sum_n |(Gm a)_n|, sum_n J1(n), sum_n J2(n)) over the runs of a
+    sequence with total m, in one pass.
+
+    On a run p..q with S_n = S, J1 sums to S (1/p - 1/(q+1)) and J2 to
+    (m - S)(H_(q+1) - H_p); the open run adds S/a to J1 and nothing to J2.
+    (Gm a)_n = J1(n) - J2(n) = (S - (m - S) n) / (n (n+1)) changes sign at
+    most once on a run, after n* = S / (m - S), so each run is cut at
+    floor(n*) and |Gm a| sums to |J1 - J2| over each of the two pieces.
+    """
+    l1 = j1 = j2 = Fraction(0)
+    for a, b, s in runs:
+        if b is None:
+            tail = s / a
+            l1 += abs(tail)
+            j1 += tail
+            continue
+        cut = b if a == b or m == s else min(max(math.floor(s / (m - s)), a - 1), b)
+        for p, q in ((a, cut), (cut + 1, b)):
+            if p <= q:
+                x1 = s * Fraction(q + 1 - p, p * (q + 1))
+                x2 = (m - s) * Fraction(*_harmonic_split(p + 1, q + 2))
+                l1 += abs(x1 - x2)
+                j1 += x1
+                j2 += x2
+    return l1, j1, j2
+
+
 def total_sum(seq: SeqSpec, horizon: int = 10 ** 6) -> SumResult:
     """sum_k a_k, exact for finite support or a declared closed form,
     tail-bounded through the decay envelope otherwise."""
     if seq.finite:
-        return SumResult.from_exact(sum(seq.values, Fraction(0)))
+        return SumResult.from_exact(seq.runs[-1][2])
     if seq.exact_sum is not None:
         return SumResult.from_exact(seq.exact_sum)
     end = seq.support_end
@@ -291,9 +353,7 @@ def cesaro(seq: SeqSpec, n: int) -> Fraction | float:
     """(G a)_n = (1/n) sum_{k<=n} a_k; exact rational in exact mode."""
     if n < 1:
         raise SequenceError("n must be at least 1")
-    if seq.is_exact:
-        return _prefix_exact(seq, n)[n] / n
-    return float(_prefix_float(seq, n)[n - 1]) / n
+    return _partial_sum(seq, n) / n
 
 
 def modified_cesaro(seq: SeqSpec, n: int, horizon: int = 10 ** 6) -> Fraction | float:
@@ -309,10 +369,7 @@ def modified_cesaro(seq: SeqSpec, n: int, horizon: int = 10 ** 6) -> Fraction | 
 
 
 def j1_term(seq: SeqSpec, n: int) -> Fraction | float:
-    s = _prefix_exact(seq, n)[n] if seq.is_exact else float(_prefix_float(seq, n)[n - 1])
-    if seq.is_exact:
-        return s / (Fraction(n) * (n + 1))
-    return s / (n * (n + 1.0))
+    return _partial_sum(seq, n) / (n * (n + 1))
 
 
 def j2_term(seq: SeqSpec, n: int, horizon: int = 10 ** 6) -> Fraction | float:
@@ -320,7 +377,7 @@ def j2_term(seq: SeqSpec, n: int, horizon: int = 10 ** 6) -> Fraction | float:
     if total.verdict != "converged":
         raise SequenceError(f"{seq.name}: total sum is {total.verdict}")
     if seq.is_exact and total.exact is not None:
-        return (total.exact - _prefix_exact(seq, n)[n]) / (n + 1)
+        return (total.exact - _partial_sum(seq, n)) / (n + 1)
     return (total.value - float(_prefix_float(seq, n)[n - 1])) / (n + 1.0)
 
 
@@ -330,18 +387,11 @@ def _require_nonneg_finite(seq: SeqSpec, what: str):
 
 
 def j1_sum(seq: SeqSpec, horizon: int = 10 ** 5) -> SumResult:
-    """sum_n J1(n), computed on the operator side (the n-sum).
-
-    For finite support the sum beyond the support telescopes exactly:
-    sum_{n>N} S_N/(n(n+1)) = S_N/(N+1).
-    """
+    """sum_n J1(n), computed on the operator side (the n-sum); exact over
+    the runs of constant S_n for finite support (see ``_run_sums``)."""
     _require_nonneg_finite(seq, "j1_sum")
     if seq.finite:
-        pre = _prefix_exact(seq, len(seq.values))
-        n0 = len(seq.values)
-        head = sum((pre[n] / (Fraction(n) * (n + 1)) for n in range(1, n0 + 1)),
-                   Fraction(0))
-        return SumResult.from_exact(head + pre[n0] / (n0 + 1))
+        return SumResult.from_exact(seq.run_sums[1])
     total = total_sum(seq, horizon)
     if total.verdict != "converged":
         return SumResult.inconclusive()
@@ -359,11 +409,7 @@ def j2_sum(seq: SeqSpec, horizon: int = 10 ** 5) -> SumResult:
     envelope certifies it."""
     _require_nonneg_finite(seq, "j2_sum")
     if seq.finite:
-        n0 = len(seq.values)
-        pre = _prefix_exact(seq, n0)
-        m = pre[n0]
-        head = sum(((m - pre[n]) / Fraction(n + 1) for n in range(1, n0)), Fraction(0))
-        return SumResult.from_exact(head)
+        return SumResult.from_exact(seq.run_sums[2])
     if seq.decay.weighted_divergent():
         return SumResult.divergent()
     total = total_sum(seq, horizon)
@@ -443,8 +489,8 @@ def l1_log_weight(seq: SeqSpec, horizon: int = 10 ** 6) -> SumResult:
 def l1_norm_mod(seq: SeqSpec, horizon: int = 10 ** 4) -> SumResult:
     """sum_n |(Gm a)_n| with certified tail handling.
 
-    Finite support is exact: beyond the support (Gm a)_n = m/(n(n+1)), whose
-    absolute sum telescopes to |m|/(N+1).  For nonnegative generators the
+    Finite support is exact, summed in closed form over the runs of
+    constant S_n (see ``_run_sums``).  For nonnegative generators the
     tail obeys |Gm a|_n <= J1(n) + J2(n), and sum J2 past the horizon sits
     under the log-weighted remainder; divergence is certified through the
     harmonic comparison H_k - 1 >= ln(k+1)/2 (k >= 7), which turns a
@@ -452,13 +498,7 @@ def l1_norm_mod(seq: SeqSpec, horizon: int = 10 ** 4) -> SumResult:
     sum J2 while sum J1 stays below the finite total.
     """
     if seq.finite:
-        n0 = len(seq.values)
-        pre = _prefix_exact(seq, n0)
-        m = pre[n0]
-        head = sum((abs(pre[n] / Fraction(n) - m / Fraction(n + 1))
-                    for n in range(1, n0 + 1)), Fraction(0))
-        return SumResult.from_exact(head + abs(m) / (n0 + 1))
-    _require_nonneg_finite(seq, "l1_norm_mod")
+        return SumResult.from_exact(seq.run_sums[0])
     if seq.decay.weighted_divergent():
         return SumResult.divergent()
     total = total_sum(seq)
@@ -477,10 +517,8 @@ def l1_norm_mod(seq: SeqSpec, horizon: int = 10 ** 4) -> SumResult:
     if math.isinf(wrem):
         return SumResult.inconclusive()
     if seq.is_exact and total.exact is not None:
-        pre = _prefix_exact(seq, horizon)
-        head_q = sum((abs(pre[n] / Fraction(n) - total.exact / Fraction(n + 1))
-                      for n in range(1, horizon + 1)), Fraction(0))
-        head, head_err = float(head_q), 0.0
+        runs = _constant_runs((seq.gen(k) for k in range(1, horizon + 1)), horizon)
+        head, head_err = float(_run_sums(runs, total.exact)[0]), 0.0
     else:
         arr = seq.terms_float(horizon)
         csum = np.cumsum(arr)
@@ -653,12 +691,13 @@ def disc_equivalence_ratio(seq: SeqSpec, horizon: int = 10 ** 4) -> float:
 # ---------------------------------------------------------------------------
 
 def finite_sequence(name: str, values) -> SeqSpec:
-    vals = tuple(Fraction(v) for v in values)
+    _require_within_cap(name, len(values))
+    vals = [Fraction(v) for v in values]
     while vals and vals[-1] == 0:
-        vals = vals[:-1]
+        vals.pop()
     if not vals:
         raise SequenceError("finite sequence must have a nonzero entry")
-    return SeqSpec(name=name, values=vals)
+    return SeqSpec(name=name, values=tuple(vals))
 
 
 def _seq_lambda() -> SeqSpec:
@@ -675,6 +714,7 @@ def _seq_lambda() -> SeqSpec:
 def _seq_em(m: int) -> SeqSpec:
     if m < 1:
         raise SequenceError("em needs m >= 1")
+    _require_within_cap(f"em(m={m})", m)
     return finite_sequence(f"em(m={m})", [0] * (m - 1) + [1])
 
 
@@ -780,6 +820,7 @@ def load_rational_file(path) -> SeqSpec:
                 raise SequenceError(
                     f"{path}:{lineno}: {line!r} is not an integer or p/q rational")
             values.append(Fraction(line))
+            _require_within_cap(f"file:{path}", len(values))
     return finite_sequence(f"file:{path}", values)
 
 

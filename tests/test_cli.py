@@ -165,6 +165,7 @@ def test_bad_config_file_settings_exit_2_before_any_claim(tmp_path, text):
 @pytest.mark.parametrize("argv", [
     ("disc", "report", "--seq", f"powcut(alpha=0.5,N={10 ** 7 + 1})"),
     ("disc", "hardy-ratio", "--seq", "lambda", "--p", "2", "--n", str(10 ** 7 + 1)),
+    ("disc", "report", "--seq", "em(m=1000000000)"),
 ])
 def test_oversized_float_arrays_exit_2(argv):
     proc = run_cli(*argv)

@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -91,6 +93,49 @@ def test_l1_norm_mod_exact(lam, e1):
     assert res.err <= 1e-2
 
 
+def _per_index_sums(values):
+    """Reference (sum |Gm a|_n, sum J1, sum J2) walked one index at a time;
+    past the support (Gm a)_n = J1(n) = m/(n(n+1)) and J2(n) = 0, which
+    telescope to m/(N+1)."""
+    pre = list(itertools.accumulate(values, initial=Fraction(0)))
+    n0, m = len(values), pre[-1]
+    ns = range(1, n0 + 1)
+    l1 = sum((abs(pre[n] / n - m / (n + 1)) for n in ns), abs(m) / (n0 + 1))
+    j1 = sum((pre[n] / (n * (n + 1)) for n in ns), m / (n0 + 1))
+    j2 = sum(((m - pre[n]) / (n + 1) for n in ns), Fraction(0))
+    return l1, j1, j2
+
+
+def test_l1_norm_mod_em_closed_form():
+    # sum |Gm e_m| = H_m - 1 + 1/m, with H_m summed here
+    h = Fraction(0)
+    for m in range(1, 301):
+        h += Fraction(1, m)
+        assert so.l1_norm_mod(so.catalog_seq("em", m=m)).exact == h - 1 + Fraction(1, m)
+    h = sum((Fraction(1, k) for k in range(1, 4001)), Fraction(0))
+    assert so.l1_norm_mod(so.catalog_seq("em", m=4000)).exact == h - 1 + Fraction(1, 4000)
+
+
+def test_run_sums_match_per_index_walk():
+    # a sign change of (Gm a)_n inside a run: S = 5 on n = 1..9 with total
+    # 6 turns at n = 5; the negative mirror turns at the same place
+    cases = [[5] + [0] * 8 + [1], [-5] + [0] * 8 + [-1]]
+    rng = random.Random(31)
+    for _ in range(150):
+        cases.append([0 if rng.random() < 0.6 else
+                      Fraction(rng.randint(-40, 60), rng.randint(1, 25))
+                      for _ in range(rng.randint(1, 60))])
+    for values in cases:
+        if not any(values):
+            values[-1] = 1
+        seq = so.finite_sequence("r", values)
+        l1, j1, j2 = _per_index_sums(seq.values)
+        assert so.l1_norm_mod(seq).exact == l1
+        if all(v >= 0 for v in seq.values):
+            assert so.j1_sum(seq).exact == j1
+            assert so.j2_sum(seq).exact == j2
+
+
 def test_l1_norm_mod_generator_and_divergent():
     pw = so.catalog_seq("power", alpha=2.0)
     res = so.l1_norm_mod(pw)
@@ -123,9 +168,22 @@ def test_float_term_arrays_are_capped():
     big = so.catalog_seq("powcut", alpha=0.5, N=n)
     for op in (lambda: big.terms_float(n), lambda: so.total_sum(big),
                lambda: so.l1_log_weight(big), lambda: so.l1_norm_mod(big),
-               lambda: so.hardy_ratio(so.catalog_seq("lambda"), 2.0, n)):
+               lambda: so.hardy_ratio(so.catalog_seq("lambda"), 2.0, n),
+               lambda: so.catalog_seq("em", m=10 ** 9)):
         with pytest.raises(so.SequenceError, match="exceed the cap"):
             op()
+
+
+def test_exact_sequence_builders_check_the_cap_first(tmp_path, monkeypatch):
+    monkeypatch.setattr(so, "MAX_FLOAT_TERMS", 3)
+    path = tmp_path / "seq.txt"
+    path.write_text("1\n2\n3\n4\n")
+    for op in (lambda: so.catalog_seq("em", m=4),
+               lambda: so.finite_sequence("four", [1, 2, 3, 4]),
+               lambda: so.load_rational_file(path)):
+        with pytest.raises(so.SequenceError, match="exceed the cap"):
+            op()
+    assert so.catalog_seq("em", m=3).values[-1] == 1
 
 
 def test_harmonic_exact():
@@ -218,6 +276,13 @@ def test_load_rational_file(tmp_path):
     bad.write_text("0.5\n")
     with pytest.raises(so.SequenceError):
         so.load_rational_file(bad)  # float round-trips are refused
+
+
+def test_trailing_zeros_trim_in_linear_time():
+    # re-slicing a tuple once per trailing zero is quadratic: ~20 s at this size
+    start = time.perf_counter()
+    assert so.finite_sequence("tail", [1] + [0] * 10 ** 5).values == (Fraction(1),)
+    assert time.perf_counter() - start < 5.0
 
 
 def test_decay_spot_check_rejects_lies():

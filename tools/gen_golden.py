@@ -13,8 +13,10 @@ route exists:
   of the numpy cumsum path used by the library.
 * continuous box-weight integral: mpmath.quad at 30 digits, cross-checked
   against the closed form 6 ln(3/2) - 1.
-* ratio intervals for the sweep families: recorded from a reference run and
-  frozen as regression values (their own first run is the oracle).
+* em ratio interval: the closed form ||Gm e_m||_1 = H_m - 1 + 1/m with its
+  own exact harmonic sum, cross-checked by direct float summation.
+* power-tail ratio interval: recorded from a reference run and frozen as a
+  regression value (its own first run is the oracle).
 
 Usage: python tools/gen_golden.py
 """
@@ -22,6 +24,7 @@ Usage: python tools/gen_golden.py
 import json
 import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -29,7 +32,7 @@ import mpmath
 SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
-from hardy import cont_ops, funcspace, seq_ops  # noqa: E402
+from hardy import cont_ops, funcspace  # noqa: E402
 
 OUT = SRC / "hardy" / "data" / "golden.json"
 
@@ -101,12 +104,14 @@ def sharpness_ratios() -> dict:
 
 
 def em_ratio_interval(m_max: int = 1000) -> dict:
-    """R(e_m) over m <= m_max, from the package's exact rational values with
-    a direct float-summation cross-check at a 10^5 horizon."""
+    """R(e_m) over m <= m_max from the closed form ||Gm e_m||_1 = H_m - 1 + 1/m,
+    with H_m summed here as an exact rational, and a direct float-summation
+    cross-check at a 10^5 horizon."""
     lo, hi = math.inf, -math.inf
+    h = Fraction(0)
     for m in range(1, m_max + 1):
-        em = seq_ops.catalog_seq("em", m=m)
-        norm = seq_ops.l1_norm_mod(em).exact
+        h += Fraction(1, m)
+        norm = h - 1 + Fraction(1, m)
         ratio = (float(norm) + 1.0) / (EULER_GAMMA + math.log(m + 1.0))
         lo, hi = min(lo, ratio), max(hi, ratio)
         if m in (1, 7, 100, 1000):
