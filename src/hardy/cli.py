@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import replace
@@ -135,12 +136,20 @@ def _parse_param(text: str) -> tuple[str, list]:
     return name.strip(), harness.parse_grid(grid)
 
 
+def _parse_fix(text: str) -> tuple[str, float]:
+    key, _, val = text.partition("=")
+    try:
+        value = float(val)  # a missing "=" leaves val empty, which raises too
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise harness.ConfigError(f"--fix expects name=finite number, got {text!r}")
+    return key.strip(), value
+
+
 def _run_sweep(args, domain: str) -> int:
     cfg = _suite_config(args)
-    fixed = {}
-    for item in args.fix or []:
-        key, val = item.split("=", 1)
-        fixed[key.strip()] = float(val)
+    fixed = dict(_parse_fix(item) for item in args.fix or [])
     if args.m is not None:
         param, values = "m", [int(v) for v in harness.parse_grid(args.m)]
     elif args.param is not None:

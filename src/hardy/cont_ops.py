@@ -26,7 +26,7 @@ exactly from the piecewise antiderivatives, so every piece must carry one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .envelopes import Envelope
@@ -166,7 +166,7 @@ def _cumulative_abs(f: TestFunction) -> _Cumulative:
     return _Cumulative(absolute(f))
 
 
-def total_integral(f: TestFunction, cfg: QuadConfig = DEFAULT_CONFIG) -> tuple[float, float]:
+def total_integral(f: TestFunction) -> tuple[float, float]:
     """(value, error bound) of int_0^inf f; exact through the piecewise
     antiderivatives, so the error bound is 0."""
     _require_antiderivatives(f)
@@ -180,18 +180,18 @@ def total_integral(f: TestFunction, cfg: QuadConfig = DEFAULT_CONFIG) -> tuple[f
 # the operators
 # ---------------------------------------------------------------------------
 
-def hardy_avg(f: TestFunction, x: float, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
+def hardy_avg(f: TestFunction, x: float) -> float:
     """Q f(x): the average of f over (0, x)."""
     if x <= 0.0:
         raise DomainError("hardy_avg needs x > 0")
     return _cumulative(f).value(x) / x
 
 
-def modified_hardy(f: TestFunction, x: float, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
+def modified_hardy(f: TestFunction, x: float) -> float:
     """H f(x) = Q f(x) - (int_0^inf f) / (1 + x)."""
     if x <= 0.0:
         raise DomainError("modified_hardy needs x > 0")
-    m, _ = total_integral(f, cfg)
+    m, _ = total_integral(f)
     return _cumulative(f).value(x) / x - m / (1.0 + x)
 
 
@@ -250,31 +250,30 @@ def log_weight_norm(f: TestFunction, cfg: QuadConfig = DEFAULT_CONFIG) -> Halfli
     )
 
 
+def _over_t(env: Envelope) -> Envelope:
+    """Envelope of g/t from that of g (of g/u at the origin, in u = 1/t)."""
+    return Envelope(env.coeff, env.power + 1.0, env.logpow, env.valid_from)
+
+
 def _single_weight_result(f: TestFunction, side: str, cfg: QuadConfig) -> HalflineResult:
-    """int |f| ln(1+1/t) dt (side='small') or int |f| ln(1+t) dt (side='large')."""
+    """int |f| ln(1+1/t) dt (side='small') or int |f| ln(1+t) dt (side='large').
+
+    Each weight grows like a logarithm at one end (``Envelope.weighted_log``)
+    and, by ln(1 + x) <= x, decays at least like 1/t or 1/u at the other.
+    """
     abs_density = _abs_density(f)
     env_o = f.origin.envelope_reciprocal()
     env_t = f.tail.envelope()
     if side == "small":
-        # ln(1 + 1/t) = ln(1 + e**-v)
+        # ln(1 + 1/t) = ln(1 + e**-v) = ln(1 + u)
         density = lambda v: abs_density(v) * _ln1p_exp(-v)
-        # ln(1+1/t) <= 1/t at infinity; behaves like ln u at the origin
-        origin = (Envelope(env_o.coeff * (1.0 + math.log(2.0)), env_o.power,
-                           env_o.logpow + 1.0, env_o.valid_from, lower=env_o.lower),)
-        tail = ((Envelope.compact(env_t.valid_from),) if env_t.is_compact
-                else (Envelope(env_t.coeff, env_t.power + 1.0, env_t.logpow,
-                               env_t.valid_from),))
+        origin, tail = env_o.weighted_log(), _over_t(env_t)
     elif side == "large":
         density = lambda v: abs_density(v) * _ln1p_exp(v)
-        # ln(1+t) <= t at the origin, i.e. one extra power of 1/u
-        origin = (Envelope(env_o.coeff, env_o.power + 1.0, env_o.logpow,
-                           env_o.valid_from),)
-        tail = ((env_t,) if env_t.is_compact
-                else (Envelope(env_t.coeff * (1.0 + math.log(2.0)), env_t.power,
-                               env_t.logpow + 1.0, env_t.valid_from, lower=env_t.lower),))
+        origin, tail = _over_t(env_o), env_t.weighted_log()
     else:
         raise ValueError(side)
-    return integrate_halfline(density, cfg, origin_envs=origin, tail_envs=tail,
+    return integrate_halfline(density, cfg, origin_envs=(origin,), tail_envs=(tail,),
                               probe_start=_probe_start(f), breakpoints=f.breakpoints)
 
 
@@ -292,19 +291,9 @@ def split_i1(f: TestFunction, cfg: QuadConfig = DEFAULT_CONFIG) -> HalflineResul
         t = math.exp(v)
         return cum.value(t) / (t + 1.0)
 
-    org = f.origin
-    env_u = org.envelope_reciprocal()
-    if org.kind == "bounded":
-        origin_env = Envelope(org.coeff, 2.0, 0.0, env_u.valid_from)
-    elif org.kind == "power":
-        origin_env = Envelope(org.coeff / (1.0 - org.alpha), 2.0 - org.alpha, 0.0,
-                              env_u.valid_from)
-    else:
-        low = None if org.lower is None else org.lower / (2.0 * (org.beta - 1.0))
-        origin_env = Envelope(org.coeff / (org.beta - 1.0), 1.0,
-                              1.0 - org.beta, env_u.valid_from, lower=low)
+    # F(x)/(x(x+1)) <= F(x)/x at the origin and <= total/x**2 at infinity
     tail_env = Envelope(max(cum.total, 1e-300), 2.0, 0.0)
-    return integrate_halfline(density, cfg, origin_envs=(origin_env,),
+    return integrate_halfline(density, cfg, origin_envs=(f.origin.averaged_envelope(),),
                               tail_envs=(tail_env,), probe_start=_probe_start(f),
                               breakpoints=f.breakpoints)
 
@@ -323,18 +312,11 @@ def split_i2(f: TestFunction, cfg: QuadConfig = DEFAULT_CONFIG) -> HalflineResul
         t = math.exp(v)
         return cum.tail(t) * t / (t + 1.0)
 
-    tl = f.tail
-    if tl.kind == "compact":
-        tail_env = Envelope.compact(tl.support_end)
-    elif tl.kind == "power":
-        tail_env = Envelope(tl.coeff / (tl.alpha - 1.0), tl.alpha, 0.0, tl.valid_from)
-    else:
-        low = None if tl.lower is None else tl.lower / (2.0 * (tl.beta - 1.0))
-        tail_env = Envelope(tl.coeff / (tl.beta - 1.0), 1.0, 1.0 - tl.beta,
-                            tl.valid_from, lower=low)
+    # T(x)/(x+1) <= T(x)/x at infinity and <= total/u**2 at the origin
     origin_env = Envelope(max(cum.total, 1e-300), 2.0, 0.0)
     return integrate_halfline(density, cfg, origin_envs=(origin_env,),
-                              tail_envs=(tail_env,), probe_start=_probe_start(f),
+                              tail_envs=(f.tail.averaged_envelope(),),
+                              probe_start=_probe_start(f),
                               breakpoints=f.breakpoints)
 
 
@@ -389,56 +371,38 @@ def _modified_envelopes(f: TestFunction, m: float):
     """Upper (and where derivable, lower) envelopes for |H f|.
 
     Tail side, from H f(x) = m/(x(x+1)) - T(x)/x with T(x) = int_x^inf f:
-        |H f(x)| <= |m| x^-2 + upper(T)(x) / x,
-    and for nonnegative f with a declared two-sided tail,
-        |H f(x)| >= lower(T)(x)/x - |m| x^-2 >= lower(T)(x) / (2x)
-    beyond the computable point where lower(T)(x)/x dominates 2|m|/x^2.
-    The origin side is symmetric with F(x) = int_0^x f in place of T.
+        |H f(x)| <= |m| x^-2 + T(x) / x,
+    bounded by the kernel term and the tail class's averaged envelope A.
+    When A carries a divergence certificate and f >= 0, T(x)/x >= 2 A_lower(x)
+    (see ``funcspace._averaged_lower``), so
+        |H f(x)| >= T(x)/x - |m| x^-2 >= A_lower(x)
+    from the first doubling of valid_from where x^2 A_lower(x) >= |m|.  The
+    origin side is the same in u = 1/x, with F(x) = int_0^x f in place of T;
+    a bounded origin folds the kernel term into its own u^-2 envelope.
     """
     am = abs(m)
-    tl, org = f.tail, f.origin
     nonneg = _is_nonnegative(f)
 
-    tail_envs = [Envelope(max(am, 1e-300), 2.0, 0.0)]
-    if tl.kind == "power":
-        tail_envs.append(Envelope(tl.coeff / (tl.alpha - 1.0), tl.alpha, 0.0, tl.valid_from))
-    elif tl.kind == "power_log":
-        upper = Envelope(tl.coeff / (tl.beta - 1.0), 1.0, -(tl.beta - 1.0), tl.valid_from)
-        lower = None
-        if nonneg and tl.lower is not None and tl.beta <= 2.0:
-            x0 = tl.valid_from
-            while x0 * tl.tail_integral_lower(x0) < 2.0 * am and x0 < 1e300:
+    def side(avg: Envelope) -> tuple[Envelope, ...]:
+        if nonneg and avg.certified_divergent():
+            x0 = avg.valid_from  # A_lower is the upper bound scaled by lower/coeff
+            while avg.value(x0) * x0 * x0 * avg.lower / avg.coeff < am and x0 < 1e300:
                 x0 *= 2.0
-            lower = Envelope(tl.coeff / (tl.beta - 1.0), 1.0, -(tl.beta - 1.0),
-                             valid_from=x0,
-                             lower=tl.lower / (2.0 * (tl.beta - 1.0)))
-        tail_envs = [lower] if lower is not None else tail_envs + [upper]
+            return (replace(avg, valid_from=x0),)
+        kernel = Envelope(max(am, 1e-300), 2.0, 0.0)
+        return (kernel,) if avg.is_compact else (kernel, replace(avg, lower=None))
 
-    origin_envs = [Envelope(max(am, 1e-300), 2.0, 0.0)]
-    env_u = org.envelope_reciprocal()
-    if org.kind == "bounded":
-        origin_envs = [Envelope(org.coeff + am, 2.0, 0.0, env_u.valid_from)]
-    elif org.kind == "power":
-        origin_envs.append(Envelope(org.coeff / (1.0 - org.alpha), 2.0 - org.alpha,
-                                    0.0, env_u.valid_from))
+    org_avg = f.origin.averaged_envelope()
+    if f.origin.kind == "bounded":
+        origin_envs = (Envelope(org_avg.coeff + am, 2.0, 0.0, org_avg.valid_from),)
     else:
-        upper = Envelope(org.coeff / (org.beta - 1.0), 1.0, 1.0 - org.beta,
-                         env_u.valid_from)
-        lower = None
-        if nonneg and org.lower is not None and org.beta <= 2.0:
-            x0 = org.valid_below
-            while org.cumulative_lower(x0) / x0 < 2.0 * am and x0 > 1e-300:
-                x0 *= 0.5
-            lower = Envelope(org.coeff / (org.beta - 1.0), 1.0, 1.0 - org.beta,
-                             valid_from=1.0 / x0,
-                             lower=org.lower / (2.0 * (org.beta - 1.0)))
-        origin_envs = [lower] if lower is not None else origin_envs + [upper]
-    return tuple(origin_envs), tuple(tail_envs)
+        origin_envs = side(org_avg)
+    return origin_envs, side(f.tail.averaged_envelope())
 
 
 def l1_norm_modified(f: TestFunction, cfg: QuadConfig = DEFAULT_CONFIG) -> HalflineResult:
     """int_0^inf |H f(x)| dx, with DIVERGENT as a first-class outcome."""
-    m, _ = total_integral(f, cfg)
+    m, _ = total_integral(f)
     cum = _cumulative(f)
 
     def density(v: float) -> float:
@@ -496,18 +460,13 @@ def mean_limit_check(f: TestFunction, cfg: QuadConfig = DEFAULT_CONFIG,
     """
     if decades < 4.0:
         raise ValueError("need at least four decades of samples")
-    m, m_err = total_integral(f, cfg)
+    m, m_err = total_integral(f)
     cum = _cumulative(f)
     n = int(2 * decades) + 1
     xs = tuple(10.0 ** (decades * i / (n - 1)) * 1.0137 for i in range(n))
     values = tuple(cum.value(x) for x in xs)
 
-    x_last = xs[-1]
-    tail_cls = f.tail
-    if tail_cls.kind == "compact":
-        tail_bound = 0.0
-    else:
-        tail_bound = tail_cls.tail_integral_upper(max(x_last, tail_cls.valid_from))
+    tail_bound = f.tail.remainder(xs[-1])
     consistent = abs(values[-1] - m) <= tail_bound + m_err + 1e-6 * max(1.0, abs(m))
 
     probe = None
@@ -542,7 +501,7 @@ def equivalence_ratio(f: TestFunction, cfg: QuadConfig = DEFAULT_CONFIG) -> floa
     if wf.value <= wf.total_error:
         raise DomainError(f"{f.name}: weighted norm vanishes; function is a.e. zero")
     hf = l1_norm_modified(f, cfg).require_value()
-    l1, _ = total_integral(absolute(f), cfg)
+    l1, _ = total_integral(absolute(f))
     return (hf + l1) / wf.value
 
 
@@ -553,10 +512,10 @@ def cont_hardy_ratio(f: TestFunction, p: float,
         raise DomainError("exponent must lie in (1, inf)")
     if not _is_nonnegative(f):
         raise DomainError("ratio defined for nonnegative functions")
-    org, tl = f.origin, f.tail
+    org = f.origin
     if org.kind == "power_log" or (org.kind == "power" and p * org.alpha >= 1.0):
         raise DomainError(f"{f.name} is not p-integrable near the origin for p={p}")
-    m, _ = total_integral(f, cfg)
+    m, _ = total_integral(f)
     cum = _cumulative(f)
 
     def num_density(v: float) -> float:
@@ -568,21 +527,16 @@ def cont_hardy_ratio(f: TestFunction, p: float,
             return math.exp(p * math.log(F) + (1.0 - p) * v)
         return math.exp(p * (math.log(F) - v) + v)
 
-    env_u = org.envelope_reciprocal()
-    if org.kind == "bounded":
-        num_origin = Envelope(org.coeff ** p, 2.0, 0.0, env_u.valid_from)
-        den_origin = Envelope(org.coeff ** p, 2.0, 0.0, env_u.valid_from)
-    else:
-        c_avg = (org.coeff / (1.0 - org.alpha)) ** p
-        num_origin = Envelope(c_avg, 2.0 - p * org.alpha, 0.0, env_u.valid_from)
-        den_origin = Envelope(org.coeff ** p, 2.0 - p * org.alpha, 0.0, env_u.valid_from)
+    # in u = 1/t, (F(1/u) u)^p / u**2 and |f(1/u)|^p / u**2 are at most the
+    # averaged and the declared constant, to the p, times u^(p alpha - 2)
+    # (a bounded origin has alpha = 0)
+    avg = org.averaged_envelope()
+    power = 2.0 - p * org.alpha
+    num_origin = Envelope(avg.coeff ** p, power, 0.0, avg.valid_from)
+    den_origin = Envelope(org.coeff ** p, power, 0.0, avg.valid_from)
     num_tail = Envelope(max(abs(m) ** p, 1e-300), p, 0.0)
-    if tl.kind == "compact":
-        den_tail = Envelope.compact(tl.support_end)
-    elif tl.kind == "power":
-        den_tail = Envelope(tl.coeff ** p, p * tl.alpha, 0.0, tl.valid_from)
-    else:
-        den_tail = Envelope(tl.coeff ** p, p, -p * tl.beta, tl.valid_from)
+    env = f.tail.envelope()  # raised to the p for |f|^p at infinity
+    den_tail = Envelope(env.coeff ** p, p * env.power, p * env.logpow, env.valid_from)
 
     num = integrate_halfline(num_density, cfg, origin_envs=(num_origin,),
                              tail_envs=(num_tail,), breakpoints=f.breakpoints)
@@ -644,7 +598,7 @@ class ContReport:
 
 
 def build_report(f: TestFunction, cfg: QuadConfig = DEFAULT_CONFIG) -> ContReport:
-    m, m_err = total_integral(f, cfg)
+    m, m_err = total_integral(f)
     l1_cum = _cumulative_abs(f)
     wf = log_weight_norm(f, cfg)
     hf = l1_norm_modified(f, cfg)

@@ -17,7 +17,7 @@ decay becomes exponential decay and power-log decay becomes power decay.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = ["Envelope", "EnvelopeError"]
 
@@ -144,14 +144,6 @@ class Envelope:
         return hi
 
     # -- transforms ----------------------------------------------------------
-
-    def scaled(self, factor: float) -> "Envelope":
-        if factor < 0:
-            raise EnvelopeError("scale factor must be nonnegative")
-        low = None if self.lower is None else self.lower * factor
-        if low == 0.0:
-            low = None
-        return replace(self, coeff=self.coeff * factor, lower=low)
 
     def weighted_log(self) -> "Envelope":
         """Envelope after multiplying the function by ln(1 + t).

@@ -16,6 +16,9 @@ Conventions
 * Decay behaviour at 0 and at infinity is *declared* through
   :class:`OriginClass` / :class:`TailClass` descriptors and spot-checked by
   sampling at construction time, never inferred from the expression tree.
+  Generator sequences in ``seq_ops`` declare their decay with the same
+  :class:`TailClass`: by the integral test its remainder bounds a sum over
+  k > n as well as an integral over t > n.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ __all__ = [
     "TestFunction", "Piece", "OriginClass", "TailClass",
     "DomainError", "CatalogError", "ParameterError",
     "catalog", "catalog_names", "parse_function",
-    "exact_antiderivative", "total_integral_exact", "l1_norm_exact",
+    "exact_antiderivative", "total_integral_exact",
     "absolute", "scale", "add",
 ]
 
@@ -98,21 +101,6 @@ class OriginClass:
             raise DomainError("no lower constant declared")
         return self.bound(t) * self.lower / self.coeff
 
-    def cumulative_upper(self, x: float) -> float:
-        """Upper bound on int_0^x |f|, x <= valid_below."""
-        if not 0.0 < x <= self.valid_below:
-            raise DomainError("cumulative bound queried outside its valid range")
-        if self.kind == "bounded":
-            return self.coeff * x
-        if self.kind == "power":
-            return self.coeff * x ** (1.0 - self.alpha) / (1.0 - self.alpha)
-        return self.coeff * math.log(1.0 / x) ** (1.0 - self.beta) / (self.beta - 1.0)
-
-    def cumulative_lower(self, x: float) -> float:
-        if self.lower is None:
-            raise DomainError("no lower constant declared")
-        return self.cumulative_upper(x) * self.lower / self.coeff
-
     def envelope_reciprocal(self) -> Envelope:
         """Envelope in u = 1/t of the substituted integrand g(1/u)/u**2."""
         vf = max(_E, 1.0 / self.valid_below)
@@ -121,6 +109,24 @@ class OriginClass:
         if self.kind == "power":
             return Envelope(self.coeff, 2.0 - self.alpha, 0.0, vf, lower=None)
         return Envelope(self.coeff, 1.0, -self.beta, vf, lower=self.lower)
+
+    def averaged_envelope(self) -> Envelope:
+        """Envelope in u = 1/t of F(1/u)/u, F(x) = int_0^x |f|: the declared
+        bound integrated from 0, over x."""
+        vf = max(_E, 1.0 / self.valid_below)
+        if self.kind == "bounded":
+            return Envelope(self.coeff, 2.0, 0.0, vf)
+        if self.kind == "power":
+            return Envelope(self.coeff / (1.0 - self.alpha), 2.0 - self.alpha, 0.0, vf)
+        return Envelope(self.coeff / (self.beta - 1.0), 1.0, 1.0 - self.beta, vf,
+                        lower=_averaged_lower(self.lower, self.beta))
+
+
+def _averaged_lower(lower: float | None, beta: float) -> float | None:
+    """Lower constant of an averaged power-log bound.  The integrated lower
+    bound is lower/(beta-1); the extra 1/2 absorbs x+1 <= 2x on x >= 1, so
+    the constant bounds T(t)/(t+1) and F(1/u)/(1+u) from below."""
+    return None if lower is None else lower / (2.0 * (beta - 1.0))
 
 
 @dataclass(frozen=True)
@@ -159,11 +165,6 @@ class TailClass:
             return self.coeff * t ** (-self.alpha)
         return self.coeff / (t * math.log(t) ** self.beta)
 
-    def lower_bound(self, t: float) -> float:
-        if self.lower is None:
-            raise DomainError("no lower constant declared")
-        return self.bound(t) * self.lower / self.coeff
-
     def envelope(self) -> Envelope:
         if self.kind == "compact":
             return Envelope.compact(self.support_end)
@@ -171,20 +172,24 @@ class TailClass:
             return Envelope(self.coeff, self.alpha, 0.0, self.valid_from, lower=self.lower)
         return Envelope(self.coeff, 1.0, -self.beta, self.valid_from, lower=self.lower)
 
-    def tail_integral_upper(self, x: float) -> float:
-        """Upper bound on int_x^inf |f|, for x past the valid range."""
-        if self.kind == "compact":
+    def remainder(self, x: float) -> float:
+        """Integral-test bound on int_x^inf |f| for x at or past valid_from.
+        The declared bound decreases there, so it also bounds sum_{k>x} |a_k|
+        of a sequence that declares it."""
+        env = self.envelope()
+        if env.is_compact:
             return 0.0 if x >= self.support_end else math.inf
-        if x < self.valid_from:
-            raise DomainError("tail integral bound queried before its valid range")
-        if self.kind == "power":
-            return self.coeff * x ** (1.0 - self.alpha) / (self.alpha - 1.0)
-        return self.coeff * math.log(x) ** (1.0 - self.beta) / (self.beta - 1.0)
+        return env.remainder(math.log(max(x, self.valid_from)))
 
-    def tail_integral_lower(self, x: float) -> float:
-        if self.lower is None:
-            raise DomainError("no lower constant declared")
-        return self.tail_integral_upper(x) * self.lower / self.coeff
+    def averaged_envelope(self) -> Envelope:
+        """Envelope of T(t)/t, T(t) = int_t^inf |f|: the declared bound
+        integrated to infinity, over t."""
+        if self.kind == "compact":
+            return Envelope.compact(self.support_end)
+        if self.kind == "power":
+            return Envelope(self.coeff / (self.alpha - 1.0), self.alpha, 0.0, self.valid_from)
+        return Envelope(self.coeff / (self.beta - 1.0), 1.0, 1.0 - self.beta, self.valid_from,
+                        lower=_averaged_lower(self.lower, self.beta))
 
 
 # ---------------------------------------------------------------------------
@@ -344,15 +349,6 @@ def total_integral_exact(f: TestFunction) -> float | None:
     if known is not None:
         return known
     return exact_antiderivative(f, 0.0, math.inf)
-
-
-def l1_norm_exact(f: TestFunction) -> float | None:
-    known = f.exact("l1_norm")
-    if known is not None:
-        return known
-    if all(p.sign is not None for p in f.pieces):
-        return total_integral_exact(absolute(f))
-    return None
 
 
 # ---------------------------------------------------------------------------

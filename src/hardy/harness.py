@@ -166,7 +166,7 @@ def _claim_oracle(name: str, oracle, cfg: SuiteConfig, qcfg: QuadConfig):
     # process-randomized and would break report determinism
     rng = random.Random(cfg.seed + zlib.crc32(name.encode()))
     pts = _log_points(rng, 500, 1e-3, 1e3, f.breakpoints)
-    worst = max(abs(cont_ops.hardy_avg(f, x, qcfg) - oracle(x)) for x in pts)
+    worst = max(abs(cont_ops.hardy_avg(f, x) - oracle(x)) for x in pts)
     return [_chk(f"max |avg - closed form| over 500 log-spaced points",
                  worst <= 1e-10, worst, "<= 1e-10", "closed-form")]
 
@@ -175,7 +175,7 @@ def _claim_theta(cfg: SuiteConfig, qcfg: QuadConfig):
     theta = funcspace.catalog("theta")
     checks = []
     rng = random.Random(cfg.seed + 3)
-    worst = max(abs(cont_ops.hardy_avg(theta, x, qcfg) - 1.0 / (1.0 + x))
+    worst = max(abs(cont_ops.hardy_avg(theta, x) - 1.0 / (1.0 + x))
                 for x in _log_points(rng, 40, 1e-3, 1e4, ()))
     checks.append(_chk("running average equals 1/(1+x)", worst <= 1e-12,
                        worst, "<= 1e-12", "closed-form"))
@@ -202,19 +202,19 @@ def _claim_modified(cfg: SuiteConfig, qcfg: QuadConfig):
     checks = []
     rng = random.Random(cfg.seed + 4)
     xs = _log_points(rng, 40, 1e-3, 1e5, ())
-    worst = max(abs(cont_ops.modified_hardy(theta, x, qcfg)) for x in xs)
+    worst = max(abs(cont_ops.modified_hardy(theta, x)) for x in xs)
     checks.append(_chk("pointwise annihilation of the kernel profile",
                        worst < 1e-12, worst, "< 1e-12", "closed-form"))
     checks.append(_near("corrected value of the two-bump example at x=5",
-                        cont_ops.modified_hardy(f0, 5.0, qcfg),
+                        cont_ops.modified_hardy(f0, 5.0),
                         math.log(1.5) / 30.0, 1e-12, "closed-form"))
     checks.append(_near("mean-zero example keeps its running average at x=1",
-                        cont_ops.modified_hardy(fe, 1.0, qcfg), 1.0, 1e-12,
+                        cont_ops.modified_hardy(fe, 1.0), 1.0, 1e-12,
                         "closed-form"))
     combo = funcspace.add(funcspace.scale(f0, 2.0), funcspace.scale(theta, -0.5))
-    worst = max(abs(cont_ops.modified_hardy(combo, x, qcfg)
-                    - (2.0 * cont_ops.modified_hardy(f0, x, qcfg)
-                       - 0.5 * cont_ops.modified_hardy(theta, x, qcfg)))
+    worst = max(abs(cont_ops.modified_hardy(combo, x)
+                    - (2.0 * cont_ops.modified_hardy(f0, x)
+                       - 0.5 * cont_ops.modified_hardy(theta, x)))
                 for x in xs[:10])
     checks.append(_chk("linearity over a two-term combination", worst <= 1e-10,
                        worst, "<= 1e-10", "linearity"))
@@ -437,7 +437,7 @@ def _claim_disc_mean(cfg: SuiteConfig, qcfg: QuadConfig):
                        f"{rep.target!r} +- 10%", "doubling blocks"))
     lam2 = seq_ops.SeqSpec(
         name="2*lambda", gen=lambda k: Fraction(2, k * (k + 1)),
-        decay=seq_ops.DecayClass("power", coeff=2.0, alpha=2.0, lower=1.0),
+        decay=funcspace.TailClass("power", coeff=2.0, alpha=2.0, valid_from=3, lower=1.0),
         exact_sum=Fraction(2), is_exact=True,
         vec=lambda ks: 2.0 / (ks * (ks + 1.0)))
     rep2 = seq_ops.disc_mean_check(lam2)
@@ -716,17 +716,24 @@ def render_report(records: list[ClaimRecord], cfg: SuiteConfig, timestamp: str) 
 # ---------------------------------------------------------------------------
 
 def parse_grid(text: str):
-    """'lo:hi:step' (or 'lo:hi' with step 1) -> inclusive list of values."""
+    """'lo:hi:step' (or 'lo:hi' with step 1) -> inclusive list of values,
+    refused before it is built when it would exceed MAX_FLOAT_TERMS points."""
     parts = text.split(":")
-    if len(parts) == 2:
-        lo, hi, step = float(parts[0]), float(parts[1]), 1.0
-    elif len(parts) == 3:
-        lo, hi, step = (float(p) for p in parts)
-    else:
+    if len(parts) not in (2, 3):
         raise ConfigError(f"grid must be lo:hi[:step], got {text!r}")
+    try:
+        lo, hi, step = (float(p) for p in parts + ["1"] * (3 - len(parts)))
+    except ValueError as exc:
+        raise ConfigError(f"grid entries must be numbers, got {text!r}") from exc
+    if not all(math.isfinite(x) for x in (lo, hi, step)):
+        raise ConfigError(f"grid bounds and step must be finite, got {text!r}")
     if step <= 0 or hi < lo:
         raise ConfigError(f"empty or descending grid {text!r}")
-    n = int(round((hi - lo) / step))
+    span = (hi - lo) / step  # inf when the quotient overflows
+    if not span < seq_ops.MAX_FLOAT_TERMS:
+        raise ConfigError(
+            f"grid {text!r} has more than {seq_ops.MAX_FLOAT_TERMS} points")
+    n = int(round(span))
     values = [round(lo + i * step, 12) for i in range(n + 1) if lo + i * step <= hi + 1e-12]
     if not values:
         raise ConfigError(f"empty grid {text!r}")
@@ -744,7 +751,7 @@ def _cont_row(family, param, val, fixed, qcfg) -> dict:
     row = {"family": family, param: val}
     try:
         f = funcspace.catalog(family, **params)
-        l1 = cont_ops.total_integral(funcspace.absolute(f), qcfg)[0]
+        l1 = cont_ops.total_integral(funcspace.absolute(f))[0]
         w = cont_ops.log_weight_norm(f, qcfg)
         h = cont_ops.l1_norm_modified(f, qcfg)
         i1 = cont_ops.split_i1(f, qcfg)

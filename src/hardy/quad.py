@@ -50,6 +50,13 @@ _WG = (0.129484966168870, 0.279705391489277, 0.381830050505119, 0.41795918367346
 
 SAFETY = 10.0  # converged guarantees err_est + tail_bound <= SAFETY * tolerance
 
+# fraction of each side's error budget spent on the truncated tail
+_TAIL_SHARE = 0.25
+# soft / hard caps on ln(T) when extending a truncation point
+_TAIL_V_SOFT = 2.0e5
+_TAIL_V_HARD = 1.0e12
+_PROBE_DOUBLINGS = 20
+
 _EPS = 2.220446049250313e-16
 
 
@@ -63,12 +70,6 @@ class QuadConfig:
     abs_tol: float = 1e-14
     max_depth: int = 60
     max_panels: int = 4000
-    # fraction of each side's error budget spent on the truncated tail
-    tail_share: float = 0.25
-    # soft / hard caps on ln(T) when extending a truncation point
-    tail_v_soft: float = 2.0e5
-    tail_v_hard: float = 1.0e12
-    probe_doublings: int = 20
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
@@ -290,8 +291,8 @@ def _tail_side(density, v0: float, envs: tuple[Envelope, ...], cfg: QuadConfig):
                               breakpoints=_geometric_seeds(v0, v_start))
         head_val, head_err, head_sub = res.value, res.err_est, res.subdivisions
 
-    target = cfg.abs_tol * cfg.tail_share
-    V = min(sum_v_for_remainder(envs, target), cfg.tail_v_soft)
+    target = cfg.abs_tol * _TAIL_SHARE
+    V = min(sum_v_for_remainder(envs, target), _TAIL_V_SOFT)
     V = max(V, v_start + 1e-9)
     res = _integrate_core(density, v_start, V, cfg,
                           breakpoints=_geometric_seeds(v_start, V))
@@ -303,9 +304,9 @@ def _tail_side(density, v0: float, envs: tuple[Envelope, ...], cfg: QuadConfig):
     # One extension round: the relative tolerance may allow a much looser
     # remainder than abs_tol (this matters for slowly decaying tails), or the
     # soft cap may have been too tight for the final scale of the value.
-    final_target = cfg.tolerance(value) * cfg.tail_share
+    final_target = cfg.tolerance(value) * _TAIL_SHARE
     if bound > final_target:
-        V2 = min(sum_v_for_remainder(envs, final_target), cfg.tail_v_hard)
+        V2 = min(sum_v_for_remainder(envs, final_target), _TAIL_V_HARD)
         if V2 > V:
             ext = _integrate_core(density, V, V2, cfg,
                                   breakpoints=_geometric_seeds(V, V2))
@@ -415,7 +416,7 @@ def probe_divergence(
                            max_depth=cfg.max_depth, max_panels=cfg.max_panels)
     increments = []
     lo = start
-    for _ in range(cfg.probe_doublings):
+    for _ in range(_PROBE_DOUBLINGS):
         hi = lo * 2.0
         window = [p for p in breakpoints if lo < p < hi]
         increments.append(integrate(g, lo, hi, probe_cfg, breakpoints=window).value)

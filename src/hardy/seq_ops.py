@@ -12,8 +12,9 @@ Notation:
 Finite-support sequences are stored as exact rationals and every identity on
 them is evaluated with zero tolerance: sum_n J1(n) telescopes to
 sum_k a_k / k and sum_n J2(n) rearranges to sum_k a_k (H_k - 1), both as
-exact ``Fraction`` equalities.  Generator sequences carry a declared decay
-class whose integral-test remainder certifies every truncated tail.
+exact ``Fraction`` equalities.  Generator sequences declare their decay with
+the continuous side's ``TailClass``, whose integral-test remainder
+certifies every truncated tail.
 
 Exact sums are taken over runs, not indices: the index range is cut into
 maximal runs a..b on which S_n = sum_{k<=n} a_k is constant (the run past a
@@ -35,10 +36,10 @@ from typing import Callable
 
 import numpy as np
 
-from .envelopes import Envelope
+from .funcspace import TailClass
 
 __all__ = [
-    "Rational", "SeqSpec", "DecayClass", "SumResult", "DiscMeanReport", "DiscReport",
+    "Rational", "SeqSpec", "SumResult", "DiscMeanReport", "DiscReport",
     "SequenceError", "EULER_GAMMA", "MAX_FLOAT_TERMS",
     "catalog_seq", "parse_sequence", "finite_sequence", "load_rational_file",
     "cesaro", "modified_cesaro", "j1_term", "j2_term",
@@ -73,75 +74,21 @@ def _require_within_cap(name: str, n: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# decay classes (integral-test machinery on the index)
+# log-weighted tails: the envelope of |a_k| ln(k+1) (Envelope.weighted_log)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DecayClass:
-    """Declared bound on |a_k| beyond ``valid_from``.
+def _weighted_divergent(decay: TailClass) -> bool:
+    return decay.envelope().weighted_log().certified_divergent()
 
-    kind = "compact":    a_k = 0 for k > support_end
-    kind = "power":      |a_k| <= coeff * k**-alpha,          alpha > 1
-    kind = "power_log":  |a_k| <= coeff / (k * ln(k)**beta),  beta > 1
-    """
 
-    kind: str
-    coeff: float = 0.0
-    alpha: float = 0.0
-    beta: float = 0.0
-    support_end: int = 0
-    valid_from: int = 3
-    lower: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("compact", "power", "power_log"):
-            raise SequenceError(f"unknown decay kind {self.kind!r}")
-        if self.kind == "power" and self.alpha <= 1.0:
-            raise SequenceError("decay power exponent must exceed 1")
-        if self.kind == "power_log" and self.beta <= 1.0:
-            raise SequenceError("decay power-log exponent must exceed 1")
-        object.__setattr__(self, "valid_from", max(self.valid_from, 3))
-
-    def envelope(self) -> Envelope:
-        if self.kind == "compact":
-            return Envelope.compact(float(self.support_end))
-        if self.kind == "power":
-            return Envelope(self.coeff, self.alpha, 0.0, float(self.valid_from),
-                            lower=self.lower)
-        return Envelope(self.coeff, 1.0, -self.beta, float(self.valid_from),
-                        lower=self.lower)
-
-    def weighted_envelope(self) -> Envelope:
-        """Envelope of |a_k| * ln(k+1), using ln k <= ln(k+1) <= (1+ln 2) ln k."""
-        return self.envelope().weighted_log()
-
-    def term_bound(self, k: int) -> float:
-        if self.kind == "compact":
-            return 0.0 if k > self.support_end else math.inf
-        if k < self.valid_from:
-            raise SequenceError("decay bound queried before its valid range")
-        if self.kind == "power":
-            return self.coeff * float(k) ** (-self.alpha)
-        return self.coeff / (k * math.log(k) ** self.beta)
-
-    def remainder(self, n: int) -> float:
-        """Integral-test bound on sum_{k>n} |a_k|, n >= valid_from."""
-        env = self.envelope()
-        if env.is_compact:
-            return 0.0 if n >= self.support_end else math.inf
-        return env.remainder(math.log(max(n, self.valid_from)))
-
-    def weighted_remainder(self, n: int) -> float:
-        """Integral-test bound on sum_{k>n} |a_k| ln(k+1)."""
-        env = self.weighted_envelope()
-        if env.is_compact:
-            return 0.0 if n >= self.support_end else math.inf
-        if not env.integrable():
-            return math.inf
-        return env.remainder(math.log(max(n, int(env.valid_from) + 1)))
-
-    def weighted_divergent(self) -> bool:
-        return self.weighted_envelope().certified_divergent()
+def _weighted_remainder(decay: TailClass, n: int) -> float:
+    """Integral-test bound on sum_{k>n} |a_k| ln(k+1)."""
+    env = decay.envelope().weighted_log()
+    if env.is_compact:
+        return 0.0 if n >= decay.support_end else math.inf
+    if not env.integrable():
+        return math.inf
+    return env.remainder(math.log(max(n, int(env.valid_from) + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +100,10 @@ class SeqSpec:
     """A sequence given either by an exact finite-support list or a rule.
 
     Finite mode stores a_1..a_N as exact rationals (zero beyond N).
-    Generator mode supplies gen(k) plus a declared decay class; terms may be
-    exact rationals (``is_exact``) or floats.  ``exact_sum`` records a known
+    Generator mode supplies gen(k) plus its declared decay, a
+    :class:`~hardy.funcspace.TailClass` bound on |a_k| read at t = k and
+    spot-checked at construction; terms may be exact rationals
+    (``is_exact``) or floats.  ``exact_sum`` records a known
     closed-form total.  ``vec`` is an optional vectorized term builder used
     by the large-scale float paths.
     """
@@ -162,7 +111,7 @@ class SeqSpec:
     name: str
     values: tuple[Fraction, ...] | None = None
     gen: Callable[[int], Fraction | float] | None = None
-    decay: DecayClass | None = None
+    decay: TailClass | None = None
     exact_sum: Fraction | None = None
     is_exact: bool = False
     vec: Callable[[np.ndarray], np.ndarray] | None = None
@@ -183,7 +132,7 @@ class SeqSpec:
         dec = self.decay
         ks = sorted({int(dec.valid_from * 2.0 ** (12.0 * i / (n - 1))) + 1 for i in range(n)})
         for k in ks:
-            bound = dec.term_bound(k)
+            bound = dec.bound(k)
             if abs(float(self.gen(k))) > bound * (1.0 + 1e-9):
                 raise SequenceError(f"{self.name}: decay envelope violated at k={k}")
             if dec.lower is not None and dec.kind != "compact":
@@ -410,12 +359,12 @@ def j2_sum(seq: SeqSpec, horizon: int = 10 ** 5) -> SumResult:
     _require_nonneg_finite(seq, "j2_sum")
     if seq.finite:
         return SumResult.from_exact(seq.run_sums[2])
-    if seq.decay.weighted_divergent():
+    if _weighted_divergent(seq.decay):
         return SumResult.divergent()
     total = total_sum(seq, horizon)
     if total.verdict != "converged":
         return SumResult.inconclusive()
-    wrem = seq.decay.weighted_remainder(horizon)
+    wrem = _weighted_remainder(seq.decay, horizon)
     if math.isinf(wrem):
         return SumResult.inconclusive()
     csum = _prefix_float(seq, horizon)
@@ -450,9 +399,9 @@ def j2_sum_by_weights(seq: SeqSpec, horizon: int = 10 ** 6) -> SumResult:
         for k, v in enumerate(seq.values, start=1):
             acc += v * (harmonic(k) - 1)
         return SumResult.from_exact(acc)
-    if seq.decay.weighted_divergent():
+    if _weighted_divergent(seq.decay):
         return SumResult.divergent()
-    wrem = seq.decay.weighted_remainder(horizon)
+    wrem = _weighted_remainder(seq.decay, horizon)
     if math.isinf(wrem):
         return SumResult.inconclusive()
     n = horizon
@@ -471,7 +420,7 @@ def l1_log_weight(seq: SeqSpec, horizon: int = 10 ** 6) -> SumResult:
         total = math.fsum(vals)
         return SumResult(total, 4e-16 * total * max(1, len(vals)).bit_length(),
                          "converged")
-    if seq.decay.weighted_divergent():
+    if _weighted_divergent(seq.decay):
         return SumResult.divergent()
     end = seq.support_end
     n = end if end is not None else max(horizon, seq.decay.valid_from)
@@ -480,7 +429,7 @@ def l1_log_weight(seq: SeqSpec, horizon: int = 10 ** 6) -> SumResult:
                         * np.log(np.arange(1, n + 1, dtype=np.float64) + 1.0)))
     if end is not None:
         return SumResult(head, 1e-13 * head * math.log2(n + 2), "converged")
-    wrem = seq.decay.weighted_remainder(n)
+    wrem = _weighted_remainder(seq.decay, n)
     if math.isinf(wrem):
         return SumResult.inconclusive()
     return SumResult(head, wrem + 1e-13 * head * math.log2(n + 2), "converged")
@@ -499,7 +448,7 @@ def l1_norm_mod(seq: SeqSpec, horizon: int = 10 ** 4) -> SumResult:
     """
     if seq.finite:
         return SumResult.from_exact(seq.run_sums[0])
-    if seq.decay.weighted_divergent():
+    if _weighted_divergent(seq.decay):
         return SumResult.divergent()
     total = total_sum(seq)
     if total.verdict != "converged":
@@ -513,7 +462,7 @@ def l1_norm_mod(seq: SeqSpec, horizon: int = 10 ** 4) -> SumResult:
         tail = abs(total.value) / (end + 1)  # exact telescoping beyond support
         return SumResult(head + tail, total.err + 1e-12 * head * math.log2(end + 2),
                          "converged")
-    wrem = seq.decay.weighted_remainder(horizon)
+    wrem = _weighted_remainder(seq.decay, horizon)
     if math.isinf(wrem):
         return SumResult.inconclusive()
     if seq.is_exact and total.exact is not None:
@@ -704,7 +653,7 @@ def _seq_lambda() -> SeqSpec:
     return SeqSpec(
         name="lambda",
         gen=lambda k: Fraction(1, k * (k + 1)),
-        decay=DecayClass("power", coeff=1.0, alpha=2.0, lower=0.5),
+        decay=TailClass("power", coeff=1.0, alpha=2.0, valid_from=3, lower=0.5),
         exact_sum=Fraction(1),
         is_exact=True,
         vec=lambda ks: 1.0 / (ks * (ks + 1.0)),
@@ -726,7 +675,7 @@ def _seq_powcut(alpha: float, N: int) -> SeqSpec:
     return SeqSpec(
         name=f"powcut(alpha={alpha:g},N={N})",
         gen=lambda k: float(k) ** (-alpha) if k <= N else 0.0,
-        decay=DecayClass("compact", support_end=N),
+        decay=TailClass("compact", support_end=N),
         vec=lambda ks: np.where(ks <= N, ks ** (-alpha), 0.0),
     )
 
@@ -737,7 +686,7 @@ def _seq_power(alpha: float) -> SeqSpec:
     return SeqSpec(
         name=f"power(alpha={alpha:g})",
         gen=lambda k: float(k) ** (-alpha),
-        decay=DecayClass("power", coeff=1.0, alpha=alpha, lower=1.0),
+        decay=TailClass("power", coeff=1.0, alpha=alpha, valid_from=3, lower=1.0),
         vec=lambda ks: ks ** (-alpha),
     )
 
@@ -749,8 +698,8 @@ def _seq_logdecay(beta: float, start: int = 3) -> SeqSpec:
     return SeqSpec(
         name=f"logdecay(beta={beta:g},start={start})",
         gen=lambda k: 1.0 / (k * math.log(k + 1.0) ** beta) if k >= start else 0.0,
-        decay=DecayClass("power_log", coeff=1.0, beta=beta, valid_from=start,
-                         lower=2.0 ** (-beta)),
+        decay=TailClass("power_log", coeff=1.0, beta=beta, valid_from=start,
+                        lower=2.0 ** (-beta)),
         vec=lambda ks: np.where(ks >= start, 1.0 / (ks * np.log(ks + 1.0) ** beta), 0.0),
     )
 

@@ -172,3 +172,19 @@ def test_oversized_float_arrays_exit_2(argv):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "exceed the cap" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("--m", "1:nan"), ("--m", "nan:3"), ("--m", "1:3:nan"), ("--m", "1:inf"),
+    ("--m", "1:3:1e-300"), ("--m", "1:1000000000"),
+    ("--param", "alpha=0:1:0.5", "--fix", "foo"),
+    ("--param", "alpha=0:1:0.5", "--fix", "N=abc"),
+    ("--param", "alpha=0:1:0.5", "--fix", "N=nan"),
+])
+def test_bad_sweep_grid_or_fix_exits_2(argv):
+    family = "em" if argv[0] == "--m" else "powcut"
+    proc = run_cli("disc", "sweep", "--family", family, *argv)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "configuration error" in proc.stderr
+    assert proc.stdout == ""

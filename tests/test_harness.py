@@ -103,6 +103,11 @@ def test_parse_grid():
         harness.parse_grid("1:2:0")
     with pytest.raises(harness.ConfigError):
         harness.parse_grid("1")
+    # non-finite entries, and grids above the term cap, fail before any list
+    # is built
+    for text in ("1:nan", "nan:3", "1:3:nan", "1:inf", "1:3:1e-300", "1:1000000000"):
+        with pytest.raises(harness.ConfigError):
+            harness.parse_grid(text)
 
 
 def test_sweep_cont_rows_and_footer():

@@ -2,9 +2,10 @@
 
 import math
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from hardy import cont_ops
 from hardy import funcspace as fs
 from hardy.quad import integrate_halfline
 
@@ -65,3 +66,51 @@ def test_algebra_trees_construct_and_integrate_exactly(tree):
     exact = fs.total_integral_exact(f)
     assert res.verdict in ("converged", "not-converged")
     assert abs(res.value - exact) <= res.total_error, (f.name, res)
+
+
+def _decades(start: float, n: int = 25) -> list[float]:
+    """n log-spaced points over six decades from start.  Further out the
+    exact cumulatives lose digits to cancellation."""
+    return [start * 10.0 ** (6.0 * i / (n - 1)) for i in range(n)]
+
+
+def _lower_value(env, x: float) -> float:
+    return env.value(x) * env.lower / env.coeff
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(_TREES)
+def test_averaged_envelopes_bound_the_exact_cumulatives(tree):
+    f = _build(tree)
+    assume(all(p.sign is not None for p in f.pieces))
+    cum = cont_ops._cumulative_abs(f)  # T and F of |f|, exact per piece
+    tail = f.tail.averaged_envelope()
+    for t in _decades(tail.valid_from):
+        T = cum.tail(t)
+        assert T / t <= tail.value(t) * (1.0 + 1e-6), (f.name, t)
+        if tail.lower is not None:
+            assert T / (t + 1.0) >= _lower_value(tail, t) * (1.0 - 1e-6), (f.name, t)
+    origin = f.origin.averaged_envelope()  # in u = 1/t
+    for u in _decades(origin.valid_from):
+        F = cum.value(1.0 / u)
+        assert F / u <= origin.value(u) * (1.0 + 1e-6), (f.name, u)
+        if origin.lower is not None:
+            assert F / (1.0 + u) >= _lower_value(origin, u) * (1.0 - 1e-6), (f.name, u)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_TREES)
+def test_tail_remainder_matches_closed_forms(tree):
+    tail = _build(tree).tail
+    for x in _decades(tail.valid_from):
+        if tail.kind == "compact":
+            expected = 0.0 if x >= tail.support_end else math.inf
+            assert tail.remainder(x) == expected
+            continue
+        if tail.kind == "power":
+            expected = tail.coeff * x ** (1.0 - tail.alpha) / (tail.alpha - 1.0)
+        else:
+            expected = tail.coeff * math.log(x) ** (1.0 - tail.beta) / (tail.beta - 1.0)
+        assert math.isclose(tail.remainder(x), expected, rel_tol=1e-12), (tail, x)

@@ -288,7 +288,7 @@ def test_trailing_zeros_trim_in_linear_time():
 def test_decay_spot_check_rejects_lies():
     with pytest.raises(so.SequenceError):
         so.SeqSpec(name="liar", gen=lambda k: 1.0 / k,
-                   decay=so.DecayClass("power", coeff=1.0, alpha=2.0))
+                   decay=so.TailClass("power", coeff=1.0, alpha=2.0, valid_from=3))
 
 
 def test_generator_requires_decay():
