@@ -147,11 +147,18 @@ def _parse_fix(text: str) -> tuple[str, float]:
     return key.strip(), value
 
 
+def _integer(name: str, value: float) -> int:
+    """An integer parameter's value, refused rather than truncated."""
+    if not float(value).is_integer():
+        raise harness.ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _run_sweep(args, domain: str) -> int:
     cfg = _suite_config(args)
     fixed = dict(_parse_fix(item) for item in args.fix or [])
     if args.m is not None:
-        param, values = "m", [int(v) for v in harness.parse_grid(args.m)]
+        param, values = "m", [_integer("m", v) for v in harness.parse_grid(args.m)]
     elif args.param is not None:
         param, values = _parse_param(args.param)
     else:
@@ -162,9 +169,9 @@ def _run_sweep(args, domain: str) -> int:
         rows, footer = harness.sweep_cont(args.family, param, values, cfg, fixed)
     else:
         if param == "m":
-            values = [int(v) for v in values]
+            values = [_integer("m", v) for v in values]
         if args.family == "powcut" or args.family == "em":
-            fixed = {k: int(v) if k in ("N", "m") else v for k, v in fixed.items()}
+            fixed = {k: _integer(k, v) if k in ("N", "m") else v for k, v in fixed.items()}
         rows, footer = harness.sweep_disc(args.family, param, values, cfg, fixed)
     if args.emit == "csv":
         _write_or_print(harness.sweep_to_csv(rows, footer), args.out)

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 from .envelopes import Envelope
 from .funcspace import DomainError, TestFunction, absolute, total_integral_exact
@@ -103,22 +102,22 @@ class _Cumulative:
         # prefix[i] = int_0^{lo_i} f
         prefix = [0.0]
         for p in f.pieces[:-1]:
-            lo = p.antiderivative.eval_ext(p.lo)
-            hi = p.antiderivative.eval_ext(p.hi)
+            lo = p.antiderivative.eval(p.lo)
+            hi = p.antiderivative.eval(p.hi)
             prefix.append(prefix[-1] + (hi - lo))
         self._prefix = prefix
-        self._first_base = f.pieces[0].antiderivative.eval_ext(0.0)
+        self._first_base = f.pieces[0].antiderivative.eval(0.0)
         last = f.pieces[-1]
-        self._last_inf = last.antiderivative.eval_ext(math.inf)
-        self.total = prefix[-1] + (self._last_inf - last.antiderivative.eval_ext(last.lo))
+        self._last_inf = last.antiderivative.eval(math.inf)
+        self.total = prefix[-1] + (self._last_inf - last.antiderivative.eval(last.lo))
 
     def value(self, x: float) -> float:
         if x <= 0.0:
             raise DomainError("cumulative integral needs x > 0")
         i = self.f.piece_index(x)
         p = self.f.pieces[i]
-        base = self._first_base if i == 0 else p.antiderivative.eval_ext(p.lo)
-        return self._prefix[i] + (p.antiderivative.eval_ext(x) - base)
+        base = self._first_base if i == 0 else p.antiderivative.eval(p.lo)
+        return self._prefix[i] + (p.antiderivative.eval(x) - base)
 
     def value_logarg(self, v: float) -> float:
         """F(e**v), stable far beyond the float range of e**v itself."""
@@ -126,7 +125,7 @@ class _Cumulative:
             p = self.f.pieces[-1]
             la, s = p.antiderivative.log_eval(v)
             aval = s * math.exp(la)
-            return self._prefix[-1] + (aval - p.antiderivative.eval_ext(p.lo))
+            return self._prefix[-1] + (aval - p.antiderivative.eval(p.lo))
         if v < -690.0:
             p = self.f.pieces[0]
             la, s = p.antiderivative.log_eval(v)
@@ -139,12 +138,12 @@ class _Cumulative:
         i = self.f.piece_index(x)
         last = pieces[-1]
         if i == len(pieces) - 1:
-            return self._last_inf - last.antiderivative.eval_ext(x)
+            return self._last_inf - last.antiderivative.eval(x)
         p = pieces[i]
-        out = p.antiderivative.eval_ext(p.hi) - p.antiderivative.eval_ext(x)
+        out = p.antiderivative.eval(p.hi) - p.antiderivative.eval(x)
         for q in pieces[i + 1:-1]:
-            out += q.antiderivative.eval_ext(q.hi) - q.antiderivative.eval_ext(q.lo)
-        return out + (self._last_inf - last.antiderivative.eval_ext(last.lo))
+            out += q.antiderivative.eval(q.hi) - q.antiderivative.eval(q.lo)
+        return out + (self._last_inf - last.antiderivative.eval(last.lo))
 
     def tail_logarg(self, v: float) -> float:
         if v > 690.0:
@@ -154,26 +153,18 @@ class _Cumulative:
         return self.tail(math.exp(v))
 
 
-@lru_cache(maxsize=None)
-def _cumulative(f: TestFunction) -> _Cumulative:
-    return _Cumulative(f)
-
-
-@lru_cache(maxsize=None)
 def _cumulative_abs(f: TestFunction) -> _Cumulative:
-    if _is_nonnegative(f):
-        return _cumulative(f)
-    return _Cumulative(absolute(f))
+    """The cumulatives of |f|."""
+    return _Cumulative(f if _is_nonnegative(f) else absolute(f))
 
 
-def total_integral(f: TestFunction) -> tuple[float, float]:
-    """(value, error bound) of int_0^inf f; exact through the piecewise
-    antiderivatives, so the error bound is 0."""
+def total_integral(f: TestFunction) -> float:
+    """int_0^inf f, exact through the piecewise antiderivatives."""
     _require_antiderivatives(f)
     exact = total_integral_exact(f)
     if math.isinf(exact):
         raise DomainError(f"{f.name}: total integral diverges")
-    return exact, 0.0
+    return exact
 
 
 # ---------------------------------------------------------------------------
@@ -184,15 +175,15 @@ def hardy_avg(f: TestFunction, x: float) -> float:
     """Q f(x): the average of f over (0, x)."""
     if x <= 0.0:
         raise DomainError("hardy_avg needs x > 0")
-    return _cumulative(f).value(x) / x
+    return _Cumulative(f).value(x) / x
 
 
 def modified_hardy(f: TestFunction, x: float) -> float:
     """H f(x) = Q f(x) - (int_0^inf f) / (1 + x)."""
     if x <= 0.0:
         raise DomainError("modified_hardy needs x > 0")
-    m, _ = total_integral(f)
-    return _cumulative(f).value(x) / x - m / (1.0 + x)
+    m = total_integral(f)
+    return _Cumulative(f).value(x) / x - m / (1.0 + x)
 
 
 def oracle_qf0(x: float) -> float:
@@ -402,8 +393,8 @@ def _modified_envelopes(f: TestFunction, m: float):
 
 def l1_norm_modified(f: TestFunction, cfg: QuadConfig = DEFAULT_CONFIG) -> HalflineResult:
     """int_0^inf |H f(x)| dx, with DIVERGENT as a first-class outcome."""
-    m, _ = total_integral(f)
-    cum = _cumulative(f)
+    m = total_integral(f)
+    cum = _Cumulative(f)
 
     def density(v: float) -> float:
         if v >= 0.0:
@@ -433,9 +424,7 @@ class MeanLimitReport:
     xs: tuple[float, ...]
     scaled_values: tuple[float, ...]          # x * Qf(x) = int_0^x f
     total_integral: float
-    total_err: float
-    limit_estimate: float                     # certified estimate of lim x Qf(x)
-    limit_err: float
+    limit_estimate: float                     # exact lim x Qf(x), the total
     tail_bound_at_last: float
     consistent: bool                          # |last sample - total| within bounds
     probe: ProbeResult | None
@@ -444,7 +433,7 @@ class MeanLimitReport:
 
     @property
     def limit_is_zero(self) -> bool:
-        return abs(self.limit_estimate) <= self.limit_err + 1e-12
+        return abs(self.limit_estimate) <= 1e-12
 
 
 def mean_limit_check(f: TestFunction, cfg: QuadConfig = DEFAULT_CONFIG,
@@ -460,27 +449,26 @@ def mean_limit_check(f: TestFunction, cfg: QuadConfig = DEFAULT_CONFIG,
     """
     if decades < 4.0:
         raise ValueError("need at least four decades of samples")
-    m, m_err = total_integral(f)
-    cum = _cumulative(f)
+    m = total_integral(f)
+    cum = _Cumulative(f)
     n = int(2 * decades) + 1
     xs = tuple(10.0 ** (decades * i / (n - 1)) * 1.0137 for i in range(n))
     values = tuple(cum.value(x) for x in xs)
 
     tail_bound = f.tail.remainder(xs[-1])
-    consistent = abs(values[-1] - m) <= tail_bound + m_err + 1e-6 * max(1.0, abs(m))
+    consistent = abs(values[-1] - m) <= tail_bound + 1e-6 * max(1.0, abs(m))
 
     probe = None
     rate_target = abs(m) * math.log(2.0)
     rate_ok = True
-    if abs(m) > max(1e-9, 10.0 * m_err):
+    if abs(m) > 1e-9:
         probe = probe_divergence(lambda x: abs(cum.value(x) / x), _probe_start(f), cfg,
                                  breakpoints=f.breakpoints)
         rate_ok = (probe.verdict == "divergent-log"
                    and abs(probe.last_increment - rate_target) <= 0.1 * rate_target)
     return MeanLimitReport(
         name=f.name, xs=xs, scaled_values=values,
-        total_integral=m, total_err=m_err,
-        limit_estimate=m, limit_err=m_err + 1e-12,
+        total_integral=m, limit_estimate=m,
         tail_bound_at_last=tail_bound, consistent=consistent,
         probe=probe, probe_rate_target=rate_target, probe_rate_ok=rate_ok,
     )
@@ -501,7 +489,7 @@ def equivalence_ratio(f: TestFunction, cfg: QuadConfig = DEFAULT_CONFIG) -> floa
     if wf.value <= wf.total_error:
         raise DomainError(f"{f.name}: weighted norm vanishes; function is a.e. zero")
     hf = l1_norm_modified(f, cfg).require_value()
-    l1, _ = total_integral(absolute(f))
+    l1 = total_integral(absolute(f))
     return (hf + l1) / wf.value
 
 
@@ -515,8 +503,8 @@ def cont_hardy_ratio(f: TestFunction, p: float,
     org = f.origin
     if org.kind == "power_log" or (org.kind == "power" and p * org.alpha >= 1.0):
         raise DomainError(f"{f.name} is not p-integrable near the origin for p={p}")
-    m, _ = total_integral(f)
-    cum = _cumulative(f)
+    m = total_integral(f)
+    cum = _Cumulative(f)
 
     def num_density(v: float) -> float:
         # (F(e^v) / e^v)^p e^v
@@ -573,7 +561,6 @@ def _functional_dict(res: HalflineResult) -> dict:
 class ContReport:
     name: str
     total_integral: float
-    total_err: float
     l1_norm: dict
     weighted_norm: dict
     l1_norm_modified: dict
@@ -586,7 +573,7 @@ class ContReport:
     def to_dict(self) -> dict:
         return {
             "function": self.name,
-            "total_integral": {"value": self.total_integral, "err_est": self.total_err},
+            "total_integral": {"value": self.total_integral, "err_est": 0.0},
             "l1_norm": self.l1_norm,
             "weighted_norm": self.weighted_norm,
             "l1_norm_modified": self.l1_norm_modified,
@@ -598,7 +585,7 @@ class ContReport:
 
 
 def build_report(f: TestFunction, cfg: QuadConfig = DEFAULT_CONFIG) -> ContReport:
-    m, m_err = total_integral(f)
+    m = total_integral(f)
     l1_cum = _cumulative_abs(f)
     wf = log_weight_norm(f, cfg)
     hf = l1_norm_modified(f, cfg)
@@ -610,7 +597,7 @@ def build_report(f: TestFunction, cfg: QuadConfig = DEFAULT_CONFIG) -> ContRepor
         ratio = (hf.value + l1_cum.total) / wf.value
     return ContReport(
         name=f.name,
-        total_integral=m, total_err=m_err,
+        total_integral=m,
         # exact through the antiderivatives of |f|
         l1_norm={"verdict": "converged", "value": l1_cum.total,
                  "err_est": 0.0, "tail_bound": 0.0},

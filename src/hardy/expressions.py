@@ -6,12 +6,13 @@ express every function in the catalog together with a hand-supplied
 antiderivative for each piece, which is what makes exact integral oracles
 possible without any symbolic integration machinery.
 
-Three evaluation modes are provided:
+Two evaluation modes are provided:
 
-* ``eval(t)``        - ordinary float evaluation, t in the piece's interval;
-* ``eval_ext(t)``    - extended evaluation accepting t = 0.0 and t = inf,
-                       used only to take antiderivative limits at interval
-                       endpoints (0^p -> 0 for p > 0, ln 0 -> -inf, ...);
+* ``eval(t)``        - float evaluation; it also accepts t = 0.0 and
+                       t = inf and takes the limit there (0^p -> 0 for
+                       p > 0, ln 0 -> -inf, ...), which is how
+                       antiderivatives are read at interval endpoints;
+                       an indeterminate limit raises ``ExprDomainError``;
 * ``log_eval(v)``    - evaluates the node at t = e**v through a
                        (log magnitude, sign) representation, stable for
                        |v| far beyond the overflow range of e**v itself.
@@ -38,11 +39,12 @@ class Expr:
     """Base class; subclasses are frozen dataclasses and hashable."""
 
     def eval(self, t: float) -> float:
+        """Value at t, with limit semantics at t = 0 and t = inf."""
         raise NotImplementedError
 
     def eval_ext(self, t: float) -> float:
-        """Like eval but with limit semantics at t = 0 and t = inf."""
-        raise NotImplementedError
+        """Alias of ``eval``, which already takes the limits."""
+        return self.eval(t)
 
     def log_eval(self, v: float) -> tuple[float, float]:
         """Return (ln|value|, sign) of the node at t = e**v."""
@@ -59,9 +61,6 @@ class Const(Expr):
     def eval(self, t):
         return self.value
 
-    def eval_ext(self, t):
-        return self.value
-
     def log_eval(self, v):
         if self.value == 0.0:
             return _NEG_INF, 0.0
@@ -71,9 +70,6 @@ class Const(Expr):
 @dataclass(frozen=True)
 class Var(Expr):
     def eval(self, t):
-        return t
-
-    def eval_ext(self, t):
         return t
 
     def log_eval(self, v):
@@ -88,19 +84,11 @@ class Affine(Expr):
     const: float = 0.0
 
     def eval(self, t):
-        return math.fsum([self.const] + [c * e.eval(t) for c, e in self.terms])
-
-    def eval_ext(self, t):
-        vals = [self.const] + [c * e.eval_ext(t) for c, e in self.terms]
-        pos = any(v == math.inf for v in vals)
-        neg = any(v == -math.inf for v in vals)
-        if pos and neg:
-            raise ExprDomainError("indeterminate inf - inf in affine limit")
-        if pos:
-            return math.inf
-        if neg:
-            return -math.inf
-        return math.fsum(vals)
+        vals = [self.const] + [c * e.eval(t) for c, e in self.terms]
+        try:
+            return math.fsum(vals)
+        except ValueError as exc:  # fsum refuses inf - inf
+            raise ExprDomainError("indeterminate inf - inf in affine limit") from exc
 
     def log_eval(self, v):
         parts = []
@@ -131,16 +119,8 @@ class Product(Expr):
     def eval(self, t):
         out = 1.0
         for f in self.factors:
-            out *= f.eval(t)
-        return out
-
-    def eval_ext(self, t):
-        out = 1.0
-        for f in self.factors:
-            val = f.eval_ext(t)
-            if val == 0.0 and math.isinf(out):
-                raise ExprDomainError("indeterminate 0 * inf in product limit")
-            if math.isinf(val) and out == 0.0:
+            val = f.eval(t)
+            if (val == 0.0 and math.isinf(out)) or (out == 0.0 and math.isinf(val)):
                 raise ExprDomainError("indeterminate 0 * inf in product limit")
             out *= val
         return out
@@ -167,34 +147,16 @@ class Power(Expr):
     exponent: float
 
     def eval(self, t):
+        # float ** takes the limits at an infinite base: inf**-1 = 0.0,
+        # (-inf)**3 = -inf
         b = self.base.eval(t)
-        return self._pow(b)
-
-    def eval_ext(self, t):
-        b = self.base.eval_ext(t)
-        p = self.exponent
-        if b == 0.0:
-            if p > 0:
-                return 0.0
-            if p == 0:
-                return 1.0
-            raise ExprDomainError("0 raised to a negative power in limit")
-        if math.isinf(b):
-            if p > 0:
-                return math.inf if b > 0 or int(p) % 2 == 0 else -math.inf
-            if p == 0:
-                return 1.0
-            return math.copysign(0.0, b if int(p) % 2 else 1.0)
-        return self._pow(b)
-
-    def _pow(self, b: float) -> float:
         p = self.exponent
         if b > 0.0:
             return b ** p
         if b == 0.0:
-            if p > 0:
-                return 0.0
-            raise ExprDomainError("0 raised to a nonpositive power")
+            if p >= 0:
+                return 0.0 if p > 0 else 1.0
+            raise ExprDomainError("0 raised to a negative power")
         if p != int(p):
             raise ExprDomainError("negative base with fractional exponent")
         return b ** int(p)
@@ -219,16 +181,8 @@ class Log(Expr):
 
     def eval(self, t):
         a = self.arg.eval(t)
-        if a <= 0.0:
-            raise ExprDomainError(f"log of nonpositive value {a}")
-        return math.log(a)
-
-    def eval_ext(self, t):
-        a = self.arg.eval_ext(t)
         if a == 0.0:
             return -math.inf
-        if a == math.inf:
-            return math.inf
         if a < 0.0:
             raise ExprDomainError(f"log of negative value {a}")
         return math.log(a)

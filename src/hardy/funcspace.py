@@ -333,8 +333,8 @@ def exact_antiderivative(f: TestFunction, a: float, b: float) -> float | None:
         if piece.antiderivative is None:
             return None
         try:
-            upper = piece.antiderivative.eval_ext(hi)
-            lower = piece.antiderivative.eval_ext(lo)
+            upper = piece.antiderivative.eval(hi)
+            lower = piece.antiderivative.eval(lo)
         except ExprDomainError as exc:
             raise DomainError(f"{f.name}: antiderivative limit failed on [{lo}, {hi}]") from exc
         if math.isinf(upper) or math.isinf(lower):

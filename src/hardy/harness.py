@@ -438,7 +438,7 @@ def _claim_disc_mean(cfg: SuiteConfig, qcfg: QuadConfig):
     lam2 = seq_ops.SeqSpec(
         name="2*lambda", gen=lambda k: Fraction(2, k * (k + 1)),
         decay=funcspace.TailClass("power", coeff=2.0, alpha=2.0, valid_from=3, lower=1.0),
-        exact_sum=Fraction(2), is_exact=True,
+        exact_sum=Fraction(2),
         vec=lambda ks: 2.0 / (ks * (ks + 1.0)))
     rep2 = seq_ops.disc_mean_check(lam2)
     checks.append(_chk("doubled kernel: blocks near 2 ln 2", rep2.rate_ok,
@@ -667,7 +667,7 @@ def run_suite(cfg: SuiteConfig) -> list[ClaimRecord]:
                            "runner"),)
         if all(c.ok for c in checks):
             verdict = DIVERGENT_OK if divergence else PASS
-        elif any("inconclusive" in c.computed for c in checks if not c.ok):
+        elif any(c.computed == "inconclusive" for c in checks if not c.ok):
             verdict = INCONCLUSIVE
         else:
             verdict = FAIL
@@ -751,7 +751,7 @@ def _cont_row(family, param, val, fixed, qcfg) -> dict:
     row = {"family": family, param: val}
     try:
         f = funcspace.catalog(family, **params)
-        l1 = cont_ops.total_integral(funcspace.absolute(f))[0]
+        l1 = cont_ops.total_integral(funcspace.absolute(f))
         w = cont_ops.log_weight_norm(f, qcfg)
         h = cont_ops.l1_norm_modified(f, qcfg)
         i1 = cont_ops.split_i1(f, qcfg)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 from .envelopes import Envelope, sum_remainder, sum_v_for_remainder
 
@@ -69,7 +69,7 @@ class QuadConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-14
     max_depth: int = 60
-    max_panels: int = 4000
+    max_panels: ClassVar[int] = 4000
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
@@ -88,13 +88,8 @@ DEFAULT_CONFIG = QuadConfig()
 class QuadResult:
     value: float
     err_est: float
-    tail_bound: float
     subdivisions: int
     converged: bool
-
-    @property
-    def total_error(self) -> float:
-        return self.err_est + self.tail_bound
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +197,7 @@ def _integrate_core(
     value = math.fsum(item[4] for item in panels)
     err_est = math.fsum(item[5] for item in panels)
     converged = err_est <= SAFETY * cfg.tolerance(value)
-    return QuadResult(value, err_est, 0.0, subdivisions, converged)
+    return QuadResult(value, err_est, subdivisions, converged)
 
 
 # ---------------------------------------------------------------------------
@@ -283,22 +278,11 @@ def _tail_side(density, v0: float, envs: tuple[Envelope, ...], cfg: QuadConfig):
                               breakpoints=_geometric_seeds(v0, v_end))
         return res.value, res.err_est, 0.0, res.subdivisions
 
-    v_start = max([v0] + [math.log(e.valid_from) for e in envs if e.is_compact])
-    head_val = head_err = 0.0
-    head_sub = 0
-    if v_start > v0:
-        res = _integrate_core(density, v0, v_start, cfg,
-                              breakpoints=_geometric_seeds(v0, v_start))
-        head_val, head_err, head_sub = res.value, res.err_est, res.subdivisions
-
     target = cfg.abs_tol * _TAIL_SHARE
     V = min(sum_v_for_remainder(envs, target), _TAIL_V_SOFT)
-    V = max(V, v_start + 1e-9)
-    res = _integrate_core(density, v_start, V, cfg,
-                          breakpoints=_geometric_seeds(v_start, V))
-    value = head_val + res.value
-    err = head_err + res.err_est
-    subdivisions = head_sub + res.subdivisions
+    V = max(V, v0 + 1e-9)
+    res = _integrate_core(density, v0, V, cfg, breakpoints=_geometric_seeds(v0, V))
+    value, err, subdivisions = res.value, res.err_est, res.subdivisions
     bound = sum_remainder(envs, V)
 
     # One extension round: the relative tolerance may allow a much looser
@@ -413,7 +397,7 @@ def probe_divergence(
     if start <= 0.0:
         raise ValueError("probe start must be positive")
     probe_cfg = QuadConfig(rel_tol=max(cfg.rel_tol, 1e-9), abs_tol=cfg.abs_tol,
-                           max_depth=cfg.max_depth, max_panels=cfg.max_panels)
+                           max_depth=cfg.max_depth)
     increments = []
     lo = start
     for _ in range(_PROBE_DOUBLINGS):

@@ -12,14 +12,18 @@ Notation:
 Finite-support sequences are stored as exact rationals and every identity on
 them is evaluated with zero tolerance: sum_n J1(n) telescopes to
 sum_k a_k / k and sum_n J2(n) rearranges to sum_k a_k (H_k - 1), both as
-exact ``Fraction`` equalities.  Generator sequences declare their decay with
-the continuous side's ``TailClass``, whose integral-test remainder
-certifies every truncated tail.
+exact ``Fraction`` equalities; the rearranged forms take finite sequences
+only.  Generator sequences declare their decay with the continuous side's
+``TailClass``, whose integral-test remainder certifies every truncated tail.
+
+The pointwise operators ``cesaro``, ``modified_cesaro``, ``j1_term`` and
+``j2_term`` are exact-only: they return ``Fraction`` values, and refuse a
+generator with float terms before computing anything.
 
 Exact sums are taken over runs, not indices: the index range is cut into
 maximal runs a..b on which S_n = sum_{k<=n} a_k is constant (the run past a
 finite support is open), and each run adds a closed form to sum |Gm a|_n,
-sum J1 and sum J2 (see ``_run_sums``).  The harmonic differences these need
+sum J1 and sum J2 (see ``_run_pieces``).  The harmonic differences these need
 are summed by binary splitting, with no cache, so a zero run of any length
 costs one split instead of one rational addition per index.
 """
@@ -31,7 +35,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -61,6 +65,9 @@ _LN2 = math.log(2.0)
 # Largest term array any path builds: 80 MB of float64, or as many exact
 # rationals in a finite-support sequence.
 MAX_FLOAT_TERMS = 10 ** 7
+
+# Truncation point of the operator-side sums j1_sum and j2_sum on generators.
+_J_HORIZON = 10 ** 5
 
 
 class SequenceError(ValueError):
@@ -102,10 +109,11 @@ class SeqSpec:
     Finite mode stores a_1..a_N as exact rationals (zero beyond N).
     Generator mode supplies gen(k) plus its declared decay, a
     :class:`~hardy.funcspace.TailClass` bound on |a_k| read at t = k and
-    spot-checked at construction; terms may be exact rationals
-    (``is_exact``) or floats.  ``exact_sum`` records a known
-    closed-form total.  ``vec`` is an optional vectorized term builder used
-    by the large-scale float paths.
+    spot-checked at construction.  ``exact_sum`` records a known
+    closed-form total; a generator that declares one yields exact rational
+    terms, and any other generator yields floats (see ``is_exact``).
+    ``vec`` is an optional vectorized term builder used by the large-scale
+    float paths.
     """
 
     name: str
@@ -113,7 +121,6 @@ class SeqSpec:
     gen: Callable[[int], Fraction | float] | None = None
     decay: TailClass | None = None
     exact_sum: Fraction | None = None
-    is_exact: bool = False
     vec: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
@@ -123,8 +130,6 @@ class SeqSpec:
             raise SequenceError("generator sequences must declare a decay class")
         if self.values is not None and not all(isinstance(v, Fraction) for v in self.values):
             raise SequenceError("finite-support values must be exact rationals")
-        if self.values is not None:
-            object.__setattr__(self, "is_exact", True)
         if self.gen is not None:
             self._spot_check_decay()
 
@@ -145,6 +150,11 @@ class SeqSpec:
         return self.values is not None
 
     @property
+    def is_exact(self) -> bool:
+        """Whether the terms are exact rationals: derived, never declared."""
+        return self.finite or self.exact_sum is not None
+
+    @property
     def support_end(self) -> int | None:
         if self.finite:
             return len(self.values)
@@ -161,7 +171,12 @@ class SeqSpec:
     @cached_property
     def run_sums(self) -> tuple[Fraction, Fraction, Fraction]:
         """Exact (sum |Gm a|_n, sum J1, sum J2) of a finite sequence."""
-        return _run_sums(self.runs, self.runs[-1][2])
+        l1 = j1 = j2 = Fraction(0)
+        for x1, x2 in _run_pieces(self.runs, self.runs[-1][2]):
+            l1 += abs(x1 - x2)
+            j1 += x1
+            j2 += x2
+        return l1, j1, j2
 
     def terms_float(self, n: int) -> np.ndarray:
         """a_1..a_n as float64, for n up to MAX_FLOAT_TERMS."""
@@ -206,10 +221,8 @@ class SumResult:
 # prefix sums
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=16)
 def _prefix_float(seq: SeqSpec, n: int) -> np.ndarray:
-    arr = seq.terms_float(n)
-    return np.cumsum(arr)
+    return np.cumsum(seq.terms_float(n))
 
 
 def _constant_runs(terms, end: int | None) -> tuple[tuple[int, int | None, Fraction], ...]:
@@ -226,14 +239,14 @@ def _constant_runs(terms, end: int | None) -> tuple[tuple[int, int | None, Fract
     return tuple(zip(starts or [1], ends, sums or [s]))
 
 
-def _partial_sum(seq: SeqSpec, n: int) -> Fraction | float:
-    """S_n: read from the run containing n, walked on an exact generator,
-    or taken from the float prefix."""
+def _partial_sum(seq: SeqSpec, n: int) -> Fraction:
+    """S_n, exact: read from the run containing n, or walked on an exact
+    generator.  A float generator is refused before any term is built."""
     if seq.finite:
         return seq.runs[bisect_right(seq.runs, n, key=lambda run: run[0]) - 1][2]
-    if seq.is_exact:
-        return sum((seq.gen(k) for k in range(1, n + 1)), Fraction(0))
-    return float(_prefix_float(seq, n)[n - 1])
+    if not seq.is_exact:
+        raise SequenceError(f"{seq.name}: the pointwise operators need exact terms")
+    return sum((seq.gen(k) for k in range(1, n + 1)), Fraction(0))
 
 
 def _harmonic_split(lo: int, hi: int) -> tuple[int, int]:
@@ -247,32 +260,25 @@ def _harmonic_split(lo: int, hi: int) -> tuple[int, int]:
     return n1 * d2 + n2 * d1, d1 * d2
 
 
-def _run_sums(runs, m: Fraction) -> tuple[Fraction, Fraction, Fraction]:
-    """(sum_n |(Gm a)_n|, sum_n J1(n), sum_n J2(n)) over the runs of a
-    sequence with total m, in one pass.
+def _run_pieces(runs, m: Fraction):
+    """Yield the exact (sum J1, sum J2) over each piece of the runs of a
+    sequence with total m; sum |(Gm a)_n| is the sum of |J1 - J2| over them.
 
     On a run p..q with S_n = S, J1 sums to S (1/p - 1/(q+1)) and J2 to
     (m - S)(H_(q+1) - H_p); the open run adds S/a to J1 and nothing to J2.
     (Gm a)_n = J1(n) - J2(n) = (S - (m - S) n) / (n (n+1)) changes sign at
     most once on a run, after n* = S / (m - S), so each run is cut at
-    floor(n*) and |Gm a| sums to |J1 - J2| over each of the two pieces.
+    floor(n*) into two pieces on which Gm a keeps its sign.
     """
-    l1 = j1 = j2 = Fraction(0)
     for a, b, s in runs:
         if b is None:
-            tail = s / a
-            l1 += abs(tail)
-            j1 += tail
+            yield s / a, 0
             continue
         cut = b if a == b or m == s else min(max(math.floor(s / (m - s)), a - 1), b)
         for p, q in ((a, cut), (cut + 1, b)):
             if p <= q:
-                x1 = s * Fraction(q + 1 - p, p * (q + 1))
-                x2 = (m - s) * Fraction(*_harmonic_split(p + 1, q + 2))
-                l1 += abs(x1 - x2)
-                j1 += x1
-                j2 += x2
-    return l1, j1, j2
+                yield (s * Fraction(q + 1 - p, p * (q + 1)),
+                       (m - s) * Fraction(*_harmonic_split(p + 1, q + 2)))
 
 
 def total_sum(seq: SeqSpec, horizon: int = 10 ** 6) -> SumResult:
@@ -298,36 +304,25 @@ def total_sum(seq: SeqSpec, horizon: int = 10 ** 6) -> SumResult:
 # the operators
 # ---------------------------------------------------------------------------
 
-def cesaro(seq: SeqSpec, n: int) -> Fraction | float:
-    """(G a)_n = (1/n) sum_{k<=n} a_k; exact rational in exact mode."""
+def cesaro(seq: SeqSpec, n: int) -> Fraction:
+    """(G a)_n = (1/n) sum_{k<=n} a_k, an exact rational."""
     if n < 1:
         raise SequenceError("n must be at least 1")
     return _partial_sum(seq, n) / n
 
 
-def modified_cesaro(seq: SeqSpec, n: int, horizon: int = 10 ** 6) -> Fraction | float:
-    """(Gm a)_n = (G a)_n - (sum_k a_k)/(n+1)."""
-    if n < 1:
-        raise SequenceError("n must be at least 1")
-    total = total_sum(seq, horizon)
-    if total.verdict != "converged":
-        raise SequenceError(f"{seq.name}: total sum is {total.verdict}")
-    if seq.is_exact and total.exact is not None:
-        return cesaro(seq, n) - total.exact / (n + 1)
-    return float(cesaro(seq, n)) - total.value / (n + 1)
+def modified_cesaro(seq: SeqSpec, n: int) -> Fraction:
+    """(Gm a)_n = (G a)_n - (sum_k a_k)/(n+1), an exact rational."""
+    return cesaro(seq, n) - total_sum(seq).exact / (n + 1)
 
 
-def j1_term(seq: SeqSpec, n: int) -> Fraction | float:
+def j1_term(seq: SeqSpec, n: int) -> Fraction:
     return _partial_sum(seq, n) / (n * (n + 1))
 
 
-def j2_term(seq: SeqSpec, n: int, horizon: int = 10 ** 6) -> Fraction | float:
-    total = total_sum(seq, horizon)
-    if total.verdict != "converged":
-        raise SequenceError(f"{seq.name}: total sum is {total.verdict}")
-    if seq.is_exact and total.exact is not None:
-        return (total.exact - _partial_sum(seq, n)) / (n + 1)
-    return (total.value - float(_prefix_float(seq, n)[n - 1])) / (n + 1.0)
+def j2_term(seq: SeqSpec, n: int) -> Fraction:
+    s_n = _partial_sum(seq, n)  # first: it refuses a float generator
+    return (total_sum(seq).exact - s_n) / (n + 1)
 
 
 def _require_nonneg_finite(seq: SeqSpec, what: str):
@@ -335,25 +330,25 @@ def _require_nonneg_finite(seq: SeqSpec, what: str):
         raise SequenceError(f"{what} requires nonnegative terms")
 
 
-def j1_sum(seq: SeqSpec, horizon: int = 10 ** 5) -> SumResult:
+def j1_sum(seq: SeqSpec) -> SumResult:
     """sum_n J1(n), computed on the operator side (the n-sum); exact over
-    the runs of constant S_n for finite support (see ``_run_sums``)."""
+    the runs of constant S_n for finite support (see ``_run_pieces``)."""
     _require_nonneg_finite(seq, "j1_sum")
     if seq.finite:
         return SumResult.from_exact(seq.run_sums[1])
-    total = total_sum(seq, horizon)
+    total = total_sum(seq, _J_HORIZON)
     if total.verdict != "converged":
         return SumResult.inconclusive()
-    csum = _prefix_float(seq, horizon)
-    ns = np.arange(1, horizon + 1, dtype=np.float64)
+    csum = _prefix_float(seq, _J_HORIZON)
+    ns = np.arange(1, _J_HORIZON + 1, dtype=np.float64)
     head = float(np.sum(csum / (ns * (ns + 1.0))))
     # S_n <= total on nonnegative sequences, so the tail is at most m/(H+1)
     m_up = abs(total.value) + total.err
-    return SumResult(head, m_up / (horizon + 1) + total.err + 1e-12 * abs(head),
+    return SumResult(head, m_up / (_J_HORIZON + 1) + total.err + 1e-12 * abs(head),
                      "converged")
 
 
-def j2_sum(seq: SeqSpec, horizon: int = 10 ** 5) -> SumResult:
+def j2_sum(seq: SeqSpec) -> SumResult:
     """sum_n J2(n) on the operator side; DIVERGENT when the log-weighted
     envelope certifies it."""
     _require_nonneg_finite(seq, "j2_sum")
@@ -361,55 +356,42 @@ def j2_sum(seq: SeqSpec, horizon: int = 10 ** 5) -> SumResult:
         return SumResult.from_exact(seq.run_sums[2])
     if _weighted_divergent(seq.decay):
         return SumResult.divergent()
-    total = total_sum(seq, horizon)
+    total = total_sum(seq, _J_HORIZON)
     if total.verdict != "converged":
         return SumResult.inconclusive()
-    wrem = _weighted_remainder(seq.decay, horizon)
+    wrem = _weighted_remainder(seq.decay, _J_HORIZON)
     if math.isinf(wrem):
         return SumResult.inconclusive()
-    csum = _prefix_float(seq, horizon)
-    ns = np.arange(1, horizon + 1, dtype=np.float64)
+    csum = _prefix_float(seq, _J_HORIZON)
+    ns = np.arange(1, _J_HORIZON + 1, dtype=np.float64)
     head = float(np.sum((total.value - csum) / (ns + 1.0)))
     # tail: sum_{n>H} T_n/(n+1) = sum_{k>H} a_k (H_k - H_{H+1}) <= weighted remainder
-    err = wrem + total.err * math.log(horizon + 1.0) + 1e-12 * abs(head)
+    err = wrem + total.err * math.log(_J_HORIZON + 1.0) + 1e-12 * abs(head)
     return SumResult(head, err, "converged")
 
 
-def j1_sum_by_weights(seq: SeqSpec, horizon: int = 10 ** 6) -> SumResult:
-    """The rearranged form sum_k a_k / k (independent route for checking)."""
-    _require_nonneg_finite(seq, "j1_sum_by_weights")
-    if seq.finite:
-        return SumResult.from_exact(
-            sum((v / Fraction(k) for k, v in enumerate(seq.values, start=1)),
-                Fraction(0)))
-    n = max(horizon, seq.decay.valid_from)
-    # terms first, so the size cap fires before any other array is built
-    head = float(np.sum(seq.terms_float(n) / np.arange(1, n + 1, dtype=np.float64)))
-    rem = seq.decay.remainder(n)  # a_k/k <= a_k
-    if math.isinf(rem):
-        return SumResult.inconclusive()
-    return SumResult(head, rem + 1e-13 * abs(head) * math.log2(n), "converged")
+def _require_finite(seq: SeqSpec, what: str):
+    """The rearranged forms take finite nonnegative sequences only."""
+    if not seq.finite:
+        raise SequenceError(f"{what} takes finite sequences only; {seq.name} is a generator")
+    _require_nonneg_finite(seq, what)
 
 
-def j2_sum_by_weights(seq: SeqSpec, horizon: int = 10 ** 6) -> SumResult:
-    """The rearranged form sum_k a_k (H_k - 1)."""
-    _require_nonneg_finite(seq, "j2_sum_by_weights")
-    if seq.finite:
-        acc = Fraction(0)
-        for k, v in enumerate(seq.values, start=1):
-            acc += v * (harmonic(k) - 1)
-        return SumResult.from_exact(acc)
-    if _weighted_divergent(seq.decay):
-        return SumResult.divergent()
-    wrem = _weighted_remainder(seq.decay, horizon)
-    if math.isinf(wrem):
-        return SumResult.inconclusive()
-    n = horizon
-    # terms first, so the size cap fires before any other array is built;
-    # the float harmonic prefix is adequate against the certified remainder
-    head = float(np.sum(seq.terms_float(n)
-                        * (np.cumsum(1.0 / np.arange(1, n + 1, dtype=np.float64)) - 1.0)))
-    return SumResult(head, wrem + 1e-12 * abs(head), "converged")
+def j1_sum_by_weights(seq: SeqSpec) -> SumResult:
+    """The rearranged form sum_k a_k / k of a finite sequence (independent
+    route for checking)."""
+    _require_finite(seq, "j1_sum_by_weights")
+    return SumResult.from_exact(
+        sum((v / Fraction(k) for k, v in enumerate(seq.values, start=1)), Fraction(0)))
+
+
+def j2_sum_by_weights(seq: SeqSpec) -> SumResult:
+    """The rearranged form sum_k a_k (H_k - 1) of a finite sequence."""
+    _require_finite(seq, "j2_sum_by_weights")
+    acc = Fraction(0)
+    for k, v in enumerate(seq.values, start=1):
+        acc += v * (harmonic(k) - 1)
+    return SumResult.from_exact(acc)
 
 
 def l1_log_weight(seq: SeqSpec, horizon: int = 10 ** 6) -> SumResult:
@@ -439,7 +421,7 @@ def l1_norm_mod(seq: SeqSpec, horizon: int = 10 ** 4) -> SumResult:
     """sum_n |(Gm a)_n| with certified tail handling.
 
     Finite support is exact, summed in closed form over the runs of
-    constant S_n (see ``_run_sums``).  For nonnegative generators the
+    constant S_n (see ``_run_pieces``).  For nonnegative generators the
     tail obeys |Gm a|_n <= J1(n) + J2(n), and sum J2 past the horizon sits
     under the log-weighted remainder; divergence is certified through the
     harmonic comparison H_k - 1 >= ln(k+1)/2 (k >= 7), which turns a
@@ -465,9 +447,10 @@ def l1_norm_mod(seq: SeqSpec, horizon: int = 10 ** 4) -> SumResult:
     wrem = _weighted_remainder(seq.decay, horizon)
     if math.isinf(wrem):
         return SumResult.inconclusive()
-    if seq.is_exact and total.exact is not None:
+    if seq.is_exact:
         runs = _constant_runs((seq.gen(k) for k in range(1, horizon + 1)), horizon)
-        head, head_err = float(_run_sums(runs, total.exact)[0]), 0.0
+        pieces = _run_pieces(runs, total.exact)
+        head, head_err = float(sum((abs(x1 - x2) for x1, x2 in pieces), Fraction(0))), 0.0
     else:
         arr = seq.terms_float(horizon)
         csum = np.cumsum(arr)
@@ -655,7 +638,6 @@ def _seq_lambda() -> SeqSpec:
         gen=lambda k: Fraction(1, k * (k + 1)),
         decay=TailClass("power", coeff=1.0, alpha=2.0, valid_from=3, lower=0.5),
         exact_sum=Fraction(1),
-        is_exact=True,
         vec=lambda ks: 1.0 / (ks * (ks + 1.0)),
     )
 
@@ -728,6 +710,9 @@ def catalog_seq(name: str, **params) -> SeqSpec:
         if missing or unknown:
             raise SequenceError(
                 f"{name} expects parameters {keys}; missing {missing}, unknown {unknown}")
+        for k, typ in zip(keys, types):
+            if typ is int and not float(merged[k]).is_integer():
+                raise SequenceError(f"{name}: {k} must be an integer, got {merged[k]!r}")
         return builder(*(typ(merged[k]) for k, typ in zip(keys, types)))
     raise SequenceError(f"unknown sequence {name!r}")
 

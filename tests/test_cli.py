@@ -188,3 +188,19 @@ def test_bad_sweep_grid_or_fix_exits_2(argv):
     assert "Traceback" not in proc.stderr
     assert "configuration error" in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("report", "--seq", "em(m=2.5)"),
+    ("report", "--seq", "logdecay(beta=2.5,start=3.7)"),
+    ("report", "--seq", "powcut(alpha=0.5,N=2.5)"),
+    ("sweep", "--family", "powcut", "--param", "alpha=0:0.5:0.5", "--fix", "N=2.5"),
+    ("sweep", "--family", "em", "--m", "1.5:3.7"),
+    ("sweep", "--family", "em", "--param", "m=1:2:0.5"),
+])
+def test_non_integral_integer_parameters_exit_2(argv):
+    proc = run_cli("disc", *argv)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "must be an integer" in proc.stderr
+    assert proc.stdout == ""

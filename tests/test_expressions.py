@@ -48,6 +48,16 @@ def test_extended_limits():
     assert anti_fe.eval_ext(0.0) == 0.0
 
 
+def test_eval_takes_limits_and_refuses_indeterminate_forms():
+    assert Log(T).eval(0.0) == -math.inf
+    assert Power(T, 0.0).eval(0.0) == 1.0
+    assert affine([(-1.0, Power(Log(T), -1.0))]).eval(0.0) == 0.0
+    with pytest.raises(ExprDomainError, match="indeterminate"):
+        Product((T, Log(T))).eval(0.0)  # 0 * -inf
+    with pytest.raises(ExprDomainError, match="indeterminate"):
+        affine([(1.0, T), (-1.0, Power(T, 2.0))]).eval(math.inf)  # inf - inf
+
+
 def test_log_eval_matches_plain_eval():
     exprs = [
         Power(ONE_PLUS_T, -2.0),

@@ -75,6 +75,31 @@ def test_divergence_claims_get_their_own_verdict():
     assert all(r.passed for r in records)
 
 
+def test_verdicts_of_failed_and_crashed_runners(monkeypatch):
+    def failing(cfg, qcfg):
+        return [harness._chk("value", False, 0.5, "1", "test")]
+
+    def unresolved(cfg, qcfg):
+        return [harness._chk("verdict", False, "inconclusive", "converged", "test")]
+
+    def crashing(cfg, qcfg):
+        raise harness.seq_ops.SequenceError("lambda: total sum is inconclusive")
+
+    monkeypatch.setattr(harness, "_CLAIMS", {
+        "t.fail": ("fails", failing, False),
+        "t.inconclusive": ("does not resolve", unresolved, False),
+        "t.crash": ("crashes", crashing, True),
+    })
+    records = harness.run_suite(harness.SuiteConfig(claims="t.*"))
+    verdicts = {r.claim_id: r.verdict for r in records}
+    assert verdicts == {"t.crash": harness.FAIL, "t.fail": harness.FAIL,
+                        "t.inconclusive": harness.INCONCLUSIVE}
+    crash = records[0].checks
+    assert [c.name for c in crash] == ["runner completed"]
+    assert "total sum is inconclusive" in crash[0].computed
+    assert harness.exit_code(records) == 1
+
+
 def test_report_determinism_in_process():
     cfg = harness.SuiteConfig(claims="disc.cesaro.*")
     r1 = harness.render_report(harness.run_suite(cfg), cfg, timestamp="T")

@@ -48,6 +48,26 @@ def test_decomposition_termwise(lam, e1):
             assert so.modified_cesaro(seq, n) == so.j1_term(seq, n) - so.j2_term(seq, n)
 
 
+def test_pointwise_operators_are_exact_only():
+    pw = so.catalog_seq("power", alpha=1.5)
+    built = []
+    counting = so.SeqSpec(
+        name="counting", gen=lambda k: built.append(k) or float(k) ** -1.5,
+        decay=so.TailClass("power", coeff=1.0, alpha=1.5, valid_from=3, lower=1.0))
+    built.clear()  # the decay spot-check at construction reads terms
+    for op in (so.cesaro, so.modified_cesaro, so.j1_term, so.j2_term):
+        for seq in (pw, counting):
+            with pytest.raises(so.SequenceError, match="need exact terms"):
+                op(seq, 10)
+    assert built == []  # refused before any term is built
+
+
+def test_rearranged_forms_are_finite_only(lam):
+    for op in (so.j1_sum_by_weights, so.j2_sum_by_weights):
+        with pytest.raises(so.SequenceError, match="finite sequences only"):
+            op(lam)
+
+
 def test_j_sums_unit_impulse(e1):
     assert so.j1_sum(e1).exact == 1
     assert so.j2_sum(e1).exact == 0
