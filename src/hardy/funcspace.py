@@ -642,7 +642,10 @@ def catalog(name: str, **params: float) -> TestFunction:
         if missing or unknown:
             raise ParameterError(
                 f"{name} expects parameters {keys}; missing {missing}, unknown {unknown}")
-        return builder(*(float(params[k]) for k in keys))
+        values = [float(params[k]) for k in keys]
+        if not all(map(math.isfinite, values)):
+            raise ParameterError(f"{name}: parameters must be finite, got {params}")
+        return builder(*values)
     raise CatalogError(name)
 
 

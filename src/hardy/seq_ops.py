@@ -9,23 +9,24 @@ Notation:
     J2(n)    = (n+1)^-1 sum_{k>n} a_k                  (so Gm a = J1 - J2)
     L(a)     = sum_k |a_k| ln(k+1)
 
-Finite-support sequences are stored as exact rationals and every identity on
-them is evaluated with zero tolerance: sum_n J1(n) telescopes to
-sum_k a_k / k and sum_n J2(n) rearranges to sum_k a_k (H_k - 1), both as
-exact ``Fraction`` equalities; the rearranged forms take finite sequences
-only.  Generator sequences declare their decay with the continuous side's
-``TailClass``, whose integral-test remainder certifies every truncated tail.
+Finite-support sequences are stored as their nonzero (k, a_k) terms, exact
+rationals, and every identity on them is evaluated with zero tolerance:
+sum_n J1(n) telescopes to sum_k a_k / k and sum_n J2(n) rearranges to
+sum_k a_k (H_k - 1), both as exact ``Fraction`` equalities; the rearranged
+forms take finite sequences only.  A generator is one float rule ``vec`` on
+an index array, with a decay declared as the continuous side's ``TailClass``
+to certify its tails; an exact generator also gives its rational ``gen``.
 
 The pointwise operators ``cesaro``, ``modified_cesaro``, ``j1_term`` and
 ``j2_term`` are exact-only: they return ``Fraction`` values, and refuse a
 generator with float terms before computing anything.
 
 Exact sums are taken over runs, not indices: the index range is cut into
-maximal runs a..b on which S_n = sum_{k<=n} a_k is constant (the run past a
-finite support is open), and each run adds a closed form to sum |Gm a|_n,
-sum J1 and sum J2 (see ``_run_pieces``).  The harmonic differences these need
-are summed by binary splitting, with no cache, so a zero run of any length
-costs one split instead of one rational addition per index.
+runs a..b on which S_n = sum_{k<=n} a_k is constant, one starting at n = 1
+and at each stored k (the run past a finite support is open), and each run
+adds a closed form to sum |Gm a|_n, sum J1 and sum J2 (see ``_run_pieces``).
+The harmonic differences these need are summed by binary splitting, with no
+cache, so a zero run of any length costs one split and no stored term.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import numpy as np
 from .funcspace import TailClass
 
 __all__ = [
-    "Rational", "SeqSpec", "SumResult", "DiscMeanReport", "DiscReport",
+    "SeqSpec", "SumResult", "DiscMeanReport", "DiscReport",
     "SequenceError", "EULER_GAMMA", "MAX_FLOAT_TERMS",
     "catalog_seq", "parse_sequence", "finite_sequence", "load_rational_file",
     "cesaro", "modified_cesaro", "j1_term", "j2_term",
@@ -54,16 +55,13 @@ __all__ = [
     "build_report",
 ]
 
-# Exact rational scalar: always reduced, positive denominator.
-Rational = Fraction
-
 # Euler-Mascheroni constant, fixed 20-digit literal (never computed here).
 EULER_GAMMA = 0.57721566490153286061
 
 _LN2 = math.log(2.0)
 
-# Largest term array any path builds: 80 MB of float64, or as many exact
-# rationals in a finite-support sequence.
+# Largest term array any path builds (80 MB of float64), and the longest
+# support of a finite sequence, which bounds how long its exact sums run.
 MAX_FLOAT_TERMS = 10 ** 7
 
 # Truncation point of the operator-side sums j1_sum and j2_sum on generators.
@@ -104,75 +102,94 @@ def _weighted_remainder(decay: TailClass, n: int) -> float:
 
 @dataclass(frozen=True)
 class SeqSpec:
-    """A sequence given either by an exact finite-support list or a rule.
+    """A sequence given either by its nonzero terms or by a rule.
 
-    Finite mode stores a_1..a_N as exact rationals (zero beyond N).
-    Generator mode supplies gen(k) plus its declared decay, a
+    Finite mode stores ``terms``, the nonzero (k, a_k) pairs of a_1..a_N in
+    increasing k, as exact rationals; every other a_k is zero.  Generator
+    mode supplies ``vec``, the float rule that maps an array of indices k to
+    the terms a_k, plus its declared decay, a
     :class:`~hardy.funcspace.TailClass` bound on |a_k| read at t = k and
-    spot-checked at construction.  ``exact_sum`` records a known
-    closed-form total; a generator that declares one yields exact rational
-    terms, and any other generator yields floats (see ``is_exact``).
-    ``vec`` is an optional vectorized term builder used by the large-scale
-    float paths.
+    spot-checked on ``vec`` at construction.  An exact generator adds
+    ``gen(k)``, its exact rational term, together with ``exact_sum``, its
+    closed-form total; every float path still reads ``vec``.
     """
 
     name: str
-    values: tuple[Fraction, ...] | None = None
-    gen: Callable[[int], Fraction | float] | None = None
+    terms: tuple[tuple[int, Fraction], ...] | None = None
+    gen: Callable[[int], Fraction] | None = None
     decay: TailClass | None = None
     exact_sum: Fraction | None = None
     vec: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
-        if (self.values is None) == (self.gen is None):
-            raise SequenceError("exactly one of values/gen must be given")
-        if self.gen is not None and self.decay is None:
+        if (self.terms is None) == (self.vec is None):
+            raise SequenceError("exactly one of terms/vec must be given")
+        if (self.gen is None) != (self.exact_sum is None):
+            raise SequenceError("an exact generator declares both gen and exact_sum")
+        if self.finite:
+            self._check_terms()
+        elif self.decay is None:
             raise SequenceError("generator sequences must declare a decay class")
-        if self.values is not None and not all(isinstance(v, Fraction) for v in self.values):
-            raise SequenceError("finite-support values must be exact rationals")
-        if self.gen is not None:
+        else:
             self._spot_check_decay()
+
+    def _check_terms(self):
+        if not self.terms:
+            raise SequenceError("finite sequence must have a nonzero entry")
+        prev = 0
+        for k, v in self.terms:
+            if not (isinstance(k, int) and k > prev and isinstance(v, Fraction) and v):
+                raise SequenceError("finite-support terms must be nonzero exact "
+                                    "rationals at strictly increasing k >= 1")
+            prev = k
 
     def _spot_check_decay(self, n: int = 64):
         dec = self.decay
         ks = sorted({int(dec.valid_from * 2.0 ** (12.0 * i / (n - 1))) + 1 for i in range(n)})
-        for k in ks:
+        sizes = np.abs(self.vec(np.array(ks, dtype=np.float64)))
+        for k, size in zip(ks, sizes):
             bound = dec.bound(k)
-            if abs(float(self.gen(k))) > bound * (1.0 + 1e-9):
+            if size > bound * (1.0 + 1e-9):
                 raise SequenceError(f"{self.name}: decay envelope violated at k={k}")
             if dec.lower is not None and dec.kind != "compact":
                 floor = bound * dec.lower / dec.coeff
-                if abs(float(self.gen(k))) < floor * (1.0 - 1e-9):
+                if size < floor * (1.0 - 1e-9):
                     raise SequenceError(f"{self.name}: decay lower bound violated at k={k}")
 
     @property
     def finite(self) -> bool:
-        return self.values is not None
+        return self.terms is not None
 
     @property
-    def is_exact(self) -> bool:
-        """Whether the terms are exact rationals: derived, never declared."""
-        return self.finite or self.exact_sum is not None
+    def nonnegative(self) -> bool:
+        """Whether no term is negative; a generator is assumed nonnegative."""
+        return not self.finite or all(v > 0 for _, v in self.terms)
 
     @property
     def support_end(self) -> int | None:
         if self.finite:
-            return len(self.values)
+            return self.terms[-1][0]
         if self.decay.kind == "compact":
             return self.decay.support_end
         return None
+
+    @property
+    def exact_total(self) -> Fraction | None:
+        """sum_k a_k as an exact rational: the last run's S_n of a finite
+        sequence, or the declared ``exact_sum``; None for a float generator."""
+        return self.runs[-1][2] if self.finite else self.exact_sum
 
     @cached_property
     def runs(self) -> tuple[tuple[int, int | None, Fraction], ...]:
         """The constant-prefix runs (a, b, S) of a finite sequence, built
         once and shared by every exact sum (see ``_constant_runs``)."""
-        return _constant_runs(self.values, None)
+        return _constant_runs(self.terms, None)
 
     @cached_property
     def run_sums(self) -> tuple[Fraction, Fraction, Fraction]:
         """Exact (sum |Gm a|_n, sum J1, sum J2) of a finite sequence."""
         l1 = j1 = j2 = Fraction(0)
-        for x1, x2 in _run_pieces(self.runs, self.runs[-1][2]):
+        for x1, x2 in _run_pieces(self.runs, self.exact_total):
             l1 += abs(x1 - x2)
             j1 += x1
             j2 += x2
@@ -181,15 +198,15 @@ class SeqSpec:
     def terms_float(self, n: int) -> np.ndarray:
         """a_1..a_n as float64, for n up to MAX_FLOAT_TERMS."""
         _require_within_cap(self.name, n)
-        if self.finite:
-            out = np.zeros(n)
-            m = min(n, len(self.values))
-            out[:m] = [float(v) for v in self.values[:m]]
-            return out
-        ks = np.arange(1, n + 1, dtype=np.float64)
-        if self.vec is not None:
-            return np.asarray(self.vec(ks), dtype=np.float64)
-        return np.array([float(self.gen(k)) for k in range(1, n + 1)])
+        if not self.finite:
+            return np.asarray(self.vec(np.arange(1, n + 1, dtype=np.float64)),
+                              dtype=np.float64)
+        out = np.zeros(n)
+        for k, v in self.terms:
+            if k > n:
+                break
+            out[k - 1] = float(v)
+        return out
 
 
 @dataclass(frozen=True)
@@ -221,22 +238,18 @@ class SumResult:
 # prefix sums
 # ---------------------------------------------------------------------------
 
-def _prefix_float(seq: SeqSpec, n: int) -> np.ndarray:
-    return np.cumsum(seq.terms_float(n))
-
-
 def _constant_runs(terms, end: int | None) -> tuple[tuple[int, int | None, Fraction], ...]:
-    """The maximal runs a..b of n = 1..end on which S_n = S is constant, as
-    (a, b, S): a run starts at n = 1 and at every nonzero a_n.  With
-    end = None the last run is open, past a finite support."""
-    starts, sums, s = [], [], Fraction(0)
-    for n, t in enumerate(terms, start=1):
-        if t or n == 1:
-            s += t
-            starts.append(n)
-            sums.append(s)
+    """The runs a..b of n = 1..end on which S_n = S is constant, as (a, b, S),
+    from the (k, a_k) pairs in increasing k: a run starts at n = 1 and at
+    every given k.  With end = None the last run is open, past a finite
+    support."""
+    sums, s = {1: Fraction(0)}, Fraction(0)
+    for k, t in terms:
+        s += t
+        sums[k] = s
+    starts = list(sums)
     ends = [a - 1 for a in starts[1:]] + [end]
-    return tuple(zip(starts or [1], ends, sums or [s]))
+    return tuple(zip(starts, ends, sums.values()))
 
 
 def _partial_sum(seq: SeqSpec, n: int) -> Fraction:
@@ -244,7 +257,7 @@ def _partial_sum(seq: SeqSpec, n: int) -> Fraction:
     generator.  A float generator is refused before any term is built."""
     if seq.finite:
         return seq.runs[bisect_right(seq.runs, n, key=lambda run: run[0]) - 1][2]
-    if not seq.is_exact:
+    if seq.gen is None:
         raise SequenceError(f"{seq.name}: the pointwise operators need exact terms")
     return sum((seq.gen(k) for k in range(1, n + 1)), Fraction(0))
 
@@ -284,10 +297,8 @@ def _run_pieces(runs, m: Fraction):
 def total_sum(seq: SeqSpec, horizon: int = 10 ** 6) -> SumResult:
     """sum_k a_k, exact for finite support or a declared closed form,
     tail-bounded through the decay envelope otherwise."""
-    if seq.finite:
-        return SumResult.from_exact(seq.runs[-1][2])
-    if seq.exact_sum is not None:
-        return SumResult.from_exact(seq.exact_sum)
+    if seq.exact_total is not None:
+        return SumResult.from_exact(seq.exact_total)
     end = seq.support_end
     if end is not None:
         total = float(np.sum(seq.terms_float(end)))
@@ -313,7 +324,7 @@ def cesaro(seq: SeqSpec, n: int) -> Fraction:
 
 def modified_cesaro(seq: SeqSpec, n: int) -> Fraction:
     """(Gm a)_n = (G a)_n - (sum_k a_k)/(n+1), an exact rational."""
-    return cesaro(seq, n) - total_sum(seq).exact / (n + 1)
+    return cesaro(seq, n) - seq.exact_total / (n + 1)
 
 
 def j1_term(seq: SeqSpec, n: int) -> Fraction:
@@ -322,11 +333,11 @@ def j1_term(seq: SeqSpec, n: int) -> Fraction:
 
 def j2_term(seq: SeqSpec, n: int) -> Fraction:
     s_n = _partial_sum(seq, n)  # first: it refuses a float generator
-    return (total_sum(seq).exact - s_n) / (n + 1)
+    return (seq.exact_total - s_n) / (n + 1)
 
 
 def _require_nonneg_finite(seq: SeqSpec, what: str):
-    if seq.finite and any(v < 0 for v in seq.values):
+    if not seq.nonnegative:
         raise SequenceError(f"{what} requires nonnegative terms")
 
 
@@ -339,7 +350,7 @@ def j1_sum(seq: SeqSpec) -> SumResult:
     total = total_sum(seq, _J_HORIZON)
     if total.verdict != "converged":
         return SumResult.inconclusive()
-    csum = _prefix_float(seq, _J_HORIZON)
+    csum = np.cumsum(seq.terms_float(_J_HORIZON))
     ns = np.arange(1, _J_HORIZON + 1, dtype=np.float64)
     head = float(np.sum(csum / (ns * (ns + 1.0))))
     # S_n <= total on nonnegative sequences, so the tail is at most m/(H+1)
@@ -362,7 +373,7 @@ def j2_sum(seq: SeqSpec) -> SumResult:
     wrem = _weighted_remainder(seq.decay, _J_HORIZON)
     if math.isinf(wrem):
         return SumResult.inconclusive()
-    csum = _prefix_float(seq, _J_HORIZON)
+    csum = np.cumsum(seq.terms_float(_J_HORIZON))
     ns = np.arange(1, _J_HORIZON + 1, dtype=np.float64)
     head = float(np.sum((total.value - csum) / (ns + 1.0)))
     # tail: sum_{n>H} T_n/(n+1) = sum_{k>H} a_k (H_k - H_{H+1}) <= weighted remainder
@@ -381,27 +392,21 @@ def j1_sum_by_weights(seq: SeqSpec) -> SumResult:
     """The rearranged form sum_k a_k / k of a finite sequence (independent
     route for checking)."""
     _require_finite(seq, "j1_sum_by_weights")
-    return SumResult.from_exact(
-        sum((v / Fraction(k) for k, v in enumerate(seq.values, start=1)), Fraction(0)))
+    return SumResult.from_exact(sum((v / k for k, v in seq.terms), Fraction(0)))
 
 
 def j2_sum_by_weights(seq: SeqSpec) -> SumResult:
     """The rearranged form sum_k a_k (H_k - 1) of a finite sequence."""
     _require_finite(seq, "j2_sum_by_weights")
-    acc = Fraction(0)
-    for k, v in enumerate(seq.values, start=1):
-        acc += v * (harmonic(k) - 1)
-    return SumResult.from_exact(acc)
+    return SumResult.from_exact(
+        sum((v * (harmonic(k) - 1) for k, v in seq.terms), Fraction(0)))
 
 
 def l1_log_weight(seq: SeqSpec, horizon: int = 10 ** 6) -> SumResult:
     """L(a) = sum_k |a_k| ln(k+1) with an integral-test tail bound."""
     if seq.finite:
-        vals = [abs(float(v)) * math.log(k + 1.0)
-                for k, v in enumerate(seq.values, start=1)]
-        total = math.fsum(vals)
-        return SumResult(total, 4e-16 * total * max(1, len(vals)).bit_length(),
-                         "converged")
+        total = math.fsum(abs(float(v)) * math.log(k + 1.0) for k, v in seq.terms)
+        return SumResult(total, 4e-16 * total * seq.support_end.bit_length(), "converged")
     if _weighted_divergent(seq.decay):
         return SumResult.divergent()
     end = seq.support_end
@@ -447,8 +452,8 @@ def l1_norm_mod(seq: SeqSpec, horizon: int = 10 ** 4) -> SumResult:
     wrem = _weighted_remainder(seq.decay, horizon)
     if math.isinf(wrem):
         return SumResult.inconclusive()
-    if seq.is_exact:
-        runs = _constant_runs((seq.gen(k) for k in range(1, horizon + 1)), horizon)
+    if seq.gen is not None:
+        runs = _constant_runs(((k, seq.gen(k)) for k in range(1, horizon + 1)), horizon)
         pieces = _run_pieces(runs, total.exact)
         head, head_err = float(sum((abs(x1 - x2) for x1, x2 in pieces), Fraction(0))), 0.0
     else:
@@ -623,13 +628,10 @@ def disc_equivalence_ratio(seq: SeqSpec, horizon: int = 10 ** 4) -> float:
 # ---------------------------------------------------------------------------
 
 def finite_sequence(name: str, values) -> SeqSpec:
+    """a_1, a_2, ... = values, stored as the nonzero terms."""
     _require_within_cap(name, len(values))
-    vals = [Fraction(v) for v in values]
-    while vals and vals[-1] == 0:
-        vals.pop()
-    if not vals:
-        raise SequenceError("finite sequence must have a nonzero entry")
-    return SeqSpec(name=name, values=tuple(vals))
+    return SeqSpec(name=name, terms=tuple(
+        (k, q) for k, q in enumerate(map(Fraction, values), start=1) if q))
 
 
 def _seq_lambda() -> SeqSpec:
@@ -646,7 +648,7 @@ def _seq_em(m: int) -> SeqSpec:
     if m < 1:
         raise SequenceError("em needs m >= 1")
     _require_within_cap(f"em(m={m})", m)
-    return finite_sequence(f"em(m={m})", [0] * (m - 1) + [1])
+    return SeqSpec(name=f"em(m={m})", terms=((m, Fraction(1)),))
 
 
 def _seq_powcut(alpha: float, N: int) -> SeqSpec:
@@ -656,7 +658,6 @@ def _seq_powcut(alpha: float, N: int) -> SeqSpec:
         raise SequenceError("powcut needs N >= 1")
     return SeqSpec(
         name=f"powcut(alpha={alpha:g},N={N})",
-        gen=lambda k: float(k) ** (-alpha) if k <= N else 0.0,
         decay=TailClass("compact", support_end=N),
         vec=lambda ks: np.where(ks <= N, ks ** (-alpha), 0.0),
     )
@@ -667,7 +668,6 @@ def _seq_power(alpha: float) -> SeqSpec:
         raise SequenceError("power needs alpha > 1 for summability")
     return SeqSpec(
         name=f"power(alpha={alpha:g})",
-        gen=lambda k: float(k) ** (-alpha),
         decay=TailClass("power", coeff=1.0, alpha=alpha, valid_from=3, lower=1.0),
         vec=lambda ks: ks ** (-alpha),
     )
@@ -679,7 +679,6 @@ def _seq_logdecay(beta: float, start: int = 3) -> SeqSpec:
     start = max(int(start), 3)
     return SeqSpec(
         name=f"logdecay(beta={beta:g},start={start})",
-        gen=lambda k: 1.0 / (k * math.log(k + 1.0) ** beta) if k >= start else 0.0,
         decay=TailClass("power_log", coeff=1.0, beta=beta, valid_from=start,
                         lower=2.0 ** (-beta)),
         vec=lambda ks: np.where(ks >= start, 1.0 / (ks * np.log(ks + 1.0) ** beta), 0.0),
@@ -711,6 +710,8 @@ def catalog_seq(name: str, **params) -> SeqSpec:
             raise SequenceError(
                 f"{name} expects parameters {keys}; missing {missing}, unknown {unknown}")
         for k, typ in zip(keys, types):
+            if not math.isfinite(float(merged[k])):
+                raise SequenceError(f"{name}: {k} must be finite, got {merged[k]!r}")
             if typ is int and not float(merged[k]).is_integer():
                 raise SequenceError(f"{name}: {k} must be an integer, got {merged[k]!r}")
         return builder(*(typ(merged[k]) for k, typ in zip(keys, types)))
@@ -744,7 +745,7 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 def load_rational_file(path) -> SeqSpec:
     """One rational per line, `p/q` or integer form; parsed exactly with no
     float round-trip."""
-    values = []
+    terms, k = [], 0
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
@@ -753,9 +754,11 @@ def load_rational_file(path) -> SeqSpec:
             if not _RATIONAL_RE.match(line):
                 raise SequenceError(
                     f"{path}:{lineno}: {line!r} is not an integer or p/q rational")
-            values.append(Fraction(line))
-            _require_within_cap(f"file:{path}", len(values))
-    return finite_sequence(f"file:{path}", values)
+            k += 1
+            _require_within_cap(f"file:{path}", k)
+            if q := Fraction(line):
+                terms.append((k, q))
+    return SeqSpec(name=f"file:{path}", terms=tuple(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -798,7 +801,7 @@ def build_report(seq: SeqSpec, horizon: int = 10 ** 4) -> DiscReport:
     total = total_sum(seq)
     norm = l1_norm_mod(seq, horizon)
     weight = l1_log_weight(seq)
-    nonneg = not (seq.finite and any(v < 0 for v in seq.values))
+    nonneg = seq.nonnegative
     j1 = j1_sum(seq) if nonneg else SumResult.inconclusive()
     j2 = j2_sum(seq) if nonneg else SumResult.inconclusive()
     ratio = None

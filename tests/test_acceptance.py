@@ -143,7 +143,7 @@ def test_criterion_06_exact_discrete_identities():
         if not any(values):
             values[0] = Fraction(1, 2)
         seq = so.finite_sequence(f"acc6-{i}", values)
-        n0 = len(seq.values)
+        n0 = len(values)
         if so.j1_sum(seq).exact != so.j1_sum_by_weights(seq).exact:
             failures += 1
             continue
@@ -151,7 +151,7 @@ def test_criterion_06_exact_discrete_identities():
             failures += 1
             continue
         total = so.total_sum(seq).exact
-        pre = list(itertools.accumulate(seq.values, initial=Fraction(0)))
+        pre = list(itertools.accumulate(values, initial=Fraction(0)))
         for n in range(1, 201):
             s_n = pre[min(n, n0)]
             if s_n / Fraction(n) - total / (n + 1) != (

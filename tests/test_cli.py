@@ -204,3 +204,19 @@ def test_non_integral_integer_parameters_exit_2(argv):
     assert "Traceback" not in proc.stderr
     assert "must be an integer" in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("disc", "report", "--seq", "logdecay(beta=nan)"),
+    ("disc", "report", "--seq", "power(alpha=nan)"),
+    ("disc", "report", "--seq", "powcut(alpha=nan,N=10)"),
+    ("disc", "report", "--seq", "power(alpha=inf)"),
+    ("cont", "report", "--fn", "power_tail(beta=nan)"),
+    ("cont", "report", "--fn", "power_tail(beta=inf)"),
+    ("cont", "report", "--fn", "log_tail(beta=inf)"),
+])
+def test_non_finite_family_parameters_exit_2(argv):
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "must be finite" in proc.stderr

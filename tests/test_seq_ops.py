@@ -2,8 +2,10 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hardy import seq_ops as so
@@ -52,7 +54,7 @@ def test_pointwise_operators_are_exact_only():
     pw = so.catalog_seq("power", alpha=1.5)
     built = []
     counting = so.SeqSpec(
-        name="counting", gen=lambda k: built.append(k) or float(k) ** -1.5,
+        name="counting", vec=lambda ks: built.append(ks) or ks ** -1.5,
         decay=so.TailClass("power", coeff=1.0, alpha=1.5, valid_from=3, lower=1.0))
     built.clear()  # the decay spot-check at construction reads terms
     for op in (so.cesaro, so.modified_cesaro, so.j1_term, so.j2_term):
@@ -145,15 +147,38 @@ def test_run_sums_match_per_index_walk():
         cases.append([0 if rng.random() < 0.6 else
                       Fraction(rng.randint(-40, 60), rng.randint(1, 25))
                       for _ in range(rng.randint(1, 60))])
-    for values in cases:
+    # zero runs of 10^3..10^4 between nonzeros, then a few trailing zeros;
+    # the first case may be signed, the others are nonnegative, so the
+    # j-sums are checked too
+    gapped = []
+    for i in range(3):
+        values = []
+        for _ in range(rng.randint(2, 3)):
+            values += [0] * rng.randint(10 ** 3, 10 ** 4)
+            values.append(Fraction(rng.randint(1, 60) if i else rng.randint(-40, 60) or 1,
+                                   rng.randint(1, 25)))
+        gapped.append(values + [0] * rng.randint(0, 20))
+    for values in cases + gapped:
         if not any(values):
             values[-1] = 1
         seq = so.finite_sequence("r", values)
-        l1, j1, j2 = _per_index_sums(seq.values)
+        l1, j1, j2 = _per_index_sums(values)
         assert so.l1_norm_mod(seq).exact == l1
-        if all(v >= 0 for v in seq.values):
+        if all(v >= 0 for v in values):
             assert so.j1_sum(seq).exact == j1
             assert so.j2_sum(seq).exact == j2
+    for values in gapped:
+        seq = so.finite_sequence("r", values)
+        dense = np.array([float(v) for v in values])
+        for n in (len(values) // 2, len(values) + 10):
+            ref = np.zeros(n)
+            ref[:min(n, len(values))] = dense[:n]
+            assert seq.terms_float(n).tobytes() == ref.tobytes()
+        end = max(k for k, v in enumerate(values, start=1) if v)
+        weight = math.fsum([abs(float(v)) * math.log(k + 1.0)
+                            for k, v in enumerate(values[:end], start=1)])
+        res = so.l1_log_weight(seq)
+        assert (res.value, res.err) == (weight, 4e-16 * weight * end.bit_length())
 
 
 def test_l1_norm_mod_generator_and_divergent():
@@ -203,7 +228,7 @@ def test_exact_sequence_builders_check_the_cap_first(tmp_path, monkeypatch):
                lambda: so.load_rational_file(path)):
         with pytest.raises(so.SequenceError, match="exceed the cap"):
             op()
-    assert so.catalog_seq("em", m=3).values[-1] == 1
+    assert so.catalog_seq("em", m=3).terms == ((3, 1),)
 
 
 def test_harmonic_exact():
@@ -277,7 +302,7 @@ def test_sequence_parsing():
     assert so.parse_sequence("lambda").name == "lambda"
     seq = so.parse_sequence("powcut(alpha=0.5,N=1000)")
     assert seq.support_end == 1000
-    assert so.parse_sequence("em(m=7)").values[6] == 1
+    assert so.parse_sequence("em(m=7)").terms == ((7, 1),)
     with pytest.raises(so.SequenceError):
         so.parse_sequence("nosuch")
     with pytest.raises(so.SequenceError):
@@ -291,7 +316,7 @@ def test_load_rational_file(tmp_path):
     path.write_text("1/3\n-2/7\n# comment\n5\n0/9\n")
     seq = so.load_rational_file(path)
     # trailing zeros are only the implicit continuation and are normalized off
-    assert seq.values == (Fraction(1, 3), Fraction(-2, 7), Fraction(5))
+    assert seq.terms == ((1, Fraction(1, 3)), (2, Fraction(-2, 7)), (3, Fraction(5)))
     bad = tmp_path / "bad.txt"
     bad.write_text("0.5\n")
     with pytest.raises(so.SequenceError):
@@ -301,19 +326,51 @@ def test_load_rational_file(tmp_path):
 def test_trailing_zeros_trim_in_linear_time():
     # re-slicing a tuple once per trailing zero is quadratic: ~20 s at this size
     start = time.perf_counter()
-    assert so.finite_sequence("tail", [1] + [0] * 10 ** 5).values == (Fraction(1),)
+    assert so.finite_sequence("tail", [1] + [0] * 10 ** 5).terms == ((1, Fraction(1)),)
     assert time.perf_counter() - start < 5.0
+
+
+def test_finite_terms_are_checked():
+    for terms in (((1, Fraction(0)),), ((1, 1),), ((1, 0.5),), ((0, Fraction(1)),),
+                  ((2, Fraction(1)), (2, Fraction(3))),
+                  ((5, Fraction(1)), (3, Fraction(3))), ()):
+        with pytest.raises(so.SequenceError):
+            so.SeqSpec(name="bad", terms=terms)
+    assert so.SeqSpec(name="ok", terms=((2, Fraction(1)), (9, Fraction(-3)))).support_end == 9
+
+
+def test_em_stores_one_term():
+    tracemalloc.start()
+    try:
+        seq = so.catalog_seq("em", m=10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seq.terms == ((10 ** 6, 1),)
+    assert peak < 2 ** 20
+
+
+def test_only_exact_generators_give_gen():
+    decay = so.TailClass("power", coeff=1.0, alpha=2.0, valid_from=3, lower=0.5)
+    vec = lambda ks: 1.0 / (ks * (ks + 1.0))  # noqa: E731
+    with pytest.raises(so.SequenceError, match="both gen and exact_sum"):
+        so.SeqSpec(name="g", gen=lambda k: Fraction(1, k * (k + 1)), decay=decay, vec=vec)
+    with pytest.raises(so.SequenceError, match="both gen and exact_sum"):
+        so.SeqSpec(name="s", decay=decay, exact_sum=Fraction(1), vec=vec)
+    with pytest.raises(so.SequenceError, match="exactly one of terms/vec"):
+        so.SeqSpec(name="nothing", gen=lambda k: Fraction(1, k * (k + 1)),
+                   decay=decay, exact_sum=Fraction(1))
 
 
 def test_decay_spot_check_rejects_lies():
     with pytest.raises(so.SequenceError):
-        so.SeqSpec(name="liar", gen=lambda k: 1.0 / k,
+        so.SeqSpec(name="liar", vec=lambda ks: 1.0 / ks,
                    decay=so.TailClass("power", coeff=1.0, alpha=2.0, valid_from=3))
 
 
 def test_generator_requires_decay():
     with pytest.raises(so.SequenceError):
-        so.SeqSpec(name="bare", gen=lambda k: 0.0)
+        so.SeqSpec(name="bare", vec=lambda ks: 0.0 * ks)
 
 
 def test_build_report(lam):
