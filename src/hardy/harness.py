@@ -409,9 +409,8 @@ def _claim_disc_fubini(cfg: SuiteConfig, qcfg: QuadConfig):
         if j1 != j1w or j2 != j2w:
             bad += 1
             continue
-        if any(seq_ops.modified_cesaro(seq, n)
-               != seq_ops.j1_term(seq, n) - seq_ops.j2_term(seq, n)
-               for n in range(1, 201)):
+        if any(gm != p1 - p2 for gm, p1, p2, _ in
+               (seq_ops.pointwise_numerators(seq, n) for n in range(1, 201))):
             bad += 1
     return [_chk(f"{n_seqs} random nonnegative rational sequences satisfy "
                  "the telescoping and rearrangement identities exactly",
@@ -455,20 +454,20 @@ def _claim_disc_hardy(cfg: SuiteConfig, qcfg: QuadConfig):
     ps = (1.25, 1.5, 2.0, 3.0, 10.0)
     for template in _DISC_RATIO_SUITE:
         seq = seq_ops.parse_sequence(template.format(n=n))
+        ratios = seq_ops.hardy_ratios(seq, ps, (n,))
         for p in ps:
-            r = seq_ops.hardy_ratio(seq, p, n)
-            bound = (p / (p - 1.0)) ** p
+            r, bound = ratios[(p, n)], (p / (p - 1.0)) ** p
             checks.append(_chk(f"{seq.name}, p={p:g} under the sharp bound",
                                r <= bound, r, f"<= {bound!r}", "sharp constant"))
     gold = golden()["disc"]["sharpness"]
+    n_chks = [n_chk for n_chk in (10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6) if n_chk <= n]
     for p in ps:
         marks = gold[f"{p:g}"]
         seq = seq_ops.catalog_seq("powcut", alpha=1.0 / p, N=n)
+        ratios = seq_ops.hardy_ratios(seq, (p,), n_chks)
         prev = 0.0
-        for n_chk in (10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6):
-            if n_chk > n:
-                continue
-            r = seq_ops.hardy_ratio(seq, p, n_chk)
+        for n_chk in n_chks:
+            r = ratios[(p, n_chk)]
             expected = marks[str(n_chk)]
             ok = abs(r - expected) <= 1e-7 * max(1.0, abs(expected)) and r > prev
             checks.append(_chk(

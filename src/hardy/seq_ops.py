@@ -9,24 +9,22 @@ Notation:
     J2(n)    = (n+1)^-1 sum_{k>n} a_k                  (so Gm a = J1 - J2)
     L(a)     = sum_k |a_k| ln(k+1)
 
-Finite-support sequences are stored as their nonzero (k, a_k) terms, exact
-rationals, and every identity on them is evaluated with zero tolerance:
-sum_n J1(n) telescopes to sum_k a_k / k and sum_n J2(n) rearranges to
-sum_k a_k (H_k - 1), both as exact ``Fraction`` equalities; the rearranged
-forms take finite sequences only.  A generator is one float rule ``vec`` on
-an index array, with a decay declared as the continuous side's ``TailClass``
-to certify its tails; an exact generator also gives its rational ``gen``.
+Finite sequences are stored as their nonzero (k, a_k) terms, exact
+rationals, and their identities hold with zero tolerance: sum_n J1(n) = sum_k
+a_k / k and sum_n J2(n) = sum_k a_k (H_k - 1) (the rearranged forms, finite
+only).  A generator is one float rule ``vec``, with a decay declared as a
+``TailClass`` to certify its tails; an exact generator adds its rational
+``gen``.  The exact-only pointwise operators (``cesaro``, ``modified_cesaro``,
+``j1_term``, ``j2_term``) each read ``pointwise_numerators``: with D the
+common denominator, P = S_n D and M = D sum_k a_k, they are integers over
+D n (n+1), and a float generator is refused before any term is built.
 
-The pointwise operators ``cesaro``, ``modified_cesaro``, ``j1_term`` and
-``j2_term`` are exact-only: they return ``Fraction`` values, and refuse a
-generator with float terms before computing anything.
-
-Exact sums are taken over runs, not indices: the index range is cut into
-runs a..b on which S_n = sum_{k<=n} a_k is constant, one starting at n = 1
-and at each stored k (the run past a finite support is open), and each run
-adds a closed form to sum |Gm a|_n, sum J1 and sum J2 (see ``_run_pieces``).
-The harmonic differences these need are summed by binary splitting, with no
-cache, so a zero run of any length costs one split and no stored term.
+Exact sums are taken over the runs a..b of constant S_n = sum_{k<=n} a_k, one
+starting at n = 1 and at each stored k (the last is open), each adding a
+closed form (see ``_run_pieces``).  Harmonic sums are binary splits with
+32-term integer leaves and no cache.  ``hardy_ratios`` builds a sequence's
+arrays once for all its (p, n) ratios, and H_k - ln k - gamma is summed
+from its log1p increments (see ``_gamma_residuals``).
 """
 
 from __future__ import annotations
@@ -47,12 +45,12 @@ __all__ = [
     "SeqSpec", "SumResult", "DiscMeanReport", "DiscReport",
     "SequenceError", "EULER_GAMMA", "MAX_FLOAT_TERMS",
     "catalog_seq", "parse_sequence", "finite_sequence", "load_rational_file",
-    "cesaro", "modified_cesaro", "j1_term", "j2_term",
+    "pointwise_numerators", "cesaro", "modified_cesaro", "j1_term", "j2_term",
     "j1_sum", "j2_sum", "j1_sum_by_weights", "j2_sum_by_weights",
     "l1_log_weight", "l1_norm_mod", "total_sum",
     "harmonic", "gamma_residual", "scan_gamma_residual",
-    "lp_norm", "hardy_ratio", "disc_mean_check", "disc_equivalence_ratio",
-    "build_report",
+    "lp_norm", "hardy_ratio", "hardy_ratios", "disc_mean_check",
+    "disc_equivalence_ratio", "build_report",
 ]
 
 # Euler-Mascheroni constant, fixed 20-digit literal (never computed here).
@@ -186,6 +184,14 @@ class SeqSpec:
         return _constant_runs(self.terms, None)
 
     @cached_property
+    def int_runs(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        """(D, starts, P): the common denominator D of the terms, and the first
+        n and the integer P = S_n D of each of the ``runs``."""
+        den = math.lcm(*(v.denominator for _, v in self.terms))
+        return den, tuple(a for a, _, _ in self.runs), tuple(
+            s.numerator * (den // s.denominator) for _, _, s in self.runs)
+
+    @cached_property
     def run_sums(self) -> tuple[Fraction, Fraction, Fraction]:
         """Exact (sum |Gm a|_n, sum J1, sum J2) of a finite sequence."""
         l1 = j1 = j2 = Fraction(0)
@@ -252,21 +258,14 @@ def _constant_runs(terms, end: int | None) -> tuple[tuple[int, int | None, Fract
     return tuple(zip(starts, ends, sums.values()))
 
 
-def _partial_sum(seq: SeqSpec, n: int) -> Fraction:
-    """S_n, exact: read from the run containing n, or walked on an exact
-    generator.  A float generator is refused before any term is built."""
-    if seq.finite:
-        return seq.runs[bisect_right(seq.runs, n, key=lambda run: run[0]) - 1][2]
-    if seq.gen is None:
-        raise SequenceError(f"{seq.name}: the pointwise operators need exact terms")
-    return sum((seq.gen(k) for k in range(1, n + 1)), Fraction(0))
-
-
 def _harmonic_split(lo: int, hi: int) -> tuple[int, int]:
     """sum_{lo <= k < hi} 1/k as an unreduced (numerator, denominator), by
-    binary splitting (Haible and Papanikolaou, 1998): reduce once, at the end."""
-    if hi - lo == 1:
-        return 1, lo
+    binary splitting (Haible and Papanikolaou, 1998) to 32-term leaves."""
+    if hi - lo <= 32:
+        num, den = 0, 1
+        for k in range(lo, hi):
+            num, den = num * k + den, den * k
+        return num, den
     mid = (lo + hi) // 2
     n1, d1 = _harmonic_split(lo, mid)
     n2, d2 = _harmonic_split(mid, hi)
@@ -315,25 +314,45 @@ def total_sum(seq: SeqSpec, horizon: int = 10 ** 6) -> SumResult:
 # the operators
 # ---------------------------------------------------------------------------
 
-def cesaro(seq: SeqSpec, n: int) -> Fraction:
-    """(G a)_n = (1/n) sum_{k<=n} a_k, an exact rational."""
+def pointwise_numerators(seq: SeqSpec, n: int) -> tuple[int, int, int, int]:
+    """(gm, j1, j2, den): (Gm a)_n, J1(n) and J2(n) are the integers
+    (n+1)P - nM, P and n(M - P) over den = D n (n+1), with D the common
+    denominator of a finite sequence's terms (of S_n and ``exact_sum`` on an
+    exact generator), P = S_n D and M = D sum_k a_k."""
     if n < 1:
         raise SequenceError("n must be at least 1")
-    return _partial_sum(seq, n) / n
+    if seq.finite:
+        den, starts, prefix = seq.int_runs
+        p, m = prefix[bisect_right(starts, n) - 1], prefix[-1]
+    elif seq.gen is None:
+        raise SequenceError(f"{seq.name}: the pointwise operators need exact terms")
+    else:
+        s_n = sum((seq.gen(k) for k in range(1, n + 1)), Fraction(0))
+        den = math.lcm(s_n.denominator, seq.exact_sum.denominator)
+        p, m = int(s_n * den), int(seq.exact_sum * den)
+    return (n + 1) * p - n * m, p, n * (m - p), den * n * (n + 1)
+
+
+def cesaro(seq: SeqSpec, n: int) -> Fraction:
+    """(G a)_n = (1/n) sum_{k<=n} a_k = (n+1) J1(n), an exact rational."""
+    _, j1, _, den = pointwise_numerators(seq, n)
+    return Fraction((n + 1) * j1, den)
 
 
 def modified_cesaro(seq: SeqSpec, n: int) -> Fraction:
     """(Gm a)_n = (G a)_n - (sum_k a_k)/(n+1), an exact rational."""
-    return cesaro(seq, n) - seq.exact_total / (n + 1)
+    gm, _, _, den = pointwise_numerators(seq, n)
+    return Fraction(gm, den)
 
 
 def j1_term(seq: SeqSpec, n: int) -> Fraction:
-    return _partial_sum(seq, n) / (n * (n + 1))
+    _, j1, _, den = pointwise_numerators(seq, n)
+    return Fraction(j1, den)
 
 
 def j2_term(seq: SeqSpec, n: int) -> Fraction:
-    s_n = _partial_sum(seq, n)  # first: it refuses a float generator
-    return (seq.exact_total - s_n) / (n + 1)
+    _, _, j2, den = pointwise_numerators(seq, n)
+    return Fraction(j2, den)
 
 
 def _require_nonneg_finite(seq: SeqSpec, what: str):
@@ -396,10 +415,14 @@ def j1_sum_by_weights(seq: SeqSpec) -> SumResult:
 
 
 def j2_sum_by_weights(seq: SeqSpec) -> SumResult:
-    """The rearranged form sum_k a_k (H_k - 1) of a finite sequence."""
+    """The rearranged form sum_k a_k (H_k - 1) of a finite sequence, carrying
+    H_k - 1 forward over the stored k with one harmonic split per gap."""
     _require_finite(seq, "j2_sum_by_weights")
-    return SumResult.from_exact(
-        sum((v * (harmonic(k) - 1) for k, v in seq.terms), Fraction(0)))
+    total, h, prev = Fraction(0), Fraction(0), 1
+    for k, v in seq.terms:
+        h, prev = h + Fraction(*_harmonic_split(prev + 1, k + 1)), k
+        total += v * h
+    return SumResult.from_exact(total)
 
 
 def l1_log_weight(seq: SeqSpec, horizon: int = 10 ** 6) -> SumResult:
@@ -471,66 +494,61 @@ def l1_norm_mod(seq: SeqSpec, horizon: int = 10 ** 4) -> SumResult:
 # harmonic numbers
 # ---------------------------------------------------------------------------
 
-_HARMONIC_CACHE: list[Fraction] = [Fraction(0)]
-
-
 def harmonic(n: int) -> Fraction:
-    """H_n as an exact rational."""
+    """H_n as an exact rational, by one binary split."""
     if n < 1:
         raise SequenceError("harmonic numbers start at n = 1")
-    while len(_HARMONIC_CACHE) <= n:
-        k = len(_HARMONIC_CACHE)
-        _HARMONIC_CACHE.append(_HARMONIC_CACHE[-1] + Fraction(1, k))
-    return _HARMONIC_CACHE[n]
+    return Fraction(*_harmonic_split(1, n + 1))
+
+
+_SCAN_BLOCK, _SCAN_CHUNK = 1024, 2 ** 16  # numpy block and array lengths
+
+
+def _gamma_residuals(hi: int):
+    """Yield (k, r_k) arrays for k = 1..hi in chunks of _SCAN_CHUNK, where
+    r_k = H_k - ln k - gamma = r_1 + sum_{2<=j<=k} (1/j + log1p(-1/j)) and
+    r_1 = 1 - gamma: the exact telescoping of ln k.  The increments are
+    summed by ``np.cumsum`` in blocks of _SCAN_BLOCK, and the block offsets
+    are carried as a compensated pair by ``math.fsum``."""
+    carry = [0.0]
+    for start in range(1, hi + 1, _SCAN_CHUNK):
+        ks = np.arange(start, min(start + _SCAN_CHUNK, hi + 1), dtype=np.float64)
+        inc = np.zeros(-(-len(ks) // _SCAN_BLOCK) * _SCAN_BLOCK)
+        with np.errstate(divide="ignore"):  # log1p(-1) at k = 1, replaced by r_1
+            inc[:len(ks)] = 1.0 / ks + np.log1p(-1.0 / ks)
+        if start == 1:
+            inc[0] = 1.0 - EULER_GAMMA
+        blocks = np.cumsum(inc.reshape(-1, _SCAN_BLOCK), axis=1)
+        offsets = np.empty(len(blocks))
+        for i, block_total in enumerate(blocks[:, -1]):
+            offsets[i] = math.fsum(carry)
+            carry = [offsets[i], math.fsum(carry + [-offsets[i]]), float(block_total)]
+        yield ks, (blocks + offsets[:, None]).ravel()[:len(ks)]
 
 
 def gamma_residual(n: int) -> float:
-    """H_n - ln n - gamma, via compensated float summation."""
+    """H_n - ln n - gamma, read from the scan of ``_gamma_residuals``."""
     if n < 1:
         raise SequenceError("n must be at least 1")
-    return _harmonic_float(n) - math.log(n) - EULER_GAMMA
-
-
-def _harmonic_float(n: int) -> float:
-    # Kahan summation: the residual bounds are ~1/(2n), far above the error
-    total = 0.0
-    comp = 0.0
-    for k in range(1, n + 1):
-        y = 1.0 / k - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
+    for _, resid in _gamma_residuals(n):
+        pass
+    return float(resid[-1])
 
 
 def scan_gamma_residual(lo: int, hi: int) -> tuple[bool, float, float]:
     """Check 1/(2(n+1)) < H_n - ln n - gamma < 1/(2n) for every n in [lo, hi].
 
-    Returns (ok, worst lower margin, worst upper margin); a single Kahan
-    sweep keeps the harmonic error near machine precision, far below the
-    1/(2n(n+1)) gap between the two bounds.
-    """
+    Returns (ok, worst lower margin, worst upper margin); the scan's error
+    stays near machine precision, far below the 1/(2n(n+1)) gap between the
+    two bounds."""
     if lo < 1 or hi < lo:
         raise SequenceError("bad scan range")
-    total = 0.0
-    comp = 0.0
-    ok = True
-    worst_lo = math.inf
-    worst_hi = math.inf
-    for k in range(1, hi + 1):
-        y = 1.0 / k - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if k >= lo:
-            resid = total - math.log(k) - EULER_GAMMA
-            lo_gap = resid - 1.0 / (2.0 * (k + 1))
-            hi_gap = 1.0 / (2.0 * k) - resid
-            if lo_gap <= 0.0 or hi_gap <= 0.0:
-                ok = False
-            worst_lo = min(worst_lo, lo_gap)
-            worst_hi = min(worst_hi, hi_gap)
-    return ok, worst_lo, worst_hi
+    worst_lo = worst_hi = math.inf
+    for ks, resid in _gamma_residuals(hi):
+        ks, resid = ks[ks >= lo], resid[ks >= lo]
+        worst_lo = min(worst_lo, np.min(resid - 1.0 / (2.0 * (ks + 1.0)), initial=math.inf))
+        worst_hi = min(worst_hi, np.min(1.0 / (2.0 * ks) - resid, initial=math.inf))
+    return bool(worst_lo > 0.0 and worst_hi > 0.0), float(worst_lo), float(worst_hi)
 
 
 # ---------------------------------------------------------------------------
@@ -546,23 +564,36 @@ def lp_norm(seq: SeqSpec, p: float, n: int) -> float:
 
 
 def hardy_ratio(seq: SeqSpec, p: float, n: int) -> float:
-    """[sum_{m<=n} (G a)_m^p] / [sum_{k<=n} a_k^p] for nonnegative a.
+    """[sum_{m<=n} (G a)_m^p] / [sum_{k<=n} a_k^p]; see ``hardy_ratios``."""
+    return hardy_ratios(seq, (p,), (n,))[(p, n)]
 
-    Reported at the truncation n and never extrapolated; for nonnegative
-    sequences the truncated ratio is itself admissible against the
-    (p/(p-1))^p bound.
-    """
-    if not p > 1.0:
+
+def hardy_ratios(seq: SeqSpec, ps, ns) -> dict[tuple[float, int], float]:
+    """{(p, n): [sum_{m<=n} (G a)_m^p] / [sum_{k<=n} a_k^p]} for nonnegative a,
+    each at its truncation n and never extrapolated (for nonnegative a the
+    truncated ratio is itself admissible against the (p/(p-1))^p bound).
+    The arrays are built once, at max(ns); each sum is over a slice [:n] of
+    one power array, so it has the bits of a separate call at its own n."""
+    if not all(p > 1.0 for p in ps):
         raise SequenceError("the ratio needs p > 1")
-    arr = seq.terms_float(n)
+    n_top = max(ns)
+    arr = seq.terms_float(n_top)
     if np.any(arr < 0.0):
         raise SequenceError("hardy_ratio requires nonnegative terms")
-    den = float(np.sum(arr ** p))
-    if den == 0.0:
-        raise SequenceError("zero denominator in hardy_ratio")
-    means = np.cumsum(arr) / np.arange(1, n + 1, dtype=np.float64)
-    num = float(np.sum(means ** p))
-    return num / den
+    means = np.cumsum(arr)
+    means /= np.arange(1, n_top + 1, dtype=np.float64)
+
+    def prefix_sums(power: np.ndarray) -> list[float]:
+        return [float(np.sum(power[:n])) for n in ns]  # one power array alive
+
+    out = {}
+    for p in ps:
+        dens = prefix_sums(arr ** p)
+        if 0.0 in dens:
+            raise SequenceError("zero denominator in hardy_ratio")
+        for n, num, den in zip(ns, prefix_sums(means ** p), dens):
+            out[(p, n)] = num / den
+    return out
 
 
 @dataclass(frozen=True)
@@ -771,7 +802,10 @@ def _sum_dict(res: SumResult) -> dict:
         out["value"] = res.value
         out["err"] = res.err
         if res.exact is not None:
-            out["exact"] = str(res.exact)
+            try:
+                out["exact"] = str(res.exact)
+            except ValueError:  # a part longer than sys.get_int_max_str_digits()
+                pass
     return out
 
 

@@ -48,6 +48,18 @@ def test_disc_report_schema():
     assert payload["l1_norm_modified"]["value"] == 0.0
 
 
+def test_disc_report_omits_exact_values_too_long_to_print():
+    # the denominator of H_m - 1 + 1/m passes the int-to-str digit limit
+    proc = run_cli("disc", "report", "--seq", "em(m=12000)")
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["total_sum"]["exact"] == "1"
+    norm = payload["l1_norm_modified"]
+    assert "exact" not in norm and norm["verdict"] == "converged"
+    assert norm["value"] > 0.0 and norm["err"] == 0.0
+
+
 def test_disc_hardy_ratio():
     proc = run_cli("disc", "hardy-ratio", "--seq", "powcut(alpha=0.5,N=100000)",
                    "--p", "2", "--n", "100000")

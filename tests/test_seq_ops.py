@@ -50,6 +50,40 @@ def test_decomposition_termwise(lam, e1):
             assert so.modified_cesaro(seq, n) == so.j1_term(seq, n) - so.j2_term(seq, n)
 
 
+def _pointwise_reference(values, n):
+    """(G a)_n, (Gm a)_n, J1(n), J2(n) of a_1..a_N = values, from Fraction
+    prefix sums."""
+    pre = list(itertools.accumulate(values, initial=Fraction(0)))
+    s_n, m = pre[min(n, len(values))], pre[-1]
+    return s_n / n, s_n / n - m / (n + 1), s_n / (n * (n + 1)), (m - s_n) / (n + 1)
+
+
+def test_pointwise_kernel_matches_fraction_reference():
+    rng = random.Random(17)
+    cases = [[Fraction(rng.randint(-50, 50), rng.randint(1, 40)) if rng.random() < 0.5 else 0
+              for _ in range(rng.randint(1, 40))] for _ in range(60)]
+    for values in cases:
+        if not any(values):
+            values[-1] = Fraction(-3, 7)
+        seq = so.finite_sequence("signed", values)
+        for n in range(1, len(values) + 6):
+            gm, j1, j2, den = so.pointwise_numerators(seq, n)
+            ref = _pointwise_reference(values, n)
+            assert (Fraction(gm, den), Fraction(j1, den), Fraction(j2, den)) == ref[1:]
+            assert (so.cesaro(seq, n), so.modified_cesaro(seq, n),
+                    so.j1_term(seq, n), so.j2_term(seq, n)) == ref
+    lam = so.catalog_seq("lambda")
+    values = [Fraction(1, k * (k + 1)) for k in range(1, 61)]
+    for n in range(1, 61):
+        # the reference total is the truncation's; lambda's exact total is 1
+        c, _, j1, _ = _pointwise_reference(values, n)
+        assert (so.cesaro(lam, n), so.j1_term(lam, n)) == (c, j1)
+        assert so.modified_cesaro(lam, n) == c - Fraction(1, n + 1) == 0
+        assert so.j2_term(lam, n) == (1 - c * n) / (n + 1)
+    with pytest.raises(so.SequenceError, match="at least 1"):
+        so.pointwise_numerators(lam, 0)
+
+
 def test_pointwise_operators_are_exact_only():
     pw = so.catalog_seq("power", alpha=1.5)
     built = []
@@ -239,6 +273,25 @@ def test_harmonic_exact():
         so.harmonic(0)
 
 
+def test_harmonic_leaves_no_module_state():
+    h = Fraction(0)
+    for n in range(1, 101):  # across the 32-term leaves of the split
+        h += Fraction(1, n)
+        assert so.harmonic(n) == h
+
+    def state():
+        return {name: (id(v), len(v)) for name, v in vars(so).items()
+                if isinstance(v, (list, dict, set))}
+
+    before = state()
+    h = so.harmonic(20000)
+    assert state() == before
+    assert h == so.harmonic(19999) + Fraction(1, 20000)
+    em = so.catalog_seq("em", m=20000)
+    assert so.j2_sum_by_weights(em).exact == h - 1 == so.j2_sum(em).exact
+    assert state() == before
+
+
 def test_gamma_residual():
     assert so.gamma_residual(1) == pytest.approx(1.0 - GAMMA, abs=1e-15)
     assert so.gamma_residual(10 ** 6) == pytest.approx(5e-7, rel=1e-2)
@@ -247,6 +300,21 @@ def test_gamma_residual():
 def test_gamma_residual_bounds_sampled():
     ok, worst_lo, worst_hi = so.scan_gamma_residual(2, 20000)
     assert ok and worst_lo > 0.0 and worst_hi > 0.0
+
+
+@pytest.mark.parametrize("hi", [2 * 10 ** 4, 10 ** 6])
+def test_gamma_residual_margins_match_asymptotics(hi):
+    # the margins shrink with n, so both are taken at n = hi, where
+    # r_n = 1/(2n) - 1/(12n^2) + 1/(120n^4) - O(n^-6)
+    ok, worst_lo, worst_hi = so.scan_gamma_residual(2, hi)
+    k = float(hi)
+    lower = 1.0 / (2.0 * k * (k + 1.0)) - 1.0 / (12.0 * k * k) + 1.0 / (120.0 * k ** 4)
+    upper = 1.0 / (12.0 * k * k) - 1.0 / (120.0 * k ** 4)
+    assert ok
+    assert abs(worst_lo - lower) <= 5e-16
+    assert abs(worst_hi - upper) <= 5e-16
+    assert so.gamma_residual(hi) == pytest.approx(1.0 / (2.0 * k) - 1.0 / (12.0 * k * k),
+                                                  abs=5e-16)
 
 
 def test_lp_norm_and_ratio(lam, e1):
@@ -269,6 +337,26 @@ def test_hardy_ratio_rejects_bad_input(lam):
     zero_then = so.catalog_seq("em", m=50)
     with pytest.raises(so.SequenceError):
         so.hardy_ratio(zero_then, 2.0, 10)  # empty truncation
+
+
+def _hardy_ratio_reference(seq, p, n):
+    """The ratio from arrays built at n itself."""
+    arr = seq.terms_float(n)
+    means = np.cumsum(arr) / np.arange(1, n + 1, dtype=np.float64)
+    return float(np.sum(means ** p)) / float(np.sum(arr ** p))
+
+
+def test_hardy_ratios_bit_identical_to_per_call():
+    from hardy.harness import _DISC_RATIO_SUITE
+    n, ps, ns = 10 ** 5, (1.25, 1.5, 2.0, 3.0, 10.0), (10 ** 3, 10 ** 4, 10 ** 5)
+    for template in _DISC_RATIO_SUITE:
+        seq = so.parse_sequence(template.format(n=n))
+        ratios = so.hardy_ratios(seq, ps, ns)
+        assert set(ratios) == {(p, m) for p in ps for m in ns}
+        for (p, m), r in ratios.items():
+            assert r == _hardy_ratio_reference(seq, p, m) == so.hardy_ratio(seq, p, m)
+    with pytest.raises(so.SequenceError, match="zero denominator"):
+        so.hardy_ratios(so.catalog_seq("em", m=50), (2.0,), (10, 100))
 
 
 def test_hardy_ratio_sharpness_trend():
