@@ -21,10 +21,12 @@ D n (n+1), and a float generator is refused before any term is built.
 
 Exact sums are taken over the runs a..b of constant S_n = sum_{k<=n} a_k, one
 starting at n = 1 and at each stored k (the last is open), each adding a
-closed form (see ``_run_pieces``).  Harmonic sums are binary splits with
-32-term integer leaves and no cache.  ``hardy_ratios`` builds a sequence's
-arrays once for all its (p, n) ratios, and H_k - ln k - gamma is summed
-from its log1p increments (see ``_gamma_residuals``).
+closed form as integer pairs over D, summed pairwise and reduced once per
+output (see ``SeqSpec.run_sums``); the rearranged forms stay on ``Fraction``,
+as the independent route.  Harmonic sums are binary splits with 32-term
+integer leaves and no cache.  ``hardy_ratios`` builds a sequence's arrays
+once for all its (p, n) ratios, and H_k - ln k - gamma is summed from its
+log1p increments (see ``_gamma_residuals``).
 """
 
 from __future__ import annotations
@@ -103,7 +105,9 @@ class SeqSpec:
     """A sequence given either by its nonzero terms or by a rule.
 
     Finite mode stores ``terms``, the nonzero (k, a_k) pairs of a_1..a_N in
-    increasing k, as exact rationals; every other a_k is zero.  Generator
+    increasing k, as exact rationals; every other a_k is zero.  Its exact sums
+    read integer numerators over the common denominator D (``int_runs``), with
+    one pairwise sum and one reduction per output.  Generator
     mode supplies ``vec``, the float rule that maps an array of indices k to
     the terms a_k, plus its declared decay, a
     :class:`~hardy.funcspace.TailClass` bound on |a_k| read at t = k and
@@ -173,33 +177,49 @@ class SeqSpec:
 
     @property
     def exact_total(self) -> Fraction | None:
-        """sum_k a_k as an exact rational: the last run's S_n of a finite
+        """sum_k a_k as an exact rational: P/D of the last run of a finite
         sequence, or the declared ``exact_sum``; None for a float generator."""
-        return self.runs[-1][2] if self.finite else self.exact_sum
-
-    @cached_property
-    def runs(self) -> tuple[tuple[int, int | None, Fraction], ...]:
-        """The constant-prefix runs (a, b, S) of a finite sequence, built
-        once and shared by every exact sum (see ``_constant_runs``)."""
-        return _constant_runs(self.terms, None)
+        return Fraction(self.int_runs[2][-1], self.int_runs[0]) if self.finite else self.exact_sum
 
     @cached_property
     def int_runs(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-        """(D, starts, P): the common denominator D of the terms, and the first
-        n and the integer P = S_n D of each of the ``runs``."""
+        """(D, starts, P): the terms' common denominator D, and the first n and
+        P = S_n D of each run of constant S_n (from n = 1 and each stored k)."""
         den = math.lcm(*(v.denominator for _, v in self.terms))
-        return den, tuple(a for a, _, _ in self.runs), tuple(
-            s.numerator * (den // s.denominator) for _, _, s in self.runs)
+        runs, p = {1: 0}, 0
+        for k, v in self.terms:
+            p += v.numerator * (den // v.denominator)
+            runs[k] = p
+        return den, tuple(runs), tuple(runs.values())
 
     @cached_property
     def run_sums(self) -> tuple[Fraction, Fraction, Fraction]:
-        """Exact (sum |Gm a|_n, sum J1, sum J2) of a finite sequence."""
-        l1 = j1 = j2 = Fraction(0)
-        for x1, x2 in _run_pieces(self.runs, self.exact_total):
-            l1 += abs(x1 - x2)
-            j1 += x1
-            j2 += x2
-        return l1, j1, j2
+        """Exact (sum |Gm a|_n, sum J1, sum J2) of a finite sequence.
+
+        Over D, a piece lo..hi of a run of constant P = S_n D adds P (1/lo -
+        1/(hi+1)) to J1 and (M - P)(H_(hi+1) - H_lo) to J2; the open run from a
+        adds P/a to J1.  (Gm a)_n = (P - (M - P) n) / (D n (n+1)) changes sign
+        at most once on a run, after n* = P / (M - P), so each run is cut at
+        floor(n*) into two pieces on which Gm a keeps its sign.  Each output is
+        one ``_tree_sum`` of the pieces' unreduced integer pairs, reduced once."""
+        den, starts, prefix = self.int_runs
+        m, l1, j1, j2 = prefix[-1], [], [], []
+        for a, b, p in zip(starts, starts[1:], prefix):
+            b -= 1
+            cut = b if a == b or m == p else min(max(p // (m - p), a - 1), b)
+            for lo, hi in ((a, cut), (cut + 1, b)):
+                if lo > hi:
+                    continue
+                n1, d1 = p * (hi + 1 - lo), lo * (hi + 1)
+                h_num, h_den = _harmonic_split(lo + 1, hi + 2)
+                g = math.gcd(h_num, h_den)  # once, as J2 and |Gm a| share it
+                n2, d2 = (m - p) * (h_num // g), h_den // g
+                l1.append((abs(n1 * d2 - n2 * d1), d1 * d2))
+                j1.append((n1, d1))
+                j2.append((n2, d2))
+        l1.append((abs(m), starts[-1]))
+        j1.append((m, starts[-1]))
+        return tuple(Fraction(num, d * den) for num, d in map(_tree_sum, (l1, j1, j2)))
 
     def terms_float(self, n: int) -> np.ndarray:
         """a_1..a_n as float64, for n up to MAX_FLOAT_TERMS."""
@@ -244,20 +264,6 @@ class SumResult:
 # prefix sums
 # ---------------------------------------------------------------------------
 
-def _constant_runs(terms, end: int | None) -> tuple[tuple[int, int | None, Fraction], ...]:
-    """The runs a..b of n = 1..end on which S_n = S is constant, as (a, b, S),
-    from the (k, a_k) pairs in increasing k: a run starts at n = 1 and at
-    every given k.  With end = None the last run is open, past a finite
-    support."""
-    sums, s = {1: Fraction(0)}, Fraction(0)
-    for k, t in terms:
-        s += t
-        sums[k] = s
-    starts = list(sums)
-    ends = [a - 1 for a in starts[1:]] + [end]
-    return tuple(zip(starts, ends, sums.values()))
-
-
 def _harmonic_split(lo: int, hi: int) -> tuple[int, int]:
     """sum_{lo <= k < hi} 1/k as an unreduced (numerator, denominator), by
     binary splitting (Haible and Papanikolaou, 1998) to 32-term leaves."""
@@ -272,25 +278,15 @@ def _harmonic_split(lo: int, hi: int) -> tuple[int, int]:
     return n1 * d2 + n2 * d1, d1 * d2
 
 
-def _run_pieces(runs, m: Fraction):
-    """Yield the exact (sum J1, sum J2) over each piece of the runs of a
-    sequence with total m; sum |(Gm a)_n| is the sum of |J1 - J2| over them.
-
-    On a run p..q with S_n = S, J1 sums to S (1/p - 1/(q+1)) and J2 to
-    (m - S)(H_(q+1) - H_p); the open run adds S/a to J1 and nothing to J2.
-    (Gm a)_n = J1(n) - J2(n) = (S - (m - S) n) / (n (n+1)) changes sign at
-    most once on a run, after n* = S / (m - S), so each run is cut at
-    floor(n*) into two pieces on which Gm a keeps its sign.
-    """
-    for a, b, s in runs:
-        if b is None:
-            yield s / a, 0
-            continue
-        cut = b if a == b or m == s else min(max(math.floor(s / (m - s)), a - 1), b)
-        for p, q in ((a, cut), (cut + 1, b)):
-            if p <= q:
-                yield (s * Fraction(q + 1 - p, p * (q + 1)),
-                       (m - s) * Fraction(*_harmonic_split(p + 1, q + 2)))
+def _tree_sum(pairs) -> tuple[int, int]:
+    """The nonzero fractions num/den in ``pairs`` summed pairwise, like
+    ``_harmonic_split``, into one unreduced (numerator, denominator)."""
+    pairs = [pair for pair in pairs if pair[0]]
+    while len(pairs) > 1:
+        merged = [(n1 * d2 + n2 * d1, d1 * d2)
+                  for (n1, d1), (n2, d2) in zip(pairs[::2], pairs[1::2])]
+        pairs = merged + pairs[2 * len(merged):]  # and the odd one out
+    return pairs[0] if pairs else (0, 1)
 
 
 def total_sum(seq: SeqSpec, horizon: int = 10 ** 6) -> SumResult:
@@ -362,7 +358,7 @@ def _require_nonneg_finite(seq: SeqSpec, what: str):
 
 def j1_sum(seq: SeqSpec) -> SumResult:
     """sum_n J1(n), computed on the operator side (the n-sum); exact over
-    the runs of constant S_n for finite support (see ``_run_pieces``)."""
+    the runs of constant S_n for finite support (see ``SeqSpec.run_sums``)."""
     _require_nonneg_finite(seq, "j1_sum")
     if seq.finite:
         return SumResult.from_exact(seq.run_sums[1])
@@ -449,7 +445,7 @@ def l1_norm_mod(seq: SeqSpec, horizon: int = 10 ** 4) -> SumResult:
     """sum_n |(Gm a)_n| with certified tail handling.
 
     Finite support is exact, summed in closed form over the runs of
-    constant S_n (see ``_run_pieces``).  For nonnegative generators the
+    constant S_n (see ``SeqSpec.run_sums``).  For nonnegative generators the
     tail obeys |Gm a|_n <= J1(n) + J2(n), and sum J2 past the horizon sits
     under the log-weighted remainder; divergence is certified through the
     harmonic comparison H_k - 1 >= ln(k+1)/2 (k >= 7), which turns a
@@ -476,9 +472,12 @@ def l1_norm_mod(seq: SeqSpec, horizon: int = 10 ** 4) -> SumResult:
     if math.isinf(wrem):
         return SumResult.inconclusive()
     if seq.gen is not None:
-        runs = _constant_runs(((k, seq.gen(k)) for k in range(1, horizon + 1)), horizon)
-        pieces = _run_pieces(runs, total.exact)
-        head, head_err = float(sum((abs(x1 - x2) for x1, x2 in pieces), Fraction(0))), 0.0
+        m, s, pieces = total.exact, Fraction(0), []
+        for n in range(1, horizon + 1):  # |Gm a|_n = |(n+1) S_n - n m| / (n (n+1))
+            s += seq.gen(n)
+            gm = (n + 1) * s.numerator * m.denominator - n * m.numerator * s.denominator
+            pieces.append((abs(gm), n * (n + 1) * s.denominator * m.denominator))
+        head, head_err = float(Fraction(*_tree_sum(pieces))), 0.0
     else:
         arr = seq.terms_float(horizon)
         csum = np.cumsum(arr)

@@ -215,6 +215,70 @@ def test_run_sums_match_per_index_walk():
         assert (res.value, res.err) == (weight, 4e-16 * weight * end.bit_length())
 
 
+def _signed_with_zero_runs(n):
+    rng = random.Random(83)
+    values = [0 if rng.random() < 0.6 else Fraction(rng.randint(-40, 60), rng.randint(1, 25))
+              for _ in range(n)]
+    values[0] = values[0] or 1
+    return values
+
+
+@pytest.mark.parametrize("values", [
+    # negative total: the open run adds |S|/a to the norm and S/a to J1
+    [Fraction(-3, 2), 0, 0, Fraction(1, 5), 0, Fraction(-2, 7), 0, 0],
+    # zero total: the open run adds nothing
+    [Fraction(1, 3), 0, 0, Fraction(-1, 2), 0, Fraction(1, 6), Fraction(1, 4), 0,
+     Fraction(-1, 4)],
+    # M = 6: (n+1)P - nM is zero at the start of the run 1..2 (P = 3, n* = 1)
+    # and at the end of the run 3..5 (P = 5, n* = 5)
+    [3, 0, 2, 0, 0, 1, 0],
+    _signed_with_zero_runs(3000),
+], ids=["negative-total", "zero-total", "zero-at-run-ends", "signed-3000"])
+def test_integer_run_sums_match_per_index_walk(values):
+    seq = so.finite_sequence("r", values)
+    assert seq.run_sums == _per_index_sums(values)
+    assert seq.exact_total == sum(values, Fraction(0))
+
+
+def _gm_head(gen, total, horizon):
+    """sum_{n <= horizon} |S_n/n - total/(n+1)|, one Fraction per index."""
+    s, head = Fraction(0), Fraction(0)
+    for n in range(1, horizon + 1):
+        s += gen(n)
+        head += abs(s / n - total / (n + 1))
+    return head
+
+
+def _exact_generator(name, gen, exact_sum, coeff, alpha, lower, vec):
+    return so.SeqSpec(name=name, gen=gen, exact_sum=exact_sum, vec=vec,
+                      decay=so.TailClass("power", coeff=coeff, alpha=alpha,
+                                         valid_from=3, lower=lower))
+
+
+@pytest.mark.parametrize("horizon", [10 ** 3, 10 ** 4])
+def test_l1_norm_mod_exact_generator_head(lam, horizon):
+    lam2 = _exact_generator("2*lambda", lambda k: Fraction(2, k * (k + 1)), Fraction(2),
+                            2.0, 2.0, 1.0, lambda ks: 2.0 / (ks * (ks + 1.0)))
+    for seq in (lam, lam2):
+        res = so.l1_norm_mod(seq, horizon)
+        assert res.value == float(_gm_head(seq.gen, seq.exact_sum, horizon)) == 0.0
+    # a_k = 1/(k(k+1)(k+2)) sums to 1/4 and its corrected image is nonzero
+    cubic = _exact_generator(
+        "cubic", lambda k: Fraction(1, k * (k + 1) * (k + 2)), Fraction(1, 4),
+        1.0, 3.0, 0.4, lambda ks: 1.0 / (ks * (ks + 1.0) * (ks + 2.0)))
+    res = so.l1_norm_mod(cubic, horizon)
+    assert res.value == float(_gm_head(cubic.gen, cubic.exact_sum, horizon)) > 0.0
+
+
+def test_tree_sum_small_and_zero_lists():
+    assert so._tree_sum([]) == (0, 1)
+    assert so._tree_sum([(2, 4)]) == (2, 4)
+    for pairs in ([(1, 2), (-1, 3)], [(1, 2), (1, 3), (5, 7)],
+                  [(0, 3), (0, 5), (0, 7)], [(3, 4), (0, 9), (-3, 4)]):
+        assert Fraction(*so._tree_sum(pairs)) == sum(
+            (Fraction(n, d) for n, d in pairs), Fraction(0))
+
+
 def test_l1_norm_mod_generator_and_divergent():
     pw = so.catalog_seq("power", alpha=2.0)
     res = so.l1_norm_mod(pw)
