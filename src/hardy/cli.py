@@ -5,6 +5,9 @@
     hardy disc    report | hardy-ratio | sweep ...
     hardy sweep   --family NAME ...        (dispatches on the family name)
 
+Every command computes at one fixed precision, which a verify report records
+under meta.config; a verify config file sets only ``claims`` and ``seed``.
+
 Exit codes: 0 all claims pass, 1 any failure or unexpected inconclusive
 verdict, 2 configuration errors (reported before any check runs).
 """
@@ -22,8 +25,7 @@ from pathlib import Path
 from . import cont_ops, funcspace, harness, seq_ops
 
 # config file keys and the JSON value types each accepts
-_CONFIG_TYPES = {"rel_tol": (int, float), "abs_tol": (int, float), "max_depth": int,
-                 "seq_horizon": int, "sharp_n": int, "claims": str, "seed": int}
+_CONFIG_TYPES = {"claims": str, "seed": int}
 
 
 def _load_config(path: str) -> dict:
@@ -47,17 +49,9 @@ def _suite_config(args) -> harness.SuiteConfig:
     cfg = harness.SuiteConfig()
     if args.config:
         cfg = replace(cfg, **_load_config(args.config))
-    overrides = {}
-    for key in ("rel_tol", "abs_tol", "max_depth", "seq_horizon", "sharp_n",
-                "claims", "seed"):
-        val = getattr(args, key, None)
-        if val is not None:
-            overrides[key] = val
-    if getattr(args, "out", None) is not None:
-        overrides["out"] = args.out
-    if getattr(args, "format", None) is not None:
-        overrides["fmt"] = args.format
-    return replace(cfg, **overrides)
+    flags = {"claims": args.claims, "seed": args.seed, "out": args.out,
+             "fmt": args.format}
+    return replace(cfg, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _write_or_print(text: str, out: str | None):
@@ -94,9 +88,8 @@ def _cmd_cont_eval(args) -> int:
 
 
 def _cmd_cont_report(args) -> int:
-    cfg = _suite_config(args)
     f = funcspace.parse_function(args.fn)
-    rep = cont_ops.build_report(f, cfg.quad())
+    rep = cont_ops.build_report(f)
     payload = {"schema_version": harness.SCHEMA_VERSION, **rep.to_dict()}
     _write_or_print(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     return 0
@@ -111,9 +104,8 @@ def _resolve_sequence(args):
 
 
 def _cmd_disc_report(args) -> int:
-    cfg = _suite_config(args)
     seq = _resolve_sequence(args)
-    rep = seq_ops.build_report(seq, cfg.seq_horizon)
+    rep = seq_ops.build_report(seq)
     payload = {"schema_version": harness.SCHEMA_VERSION, **rep.to_dict()}
     _write_or_print(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     return 0
@@ -147,46 +139,24 @@ def _parse_fix(text: str) -> tuple[str, float]:
     return key.strip(), value
 
 
-def _integer(name: str, value: float) -> int:
-    """An integer parameter's value, refused rather than truncated."""
-    if not float(value).is_integer():
-        raise harness.ConfigError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _run_sweep(args, domain: str) -> int:
-    cfg = _suite_config(args)
     fixed = dict(_parse_fix(item) for item in args.fix or [])
     if args.m is not None:
-        param, values = "m", [_integer("m", v) for v in harness.parse_grid(args.m)]
+        param, values = "m", harness.parse_grid(args.m)
     elif args.param is not None:
         param, values = _parse_param(args.param)
     else:
         raise harness.ConfigError("a sweep needs --param or --m")
     if domain == "auto":
         domain = "cont" if args.family in harness._CONT_FAMILIES else "disc"
-    if domain == "cont":
-        rows, footer = harness.sweep_cont(args.family, param, values, cfg, fixed)
-    else:
-        if param == "m":
-            values = [_integer("m", v) for v in values]
-        if args.family == "powcut" or args.family == "em":
-            fixed = {k: _integer(k, v) if k in ("N", "m") else v for k, v in fixed.items()}
-        rows, footer = harness.sweep_disc(args.family, param, values, cfg, fixed)
+    sweep = harness.sweep_cont if domain == "cont" else harness.sweep_disc
+    rows, footer = sweep(args.family, param, values, harness.SuiteConfig(), fixed)
     if args.emit == "csv":
         _write_or_print(harness.sweep_to_csv(rows, footer), args.out)
     else:
         _write_or_print(json.dumps({"rows": rows, "footer": footer},
                                    indent=2, sort_keys=True) + "\n", args.out)
     return 0
-
-
-def _add_tolerance_flags(p: argparse.ArgumentParser):
-    p.add_argument("--rel-tol", dest="rel_tol", type=float, default=None)
-    p.add_argument("--abs-tol", dest="abs_tol", type=float, default=None)
-    p.add_argument("--max-depth", dest="max_depth", type=int, default=None)
-    p.add_argument("--seq-horizon", dest="seq_horizon", type=int, default=None)
-    p.add_argument("--config", default=None, help="JSON config file")
 
 
 def _add_sweep_flags(p: argparse.ArgumentParser):
@@ -212,8 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("json", "csv"), default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--sharp-n", dest="sharp_n", type=int, default=None)
-    _add_tolerance_flags(p)
+    p.add_argument("--config", default=None, help="JSON config file: claims, seed")
     p.set_defaults(handler=_cmd_verify)
 
     cont = sub.add_parser("cont", help="continuous-side operations")
@@ -225,11 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = cont_sub.add_parser("report", help="functionals of one function as JSON")
     p.add_argument("--fn", required=True)
     p.add_argument("--out", default=None)
-    _add_tolerance_flags(p)
     p.set_defaults(handler=_cmd_cont_report)
     p = cont_sub.add_parser("sweep", help="sweep a parametric family")
     _add_sweep_flags(p)
-    _add_tolerance_flags(p)
     p.set_defaults(handler=lambda a: _run_sweep(a, "cont"))
 
     disc = sub.add_parser("disc", help="discrete-side operations")
@@ -239,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seq-file", dest="seq_file", default=None,
                    help="finite sequence file: one integer or p/q per line")
     p.add_argument("--out", default=None)
-    _add_tolerance_flags(p)
     p.set_defaults(handler=_cmd_disc_report)
     p = disc_sub.add_parser("hardy-ratio", help="truncated p-power ratio")
     p.add_argument("--seq", default=None)
@@ -250,12 +216,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_disc_ratio)
     p = disc_sub.add_parser("sweep", help="sweep a sequence family")
     _add_sweep_flags(p)
-    _add_tolerance_flags(p)
     p.set_defaults(handler=lambda a: _run_sweep(a, "disc"))
 
     p = sub.add_parser("sweep", help="sweep either kind of family")
     _add_sweep_flags(p)
-    _add_tolerance_flags(p)
     p.set_defaults(handler=lambda a: _run_sweep(a, "auto"))
     return parser
 

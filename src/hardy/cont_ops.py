@@ -31,8 +31,7 @@ from dataclasses import dataclass, replace
 from .envelopes import Envelope
 from .funcspace import DomainError, TestFunction, absolute, total_integral_exact
 from .quad import (
-    DEFAULT_CONFIG, HalflineResult, ProbeResult, QuadConfig, integrate_halfline,
-    probe_divergence,
+    DEFAULT_CONFIG, HalflineResult, ProbeResult, integrate_halfline, probe_divergence,
 )
 
 __all__ = [
@@ -229,12 +228,12 @@ def _env_weight_full(env: Envelope) -> Envelope:
                     env.valid_from, lower=env.lower)
 
 
-def log_weight_norm(f: TestFunction, cfg: QuadConfig = DEFAULT_CONFIG) -> HalflineResult:
+def log_weight_norm(f: TestFunction) -> HalflineResult:
     """W(f) = int |f| w dt; DIVERGENT when a declared lower envelope or the
     doubling probe certifies it."""
     abs_density = _abs_density(f)
     return integrate_halfline(
-        lambda v: abs_density(v) * _weight_logarg(v), cfg,
+        lambda v: abs_density(v) * _weight_logarg(v),
         origin_envs=(_env_weight_full(f.origin.envelope_reciprocal()),),
         tail_envs=(_env_weight_full(f.tail.envelope()),),
         probe_start=_probe_start(f), breakpoints=f.breakpoints,
@@ -246,7 +245,7 @@ def _over_t(env: Envelope) -> Envelope:
     return Envelope(env.coeff, env.power + 1.0, env.logpow, env.valid_from)
 
 
-def _single_weight_result(f: TestFunction, side: str, cfg: QuadConfig) -> HalflineResult:
+def _single_weight_result(f: TestFunction, side: str) -> HalflineResult:
     """int |f| ln(1+1/t) dt (side='small') or int |f| ln(1+t) dt (side='large').
 
     Each weight grows like a logarithm at one end (``Envelope.weighted_log``)
@@ -264,11 +263,11 @@ def _single_weight_result(f: TestFunction, side: str, cfg: QuadConfig) -> Halfli
         origin, tail = _over_t(env_o), env_t.weighted_log()
     else:
         raise ValueError(side)
-    return integrate_halfline(density, cfg, origin_envs=(origin,), tail_envs=(tail,),
+    return integrate_halfline(density, origin_envs=(origin,), tail_envs=(tail,),
                               probe_start=_probe_start(f), breakpoints=f.breakpoints)
 
 
-def split_i1(f: TestFunction, cfg: QuadConfig = DEFAULT_CONFIG) -> HalflineResult:
+def split_i1(f: TestFunction) -> HalflineResult:
     """I1 as the iterated double integral int (1/x - 1/(x+1)) F(x) dx,
     F(x) = int_0^x |f|."""
     cum = _cumulative_abs(f)
@@ -284,12 +283,12 @@ def split_i1(f: TestFunction, cfg: QuadConfig = DEFAULT_CONFIG) -> HalflineResul
 
     # F(x)/(x(x+1)) <= F(x)/x at the origin and <= total/x**2 at infinity
     tail_env = Envelope(max(cum.total, 1e-300), 2.0, 0.0)
-    return integrate_halfline(density, cfg, origin_envs=(f.origin.averaged_envelope(),),
+    return integrate_halfline(density, origin_envs=(f.origin.averaged_envelope(),),
                               tail_envs=(tail_env,), probe_start=_probe_start(f),
                               breakpoints=f.breakpoints)
 
 
-def split_i2(f: TestFunction, cfg: QuadConfig = DEFAULT_CONFIG) -> HalflineResult:
+def split_i2(f: TestFunction) -> HalflineResult:
     """I2 as the iterated double integral int (x+1)^-1 T(x) dx,
     T(x) = int_x^inf |f|."""
     cum = _cumulative_abs(f)
@@ -305,7 +304,7 @@ def split_i2(f: TestFunction, cfg: QuadConfig = DEFAULT_CONFIG) -> HalflineResul
 
     # T(x)/(x+1) <= T(x)/x at infinity and <= total/u**2 at the origin
     origin_env = Envelope(max(cum.total, 1e-300), 2.0, 0.0)
-    return integrate_halfline(density, cfg, origin_envs=(origin_env,),
+    return integrate_halfline(density, origin_envs=(origin_env,),
                               tail_envs=(f.tail.averaged_envelope(),),
                               probe_start=_probe_start(f),
                               breakpoints=f.breakpoints)
@@ -342,15 +341,15 @@ class FubiniReport:
         return self.i1_pass and self.i2_pass
 
 
-def fubini_check_cont(f: TestFunction, cfg: QuadConfig = DEFAULT_CONFIG) -> FubiniReport:
+def fubini_check_cont(f: TestFunction) -> FubiniReport:
     """Order-of-integration check: each split equals its weighted single
     integral within ten times the combined error estimates."""
     return FubiniReport(
         name=f.name,
-        i1_double=split_i1(f, cfg),
-        i1_single=_single_weight_result(f, "small", cfg),
-        i2_double=split_i2(f, cfg),
-        i2_single=_single_weight_result(f, "large", cfg),
+        i1_double=split_i1(f),
+        i1_single=_single_weight_result(f, "small"),
+        i2_double=split_i2(f),
+        i2_single=_single_weight_result(f, "large"),
     )
 
 
@@ -391,7 +390,7 @@ def _modified_envelopes(f: TestFunction, m: float):
     return origin_envs, side(f.tail.averaged_envelope())
 
 
-def l1_norm_modified(f: TestFunction, cfg: QuadConfig = DEFAULT_CONFIG) -> HalflineResult:
+def l1_norm_modified(f: TestFunction) -> HalflineResult:
     """int_0^inf |H f(x)| dx, with DIVERGENT as a first-class outcome."""
     m = total_integral(f)
     cum = _Cumulative(f)
@@ -409,7 +408,7 @@ def l1_norm_modified(f: TestFunction, cfg: QuadConfig = DEFAULT_CONFIG) -> Halfl
         return abs(cum.value_logarg(v) - m * t / (1.0 + t))
 
     origin_envs, tail_envs = _modified_envelopes(f, m)
-    return integrate_halfline(density, cfg, origin_envs=origin_envs,
+    return integrate_halfline(density, origin_envs=origin_envs,
                               tail_envs=tail_envs, probe_start=_probe_start(f),
                               breakpoints=f.breakpoints)
 
@@ -436,8 +435,7 @@ class MeanLimitReport:
         return abs(self.limit_estimate) <= 1e-12
 
 
-def mean_limit_check(f: TestFunction, cfg: QuadConfig = DEFAULT_CONFIG,
-                     decades: float = 6.0) -> MeanLimitReport:
+def mean_limit_check(f: TestFunction, decades: float = 6.0) -> MeanLimitReport:
     """Samples x Qf(x) across >= 4 decades and checks convergence to the
     total integral within the certified tail bound.
 
@@ -462,7 +460,7 @@ def mean_limit_check(f: TestFunction, cfg: QuadConfig = DEFAULT_CONFIG,
     rate_target = abs(m) * math.log(2.0)
     rate_ok = True
     if abs(m) > 1e-9:
-        probe = probe_divergence(lambda x: abs(cum.value(x) / x), _probe_start(f), cfg,
+        probe = probe_divergence(lambda x: abs(cum.value(x) / x), _probe_start(f),
                                  breakpoints=f.breakpoints)
         rate_ok = (probe.verdict == "divergent-log"
                    and abs(probe.last_increment - rate_target) <= 0.1 * rate_target)
@@ -474,7 +472,7 @@ def mean_limit_check(f: TestFunction, cfg: QuadConfig = DEFAULT_CONFIG,
     )
 
 
-def equivalence_ratio(f: TestFunction, cfg: QuadConfig = DEFAULT_CONFIG) -> float:
+def equivalence_ratio(f: TestFunction) -> float:
     """R(f) = (l1 norm of H f + l1 norm of f) / W(f) for nonnegative f.
 
     The l1 norm of f is added on the left because the correction kernel
@@ -483,18 +481,17 @@ def equivalence_ratio(f: TestFunction, cfg: QuadConfig = DEFAULT_CONFIG) -> floa
     """
     if not _is_nonnegative(f):
         raise DomainError("equivalence ratio defined for nonnegative functions")
-    wf = log_weight_norm(f, cfg)
+    wf = log_weight_norm(f)
     if wf.verdict not in ("converged", "not-converged"):
         raise DomainError(f"{f.name}: weighted norm is {wf.verdict}")
     if wf.value <= wf.total_error:
         raise DomainError(f"{f.name}: weighted norm vanishes; function is a.e. zero")
-    hf = l1_norm_modified(f, cfg).require_value()
+    hf = l1_norm_modified(f).require_value()
     l1 = total_integral(absolute(f))
     return (hf + l1) / wf.value
 
 
-def cont_hardy_ratio(f: TestFunction, p: float,
-                     cfg: QuadConfig = DEFAULT_CONFIG) -> float:
+def cont_hardy_ratio(f: TestFunction, p: float) -> float:
     """[int (Qf)^p] / [int f^p] for nonnegative f; bounded by (p/(p-1))^p."""
     if not 1.0 < p < math.inf:
         raise DomainError("exponent must lie in (1, inf)")
@@ -526,14 +523,14 @@ def cont_hardy_ratio(f: TestFunction, p: float,
     env = f.tail.envelope()  # raised to the p for |f|^p at infinity
     den_tail = Envelope(env.coeff ** p, p * env.power, p * env.logpow, env.valid_from)
 
-    num = integrate_halfline(num_density, cfg, origin_envs=(num_origin,),
+    num = integrate_halfline(num_density, origin_envs=(num_origin,),
                              tail_envs=(num_tail,), breakpoints=f.breakpoints)
     if num.verdict not in ("converged", "not-converged"):
         raise ArithmeticError(
             f"{f.name}: p-norm of the average did not resolve ({num.verdict}); "
             "this contradicts the averaging bound and flags a defect")
 
-    den = integrate_halfline(lambda v: math.exp(p * f.log_eval(v)[0] + v), cfg,
+    den = integrate_halfline(lambda v: math.exp(p * f.log_eval(v)[0] + v),
                              origin_envs=(den_origin,), tail_envs=(den_tail,),
                              breakpoints=f.breakpoints)
     den_val = den.require_value()
@@ -567,8 +564,6 @@ class ContReport:
     i1: dict
     i2: dict
     equivalence_ratio: float | None
-    rel_tol: float
-    abs_tol: float
 
     def to_dict(self) -> dict:
         return {
@@ -580,17 +575,18 @@ class ContReport:
             "i1": self.i1,
             "i2": self.i2,
             "equivalence_ratio": self.equivalence_ratio,
-            "tolerances": {"rel_tol": self.rel_tol, "abs_tol": self.abs_tol},
+            "tolerances": {"rel_tol": DEFAULT_CONFIG.rel_tol,
+                           "abs_tol": DEFAULT_CONFIG.abs_tol},
         }
 
 
-def build_report(f: TestFunction, cfg: QuadConfig = DEFAULT_CONFIG) -> ContReport:
+def build_report(f: TestFunction) -> ContReport:
     m = total_integral(f)
     l1_cum = _cumulative_abs(f)
-    wf = log_weight_norm(f, cfg)
-    hf = l1_norm_modified(f, cfg)
-    i1 = split_i1(f, cfg)
-    i2 = split_i2(f, cfg)
+    wf = log_weight_norm(f)
+    hf = l1_norm_modified(f)
+    i1 = split_i1(f)
+    i2 = split_i2(f)
     ratio = None
     if _is_nonnegative(f) and wf.verdict in ("converged", "not-converged") \
             and wf.value > wf.total_error and hf.verdict in ("converged", "not-converged"):
@@ -606,5 +602,4 @@ def build_report(f: TestFunction, cfg: QuadConfig = DEFAULT_CONFIG) -> ContRepor
         i1=_functional_dict(i1),
         i2=_functional_dict(i2),
         equivalence_ratio=ratio,
-        rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol,
     )

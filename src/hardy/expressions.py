@@ -42,10 +42,6 @@ class Expr:
         """Value at t, with limit semantics at t = 0 and t = inf."""
         raise NotImplementedError
 
-    def eval_ext(self, t: float) -> float:
-        """Alias of ``eval``, which already takes the limits."""
-        return self.eval(t)
-
     def log_eval(self, v: float) -> tuple[float, float]:
         """Return (ln|value|, sign) of the node at t = e**v."""
         raise NotImplementedError

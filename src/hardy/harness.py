@@ -27,9 +27,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
+from typing import ClassVar
 
 from . import cont_ops, funcspace, seq_ops
-from .quad import QuadConfig, integrate_halfline
+from .quad import DEFAULT_CONFIG, integrate_halfline
 
 __all__ = [
     "SuiteConfig", "ClaimCheck", "ClaimRecord", "ConfigError",
@@ -53,11 +54,13 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-14
-    max_depth: int = 60
-    seq_horizon: int = 10 ** 4
-    sharp_n: int = 10 ** 6
+    """Which claims run, with which seed, and where the report goes.  The
+    precision is fixed (the class constants); ``to_dict`` records it too."""
+    rel_tol: ClassVar[float] = DEFAULT_CONFIG.rel_tol
+    abs_tol: ClassVar[float] = DEFAULT_CONFIG.abs_tol
+    max_depth: ClassVar[int] = DEFAULT_CONFIG.max_depth
+    seq_horizon: ClassVar[int] = seq_ops.SEQ_HORIZON
+    sharp_n: ClassVar[int] = 10 ** 6
     claims: str = "*"
     seed: int = 20240801
     out: str | None = None
@@ -66,19 +69,6 @@ class SuiteConfig:
     def __post_init__(self):
         if self.fmt not in ("json", "csv"):
             raise ConfigError(f"unknown report format {self.fmt!r}")
-        if self.seq_horizon < 10 ** 3 or self.sharp_n < 10 ** 3:
-            raise ConfigError("horizons below 10^3 are not meaningful here")
-        if max(self.seq_horizon, self.sharp_n) > seq_ops.MAX_FLOAT_TERMS:
-            raise ConfigError(
-                f"horizons above {seq_ops.MAX_FLOAT_TERMS} terms are not supported")
-        try:
-            self.quad()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    def quad(self) -> QuadConfig:
-        return QuadConfig(rel_tol=self.rel_tol, abs_tol=self.abs_tol,
-                          max_depth=self.max_depth)
 
     def to_dict(self) -> dict:
         return {
@@ -159,7 +149,7 @@ def _log_points(rng: random.Random, n: int, lo: float, hi: float,
     return pts
 
 
-def _claim_oracle(name: str, oracle, cfg: SuiteConfig, qcfg: QuadConfig):
+def _claim_oracle(name: str, oracle, cfg: SuiteConfig):
     f = funcspace.catalog(name)
     # derive the stream from the bytes of the name: hash() of a str is
     # process-randomized and would break report determinism
@@ -170,7 +160,7 @@ def _claim_oracle(name: str, oracle, cfg: SuiteConfig, qcfg: QuadConfig):
                  worst <= 1e-10, worst, "<= 1e-10", "closed-form")]
 
 
-def _claim_theta(cfg: SuiteConfig, qcfg: QuadConfig):
+def _claim_theta(cfg: SuiteConfig):
     theta = funcspace.catalog("theta")
     checks = []
     rng = random.Random(cfg.seed + 3)
@@ -180,21 +170,20 @@ def _claim_theta(cfg: SuiteConfig, qcfg: QuadConfig):
                        worst, "<= 1e-12", "closed-form"))
     total = integrate_halfline(
         lambda v: math.exp(theta.log_eval(v)[0] + v),
-        qcfg,
         origin_envs=(theta.origin.envelope_reciprocal(),),
         tail_envs=(theta.tail.envelope(),))
     checks.append(_near("quadrature total integral", total.value, 1.0, 1e-12,
                         "closed-form"))
-    hnorm = cont_ops.l1_norm_modified(theta, qcfg)
+    hnorm = cont_ops.l1_norm_modified(theta)
     checks.append(_chk("corrected image has vanishing l1 norm",
                        hnorm.verdict == "converged" and abs(hnorm.value) < 1e-10,
                        hnorm.value, "< 1e-10", "kernel annihilation"))
-    w = cont_ops.log_weight_norm(theta, qcfg)
+    w = cont_ops.log_weight_norm(theta)
     checks.append(_near("weighted norm", w.value, 2.0, 1e-9, "closed-form"))
     return checks
 
 
-def _claim_modified(cfg: SuiteConfig, qcfg: QuadConfig):
+def _claim_modified(cfg: SuiteConfig):
     theta = funcspace.catalog("theta")
     f0 = funcspace.catalog("f0")
     fe = funcspace.catalog("fe")
@@ -223,11 +212,11 @@ def _claim_modified(cfg: SuiteConfig, qcfg: QuadConfig):
 _FUBINI_SET = ("theta", "abs(f0)", "power_tail(beta=2)", "power_tail(beta=3)")
 
 
-def _claim_fubini(cfg: SuiteConfig, qcfg: QuadConfig):
+def _claim_fubini(cfg: SuiteConfig):
     checks = []
     for name in _FUBINI_SET:
         f = funcspace.parse_function(name)
-        rep = cont_ops.fubini_check_cont(f, qcfg)
+        rep = cont_ops.fubini_check_cont(f)
         budget1 = 10.0 * (rep.i1_double.total_error + rep.i1_single.total_error)
         budget2 = 10.0 * (rep.i2_double.total_error + rep.i2_single.total_error)
         checks.append(_chk(
@@ -247,14 +236,14 @@ _FINITE_SUITE = ("theta", "power_tail(beta=1.5)", "power_tail(beta=2)",
 _DIVERGENT_SUITE = ("log_tail(beta=1.5)", "log_tail(beta=2)", "abs(fe)")
 
 
-def _claim_char_finite(cfg: SuiteConfig, qcfg: QuadConfig):
+def _claim_char_finite(cfg: SuiteConfig):
     checks = []
     for name in _FINITE_SUITE:
         f = funcspace.parse_function(name)
-        w = cont_ops.log_weight_norm(f, qcfg)
-        h = cont_ops.l1_norm_modified(f, qcfg)
-        i1 = cont_ops.split_i1(f, qcfg)
-        i2 = cont_ops.split_i2(f, qcfg)
+        w = cont_ops.log_weight_norm(f)
+        h = cont_ops.l1_norm_modified(f)
+        i1 = cont_ops.split_i1(f)
+        i2 = cont_ops.split_i2(f)
         ok_w = w.verdict == "converged"
         ok_h = h.verdict == "converged"
         checks.append(_chk(f"{name}: weighted norm finite", ok_w,
@@ -270,12 +259,12 @@ def _claim_char_finite(cfg: SuiteConfig, qcfg: QuadConfig):
     return checks
 
 
-def _claim_char_divergent(cfg: SuiteConfig, qcfg: QuadConfig):
+def _claim_char_divergent(cfg: SuiteConfig):
     checks = []
     for name in _DIVERGENT_SUITE:
         f = funcspace.parse_function(name)
-        w = cont_ops.log_weight_norm(f, qcfg)
-        h = cont_ops.l1_norm_modified(f, qcfg)
+        w = cont_ops.log_weight_norm(f)
+        h = cont_ops.l1_norm_modified(f)
         checks.append(_chk(f"{name}: weighted norm divergent",
                            w.verdict == "divergent", w.verdict, "divergent",
                            "certified envelope"))
@@ -285,13 +274,13 @@ def _claim_char_divergent(cfg: SuiteConfig, qcfg: QuadConfig):
     return checks
 
 
-def _claim_mean_zero(cfg: SuiteConfig, qcfg: QuadConfig):
+def _claim_mean_zero(cfg: SuiteConfig):
     checks = []
     cases = [("f0", funcspace.catalog("f0")),
              ("theta", funcspace.catalog("theta")),
              ("2*theta", funcspace.scale(funcspace.catalog("theta"), 2.0))]
     for name, f in cases:
-        rep = cont_ops.mean_limit_check(f, qcfg)
+        rep = cont_ops.mean_limit_check(f)
         checks.append(_chk(f"{name}: samples consistent with the total",
                            rep.consistent, rep.scaled_values[-1],
                            f"{rep.total_integral!r} within certified tail",
@@ -303,17 +292,17 @@ def _claim_mean_zero(cfg: SuiteConfig, qcfg: QuadConfig):
             None if rep.probe is None else rep.probe.last_increment,
             f"{rep.probe_rate_target!r} +- 10%", "doubling probe"))
     fe = funcspace.catalog("fe")
-    rep = cont_ops.mean_limit_check(fe, qcfg)
+    rep = cont_ops.mean_limit_check(fe)
     checks.append(_chk("fe: certified limit of x*avg vanishes",
                        abs(rep.limit_estimate) < 1e-6 and rep.consistent,
                        rep.limit_estimate, "|.| < 1e-6", "certified limit"))
     return checks
 
 
-def _claim_cont_hardy(cfg: SuiteConfig, qcfg: QuadConfig):
+def _claim_cont_hardy(cfg: SuiteConfig):
     checks = []
     chi = funcspace.catalog("power_cutoff", alpha=0.0, T=1.0)
-    r = cont_ops.cont_hardy_ratio(chi, 2.0, qcfg)
+    r = cont_ops.cont_hardy_ratio(chi, 2.0)
     checks.append(_near("indicator of (0,1], p=2", r, 2.0, 1e-9, "closed-form"))
     checks.append(_chk("indicator ratio under the sharp bound", r <= 4.0,
                        r, "<= 4", "sharp constant"))
@@ -321,7 +310,7 @@ def _claim_cont_hardy(cfg: SuiteConfig, qcfg: QuadConfig):
     prev = 0.0
     for alpha in (0.35, 0.40, 0.45):
         f = funcspace.catalog("power_cutoff", alpha=alpha, T=1.0)
-        r = cont_ops.cont_hardy_ratio(f, 2.0, qcfg)
+        r = cont_ops.cont_hardy_ratio(f, 2.0)
         expected = gold[f"{alpha:g}"]
         checks.append(_near(f"near-extremal cutoff alpha={alpha:g}, p=2",
                             r, expected, 1e-8, "frozen oracle"))
@@ -330,18 +319,18 @@ def _claim_cont_hardy(cfg: SuiteConfig, qcfg: QuadConfig):
         prev = r
     pt = funcspace.catalog("power_tail", beta=3.0)
     for p in (1.5, 2.0, 3.0):
-        r = cont_ops.cont_hardy_ratio(pt, p, qcfg)
+        r = cont_ops.cont_hardy_ratio(pt, p)
         bound = (p / (p - 1.0)) ** p
         checks.append(_chk(f"power tail beta=3, p={p:g} under the bound",
                            r <= bound + 1e-9, r, f"<= {bound!r}", "sharp constant"))
     return checks
 
 
-def _claim_cont_equiv(cfg: SuiteConfig, qcfg: QuadConfig):
+def _claim_cont_equiv(cfg: SuiteConfig):
     checks = []
     theta = funcspace.catalog("theta")
-    h = cont_ops.l1_norm_modified(theta, qcfg)
-    w = cont_ops.log_weight_norm(theta, qcfg)
+    h = cont_ops.l1_norm_modified(theta)
+    w = cont_ops.log_weight_norm(theta)
     checks.append(_chk("annihilated kernel: corrected norm below 1e-10 while "
                        "the weighted norm stays near 2",
                        abs(h.value) < 1e-10 and abs(w.value - 2.0) <= 1e-9,
@@ -351,7 +340,7 @@ def _claim_cont_equiv(cfg: SuiteConfig, qcfg: QuadConfig):
     beta = 1.1
     while beta < 4.05:
         f = funcspace.catalog("power_tail", beta=round(beta, 10))
-        r = cont_ops.equivalence_ratio(f, qcfg)
+        r = cont_ops.equivalence_ratio(f)
         lo = r if lo is None else min(lo, r)
         hi = r if hi is None else max(hi, r)
         beta += 0.1
@@ -367,7 +356,7 @@ def _claim_cont_equiv(cfg: SuiteConfig, qcfg: QuadConfig):
     return checks
 
 
-def _claim_disc_kernel(cfg: SuiteConfig, qcfg: QuadConfig):
+def _claim_disc_kernel(cfg: SuiteConfig):
     lam = seq_ops.catalog_seq("lambda")
     e1 = seq_ops.catalog_seq("em", m=1)
     checks = []
@@ -392,7 +381,7 @@ def _claim_disc_kernel(cfg: SuiteConfig, qcfg: QuadConfig):
     return checks
 
 
-def _claim_disc_fubini(cfg: SuiteConfig, qcfg: QuadConfig):
+def _claim_disc_fubini(cfg: SuiteConfig):
     rng = random.Random(cfg.seed)
     bad = 0
     n_seqs = 200
@@ -418,7 +407,7 @@ def _claim_disc_fubini(cfg: SuiteConfig, qcfg: QuadConfig):
                  bad == 0, f"{bad} failures", "0 failures", "exact rational")]
 
 
-def _claim_disc_mean(cfg: SuiteConfig, qcfg: QuadConfig):
+def _claim_disc_mean(cfg: SuiteConfig):
     checks = []
     lam = seq_ops.catalog_seq("lambda")
     rep = seq_ops.disc_mean_check(lam)
@@ -449,7 +438,7 @@ _DISC_RATIO_SUITE = ("lambda", "em(m=1)", "powcut(alpha=0.5,N={n})",
                      "powcut(alpha=0.8,N={n})", "power(alpha=1.5)")
 
 
-def _claim_disc_hardy(cfg: SuiteConfig, qcfg: QuadConfig):
+def _claim_disc_hardy(cfg: SuiteConfig):
     checks = []
     n = cfg.sharp_n
     ps = (1.25, 1.5, 2.0, 3.0, 10.0)
@@ -478,7 +467,7 @@ def _claim_disc_hardy(cfg: SuiteConfig, qcfg: QuadConfig):
     return checks
 
 
-def _claim_disc_weight(cfg: SuiteConfig, qcfg: QuadConfig):
+def _claim_disc_weight(cfg: SuiteConfig):
     checks = []
     e1 = seq_ops.catalog_seq("em", m=1)
     L = seq_ops.l1_log_weight(e1)
@@ -499,7 +488,7 @@ def _claim_disc_weight(cfg: SuiteConfig, qcfg: QuadConfig):
     return checks
 
 
-def _claim_disc_char_finite(cfg: SuiteConfig, qcfg: QuadConfig):
+def _claim_disc_char_finite(cfg: SuiteConfig):
     checks = []
     for name in ("lambda", "em(m=10)", "power(alpha=1.5)", "power(alpha=2)",
                  "powcut(alpha=0.5,N=10000)"):
@@ -515,7 +504,7 @@ def _claim_disc_char_finite(cfg: SuiteConfig, qcfg: QuadConfig):
     return checks
 
 
-def _claim_disc_char_divergent(cfg: SuiteConfig, qcfg: QuadConfig):
+def _claim_disc_char_divergent(cfg: SuiteConfig):
     checks = []
     for name in ("logdecay(beta=1.5)", "logdecay(beta=2)"):
         seq = seq_ops.parse_sequence(name)
@@ -528,7 +517,7 @@ def _claim_disc_char_divergent(cfg: SuiteConfig, qcfg: QuadConfig):
     return checks
 
 
-def _claim_harmonic(cfg: SuiteConfig, qcfg: QuadConfig):
+def _claim_harmonic(cfg: SuiteConfig):
     checks = []
     checks.append(_chk("fourth harmonic number", seq_ops.harmonic(4) == Fraction(25, 12),
                        seq_ops.harmonic(4), "25/12", "exact rational"))
@@ -541,7 +530,7 @@ def _claim_harmonic(cfg: SuiteConfig, qcfg: QuadConfig):
     return checks
 
 
-def _claim_disc_equiv(cfg: SuiteConfig, qcfg: QuadConfig):
+def _claim_disc_equiv(cfg: SuiteConfig):
     checks = []
     lam = seq_ops.catalog_seq("lambda")
     ok = all(seq_ops.modified_cesaro(lam, n) == 0 for n in (1, 2, 3, 10, 100))
@@ -575,10 +564,10 @@ def _claim_disc_equiv(cfg: SuiteConfig, qcfg: QuadConfig):
 _CLAIMS = {
     "cont.average.oracle_f0": (
         "running average of the two-bump example matches its closed piecewise form",
-        lambda cfg, qcfg: _claim_oracle("f0", cont_ops.oracle_qf0, cfg, qcfg), False),
+        lambda cfg: _claim_oracle("f0", cont_ops.oracle_qf0, cfg), False),
     "cont.average.oracle_fe": (
         "running average of the mean-zero example matches its closed piecewise form",
-        lambda cfg, qcfg: _claim_oracle("fe", cont_ops.oracle_qfe, cfg, qcfg), False),
+        lambda cfg: _claim_oracle("fe", cont_ops.oracle_qfe, cfg), False),
     "cont.kernel.identities": (
         "kernel profile: average 1/(1+x), unit total, annihilation, weighted norm 2",
         _claim_theta, False),
@@ -648,12 +637,11 @@ def run_suite(cfg: SuiteConfig) -> list[ClaimRecord]:
     selected = [cid for cid in claim_ids() if fnmatch.fnmatch(cid, cfg.claims)]
     if not selected:
         raise ConfigError(f"claim filter {cfg.claims!r} matches nothing")
-    qcfg = cfg.quad()
     records = []
     for cid in selected:
         description, runner, divergence = _CLAIMS[cid]
         try:
-            checks = tuple(runner(cfg, qcfg))
+            checks = tuple(runner(cfg))
         except Exception as exc:  # a crashed runner is a failed claim
             checks = (_chk("runner completed", False, repr(exc), "no exception",
                            "runner"),)
@@ -733,10 +721,9 @@ def parse_grid(text: str):
 
 
 _CONT_FAMILIES = ("power_tail", "power_cutoff", "log_tail", "box")
-_DISC_FAMILIES = ("em", "powcut", "power", "logdecay")
 
 
-def _cont_row(family, param, val, fixed, qcfg) -> dict:
+def _cont_row(family, param, val, fixed) -> dict:
     """One sweep point; a bad point is recorded in its row, not raised."""
     params = dict(fixed or {})
     params[param] = val
@@ -744,10 +731,10 @@ def _cont_row(family, param, val, fixed, qcfg) -> dict:
     try:
         f = funcspace.catalog(family, **params)
         l1 = cont_ops.total_integral(funcspace.absolute(f))
-        w = cont_ops.log_weight_norm(f, qcfg)
-        h = cont_ops.l1_norm_modified(f, qcfg)
-        i1 = cont_ops.split_i1(f, qcfg)
-        i2 = cont_ops.split_i2(f, qcfg)
+        w = cont_ops.log_weight_norm(f)
+        h = cont_ops.l1_norm_modified(f)
+        i1 = cont_ops.split_i1(f)
+        i2 = cont_ops.split_i2(f)
         row.update({
             "l1_norm": l1,
             "weighted_norm": w.value if w.verdict == "converged" else None,
@@ -777,8 +764,7 @@ def sweep_cont(family: str, param: str, values, cfg: SuiteConfig,
                fixed: dict | None = None) -> tuple[list[dict], dict]:
     if family not in _CONT_FAMILIES:
         raise ConfigError(f"unknown continuous family {family!r}")
-    qcfg = cfg.quad()
-    rows = [_cont_row(family, param, v, fixed, qcfg) for v in values]
+    rows = [_cont_row(family, param, v, fixed) for v in values]
     return rows, _footer(rows)
 
 
@@ -810,10 +796,23 @@ def _disc_row(family, param, val, fixed, cfg) -> dict:
     return row
 
 
+def _integer(name: str, value: float) -> int:
+    """An integer parameter's value, refused rather than truncated."""
+    if not float(value).is_integer():
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def sweep_disc(family: str, param: str, values, cfg: SuiteConfig,
                fixed: dict | None = None) -> tuple[list[dict], dict]:
-    if family not in _DISC_FAMILIES:
+    """Rows over ``values`` of ``param``; integer parameters, swept or fixed,
+    must be integral and are recorded as integers."""
+    if family not in seq_ops.SEQ_FAMILIES:
         raise ConfigError(f"unknown discrete family {family!r}")
+    _, keys, types = seq_ops.SEQ_FAMILIES[family]
+    ints = {k for k, typ in zip(keys, types) if typ is int}
+    values = [_integer(param, v) if param in ints else v for v in values]
+    fixed = {k: _integer(k, v) if k in ints else v for k, v in (fixed or {}).items()}
     rows = [_disc_row(family, param, v, fixed, cfg) for v in values]
     return rows, _footer(rows)
 

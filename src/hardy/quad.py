@@ -17,6 +17,9 @@ result as an explicit, auditable ``tail_bound``.
 Divergence is a first-class verdict, produced two ways: a declared lower
 envelope whose integral diverges (a certificate), or the doubling-scale
 probe of partial integrals (a numerical witness of harmonic-type growth).
+
+Half-line integrals run at the one fixed precision ``DEFAULT_CONFIG``; only
+``integrate`` takes a config, as the probe's windows run looser.
 """
 
 from __future__ import annotations
@@ -82,6 +85,7 @@ class QuadConfig:
 
 
 DEFAULT_CONFIG = QuadConfig()
+_PROBE_CONFIG = QuadConfig(rel_tol=1e-9)
 
 
 @dataclass(frozen=True)
@@ -263,7 +267,7 @@ def _spot_check_lower(density, envs: tuple[Envelope, ...], v_from: float) -> Non
                     f"certificate rejected at v={v:.3f}")
 
 
-def _tail_side(density, v0: float, envs: tuple[Envelope, ...], cfg: QuadConfig):
+def _tail_side(density, v0: float, envs: tuple[Envelope, ...]):
     """Integrate a log-coordinate tail from v0 with a certified remainder.
 
     Returns (value, err, tail_bound, subdivisions).
@@ -274,25 +278,25 @@ def _tail_side(density, v0: float, envs: tuple[Envelope, ...], cfg: QuadConfig):
         v_end = max(math.log(env.valid_from) for env in envs)
         if v_end <= v0:
             return 0.0, 0.0, 0.0, 0
-        res = _integrate_core(density, v0, v_end, cfg,
+        res = _integrate_core(density, v0, v_end,
                               breakpoints=_geometric_seeds(v0, v_end))
         return res.value, res.err_est, 0.0, res.subdivisions
 
-    target = cfg.abs_tol * _TAIL_SHARE
+    target = DEFAULT_CONFIG.abs_tol * _TAIL_SHARE
     V = min(sum_v_for_remainder(envs, target), _TAIL_V_SOFT)
     V = max(V, v0 + 1e-9)
-    res = _integrate_core(density, v0, V, cfg, breakpoints=_geometric_seeds(v0, V))
+    res = _integrate_core(density, v0, V, breakpoints=_geometric_seeds(v0, V))
     value, err, subdivisions = res.value, res.err_est, res.subdivisions
     bound = sum_remainder(envs, V)
 
     # One extension round: the relative tolerance may allow a much looser
     # remainder than abs_tol (this matters for slowly decaying tails), or the
     # soft cap may have been too tight for the final scale of the value.
-    final_target = cfg.tolerance(value) * _TAIL_SHARE
+    final_target = DEFAULT_CONFIG.tolerance(value) * _TAIL_SHARE
     if bound > final_target:
         V2 = min(sum_v_for_remainder(envs, final_target), _TAIL_V_HARD)
         if V2 > V:
-            ext = _integrate_core(density, V, V2, cfg,
+            ext = _integrate_core(density, V, V2,
                                   breakpoints=_geometric_seeds(V, V2))
             value += ext.value
             err += ext.err_est
@@ -303,7 +307,6 @@ def _tail_side(density, v0: float, envs: tuple[Envelope, ...], cfg: QuadConfig):
 
 def integrate_halfline(
     density: Callable[[float], float],
-    cfg: QuadConfig = DEFAULT_CONFIG,
     origin_envs: tuple[Envelope, ...] = (),
     tail_envs: tuple[Envelope, ...] = (),
     probe_start: float | None = None,
@@ -341,12 +344,12 @@ def integrate_halfline(
         # no certificate and no integrable bound: fall back to the probe,
         # first in t (or u = 1/t), where g(t) = d(ln t) / t
         start = probe_start if (probe_start is not None and side == "tail") else math.e
-        probe = probe_divergence(lambda t: side_density(math.log(t)) / t, start, cfg)
+        probe = probe_divergence(lambda t: side_density(math.log(t)) / t, start)
         if probe.verdict == "divergent-log":
             return HalflineResult(verdict="divergent", divergent_side=side, probe=probe)
         if probe.verdict == "inconclusive":
             # second look on the doubly logarithmic scale
-            probe2 = probe_divergence(side_density, max(math.e, math.log(start) + 1.0), cfg)
+            probe2 = probe_divergence(side_density, max(math.e, math.log(start) + 1.0))
             if probe2.verdict == "divergent-log":
                 return HalflineResult(verdict="divergent", divergent_side=side, probe=probe2)
             return HalflineResult(verdict="inconclusive", divergent_side=side, probe=probe2)
@@ -360,15 +363,15 @@ def integrate_halfline(
     w0, v0 = math.log(1.0 / A0), math.log(B0)
     inner = tuple(math.log(b) for b in bps if A0 < b < B0)
 
-    middle = _integrate_core(density, -w0, v0, cfg, breakpoints=inner)
-    t_val, t_err, t_bound, t_sub = _tail_side(density, v0, tail_envs, cfg)
-    o_val, o_err, o_bound, o_sub = _tail_side(origin_density, w0, origin_envs, cfg)
+    middle = _integrate_core(density, -w0, v0, breakpoints=inner)
+    t_val, t_err, t_bound, t_sub = _tail_side(density, v0, tail_envs)
+    o_val, o_err, o_bound, o_sub = _tail_side(origin_density, w0, origin_envs)
 
     value = math.fsum((middle.value, t_val, o_val))
     err = math.fsum((middle.err_est, t_err, o_err))
     bound = t_bound + o_bound
     subdivisions = middle.subdivisions + t_sub + o_sub
-    converged = (err + bound) <= SAFETY * cfg.tolerance(value)
+    converged = (err + bound) <= SAFETY * DEFAULT_CONFIG.tolerance(value)
     return HalflineResult(
         verdict="converged" if converged else "not-converged",
         value=value, err_est=err, tail_bound=bound, subdivisions=subdivisions)
@@ -381,7 +384,6 @@ def integrate_halfline(
 def probe_divergence(
     g: Callable[[float], float],
     start: float,
-    cfg: QuadConfig = DEFAULT_CONFIG,
     breakpoints: Sequence[float] = (),
 ) -> ProbeResult:
     """Classify the tail of a (eventually nonnegative) integrand.
@@ -396,14 +398,12 @@ def probe_divergence(
     """
     if start <= 0.0:
         raise ValueError("probe start must be positive")
-    probe_cfg = QuadConfig(rel_tol=max(cfg.rel_tol, 1e-9), abs_tol=cfg.abs_tol,
-                           max_depth=cfg.max_depth)
     increments = []
     lo = start
     for _ in range(_PROBE_DOUBLINGS):
         hi = lo * 2.0
         window = [p for p in breakpoints if lo < p < hi]
-        increments.append(integrate(g, lo, hi, probe_cfg, breakpoints=window).value)
+        increments.append(integrate(g, lo, hi, _PROBE_CONFIG, breakpoints=window).value)
         lo = hi
     partials = []
     acc = 0.0
@@ -411,10 +411,10 @@ def probe_divergence(
         acc += inc
         partials.append(acc)
 
-    floor = max(1e3 * cfg.abs_tol, 1e-6 * max(increments, default=0.0))
+    floor = max(1e3 * DEFAULT_CONFIG.abs_tol, 1e-6 * max(increments, default=0.0))
     late = increments[-5:]
     verdict = "inconclusive"
-    if min(increments) < -10.0 * cfg.abs_tol:
+    if min(increments) < -10.0 * DEFAULT_CONFIG.abs_tol:
         verdict = "inconclusive"  # integrand not eventually nonnegative
     elif max(late) <= floor:
         verdict = "convergent"

@@ -44,8 +44,8 @@ import numpy as np
 from .funcspace import TailClass
 
 __all__ = [
-    "SeqSpec", "SumResult", "DiscMeanReport", "DiscReport",
-    "SequenceError", "EULER_GAMMA", "MAX_FLOAT_TERMS",
+    "SeqSpec", "SumResult", "DiscMeanReport", "DiscReport", "SequenceError",
+    "EULER_GAMMA", "MAX_FLOAT_TERMS", "MAX_EXACT_SUPPORT", "SEQ_HORIZON", "SEQ_FAMILIES",
     "catalog_seq", "parse_sequence", "finite_sequence", "load_rational_file",
     "pointwise_numerators", "cesaro", "modified_cesaro", "j1_term", "j2_term",
     "j1_sum", "j2_sum", "j1_sum_by_weights", "j2_sum_by_weights",
@@ -61,8 +61,15 @@ EULER_GAMMA = 0.57721566490153286061
 _LN2 = math.log(2.0)
 
 # Largest term array any path builds (80 MB of float64), and the longest
-# support of a finite sequence, which bounds how long its exact sums run.
+# finite sequence that can be stored.
 MAX_FLOAT_TERMS = 10 ** 7
+
+# Longest support whose exact sums (``SeqSpec.run_sums``) are taken: their
+# cost grows about quadratically (em(10**5) takes seconds), so no longer.
+MAX_EXACT_SUPPORT = 10 ** 5
+
+# Length of the head that l1_norm_mod sums before its certified tail bound.
+SEQ_HORIZON = 10 ** 4
 
 # Truncation point of the operator-side sums j1_sum and j2_sum on generators.
 _J_HORIZON = 10 ** 5
@@ -202,6 +209,9 @@ class SeqSpec:
         at most once on a run, after n* = P / (M - P), so each run is cut at
         floor(n*) into two pieces on which Gm a keeps its sign.  Each output is
         one ``_tree_sum`` of the pieces' unreduced integer pairs, reduced once."""
+        if self.support_end > MAX_EXACT_SUPPORT:
+            raise SequenceError(f"{self.name}: exact sums over {self.support_end} terms "
+                                f"exceed the cap of {MAX_EXACT_SUPPORT}")
         den, starts, prefix = self.int_runs
         m, l1, j1, j2 = prefix[-1], [], [], []
         for a, b, p in zip(starts, starts[1:], prefix):
@@ -441,7 +451,7 @@ def l1_log_weight(seq: SeqSpec, horizon: int = 10 ** 6) -> SumResult:
     return SumResult(head, wrem + 1e-13 * head * math.log2(n + 2), "converged")
 
 
-def l1_norm_mod(seq: SeqSpec, horizon: int = 10 ** 4) -> SumResult:
+def l1_norm_mod(seq: SeqSpec, horizon: int = SEQ_HORIZON) -> SumResult:
     """sum_n |(Gm a)_n| with certified tail handling.
 
     Finite support is exact, summed in closed form over the runs of
@@ -634,7 +644,7 @@ def disc_mean_check(seq: SeqSpec, max_power: int = 20) -> DiscMeanReport:
                           target, rate_ok)
 
 
-def disc_equivalence_ratio(seq: SeqSpec, horizon: int = 10 ** 4) -> float:
+def disc_equivalence_ratio(seq: SeqSpec, horizon: int = SEQ_HORIZON) -> float:
     """R(a) = (l1 norm of Gm a + sum a) / (gamma * sum a + L(a)), a >= 0.
 
     The plain total enters the numerator because the correction kernel
@@ -716,7 +726,7 @@ def _seq_logdecay(beta: float, start: int = 3) -> SeqSpec:
 
 
 _SEQ_FIXED = {"lambda": _seq_lambda}
-_SEQ_FAMILIES = {
+SEQ_FAMILIES = {  # name -> (builder, parameter names, parameter types)
     "em": (_seq_em, ("m",), (int,)),
     "powcut": (_seq_powcut, ("alpha", "N"), (float, int)),
     "power": (_seq_power, ("alpha",), (float,)),
@@ -730,8 +740,8 @@ def catalog_seq(name: str, **params) -> SeqSpec:
         if params:
             raise SequenceError(f"{name} takes no parameters")
         return _SEQ_FIXED[name]()
-    if name in _SEQ_FAMILIES:
-        builder, keys, types = _SEQ_FAMILIES[name]
+    if name in SEQ_FAMILIES:
+        builder, keys, types = SEQ_FAMILIES[name]
         merged = dict(_SEQ_DEFAULTS.get(name, {}))
         merged.update(params)
         missing = [k for k in keys if k not in merged]
@@ -830,7 +840,7 @@ class DiscReport:
         }
 
 
-def build_report(seq: SeqSpec, horizon: int = 10 ** 4) -> DiscReport:
+def build_report(seq: SeqSpec, horizon: int = SEQ_HORIZON) -> DiscReport:
     total = total_sum(seq)
     norm = l1_norm_mod(seq, horizon)
     weight = l1_log_weight(seq)

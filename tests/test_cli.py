@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -92,6 +93,16 @@ def test_disc_sweep_m_shortcut():
     assert [row["m"] for row in payload["rows"]] == [1, 3, 5]
 
 
+@pytest.mark.parametrize("family,param,fix", [("powcut", "N", "alpha=0.5"),
+                                               ("logdecay", "start", "beta=2")])
+def test_swept_integer_parameters_are_integers(family, param, fix):
+    proc = run_cli("disc", "sweep", "--family", family, "--param", f"{param}=10:11",
+                   "--fix", fix, "--emit", "json")
+    assert proc.returncode == 0
+    values = [row[param] for row in json.loads(proc.stdout)["rows"]]
+    assert values == [10, 11] and all(type(v) is int for v in values)
+
+
 def test_top_level_sweep_dispatch():
     proc = run_cli("sweep", "--family", "em", "--m", "1:2", "--emit", "json")
     assert proc.returncode == 0
@@ -149,15 +160,26 @@ def test_main_callable_in_process(capsys):
     assert float(capsys.readouterr().out) == 0.25
 
 
-@pytest.mark.parametrize("flags", [
-    ("--max-depth", "5"), ("--rel-tol", "nan"), ("--abs-tol", "inf"),
-    ("--sharp-n", str(10 ** 7 + 1)), ("--seq-horizon", str(10 ** 7 + 1)),
-])
-def test_bad_settings_exit_2_before_any_claim(flags):
-    proc = run_cli("verify", *flags)
+@pytest.mark.parametrize("m", [10 ** 5 + 1, 10 ** 7])
+def test_exact_sums_past_the_support_cap_exit_2_at_once(capsys, m):
+    t0 = time.perf_counter()
+    code = main(["disc", "report", "--seq", f"em(m={m})"])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2  # returned, so no traceback
+    out, err = capsys.readouterr()
+    assert out == "" and "exceed the cap" in err
+
+
+@pytest.mark.parametrize("command", [("verify",), ("cont", "report", "--fn", "theta")])
+@pytest.mark.parametrize("flag", [("--rel-tol", "1e-8"), ("--abs-tol", "1e-12"),
+                                  ("--max-depth", "40"), ("--seq-horizon", "1000"),
+                                  ("--sharp-n", "1000")])
+def test_precision_flags_do_not_exist(command, flag):
+    # the precision is fixed; a flag that would set it is a usage error
+    proc = run_cli(*command, *flag)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
-    assert "configuration error" in proc.stderr
+    assert "unrecognized arguments" in proc.stderr
     assert proc.stdout == ""  # no claim line
 
 
@@ -207,6 +229,7 @@ def test_bad_sweep_grid_or_fix_exits_2(argv):
     ("report", "--seq", "logdecay(beta=2.5,start=3.7)"),
     ("report", "--seq", "powcut(alpha=0.5,N=2.5)"),
     ("sweep", "--family", "powcut", "--param", "alpha=0:0.5:0.5", "--fix", "N=2.5"),
+    ("sweep", "--family", "logdecay", "--param", "beta=1.5:2:0.5", "--fix", "start=3.5"),
     ("sweep", "--family", "em", "--m", "1.5:3.7"),
     ("sweep", "--family", "em", "--param", "m=1:2:0.5"),
 ])

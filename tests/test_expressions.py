@@ -40,12 +40,12 @@ def test_log_domain_error():
 
 def test_extended_limits():
     anti_theta = affine([(-1.0, Power(ONE_PLUS_T, -1.0))])
-    assert anti_theta.eval_ext(0.0) == -1.0
-    assert anti_theta.eval_ext(math.inf) == 0.0
-    assert Log(T).eval_ext(math.inf) == math.inf
+    assert anti_theta.eval(0.0) == -1.0
+    assert anti_theta.eval(math.inf) == 0.0
+    assert Log(T).eval(math.inf) == math.inf
     # -(ln t)^-1 -> 0 as t -> 0+
     anti_fe = affine([(-1.0, Power(Log(T), -1.0))])
-    assert anti_fe.eval_ext(0.0) == 0.0
+    assert anti_fe.eval(0.0) == 0.0
 
 
 def test_eval_takes_limits_and_refuses_indeterminate_forms():

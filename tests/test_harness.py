@@ -1,8 +1,9 @@
+import inspect
 import json
 
 import pytest
 
-from hardy import harness
+from hardy import harness, quad, seq_ops
 
 # the closed, documented enumeration of claim ids; a new claim must be added
 # here deliberately, a dropped one is a regression
@@ -42,15 +43,22 @@ def test_claim_enumeration_is_closed_and_total():
 def test_config_validation():
     with pytest.raises(harness.ConfigError):
         harness.SuiteConfig(fmt="xml")
-    with pytest.raises(harness.ConfigError):
-        harness.SuiteConfig(rel_tol=-1.0)
-    with pytest.raises(harness.ConfigError):
-        harness.SuiteConfig(seq_horizon=10)
-    # the quadrature settings are validated here too, as config errors
-    for bad in ({"max_depth": 5}, {"rel_tol": float("nan")}, {"abs_tol": float("inf")},
-                {"sharp_n": 10 ** 7 + 1}, {"seq_horizon": 10 ** 7 + 1}):
-        with pytest.raises(harness.ConfigError):
-            harness.SuiteConfig(**bad)
+
+
+def test_config_records_the_fixed_precision():
+    # meta.config names the constants the functionals actually compute at
+    conf = harness.SuiteConfig().to_dict()
+    assert conf == {"rel_tol": quad.DEFAULT_CONFIG.rel_tol,
+                    "abs_tol": quad.DEFAULT_CONFIG.abs_tol,
+                    "max_depth": quad.DEFAULT_CONFIG.max_depth,
+                    "seq_horizon": seq_ops.SEQ_HORIZON, "sharp_n": 10 ** 6,
+                    "claims": "*", "seed": 20240801}
+    assert (conf["rel_tol"], conf["abs_tol"], conf["max_depth"]) == (1e-10, 1e-14, 60)
+    for fn in (seq_ops.l1_norm_mod, seq_ops.disc_equivalence_ratio, seq_ops.build_report):
+        assert inspect.signature(fn).parameters["horizon"].default == conf["seq_horizon"]
+    for name in ("rel_tol", "abs_tol", "max_depth", "seq_horizon", "sharp_n"):
+        with pytest.raises(TypeError):
+            harness.SuiteConfig(**{name: conf[name]})
 
 
 def test_filter_matches_nothing_is_an_error():
@@ -76,13 +84,13 @@ def test_divergence_claims_get_their_own_verdict():
 
 
 def test_verdicts_of_failed_and_crashed_runners(monkeypatch):
-    def failing(cfg, qcfg):
+    def failing(cfg):
         return [harness._chk("value", False, 0.5, "1", "test")]
 
-    def unresolved(cfg, qcfg):
+    def unresolved(cfg):
         return [harness._chk("verdict", False, "inconclusive", "converged", "test")]
 
-    def crashing(cfg, qcfg):
+    def crashing(cfg):
         raise harness.seq_ops.SequenceError("lambda: total sum is inconclusive")
 
     monkeypatch.setattr(harness, "_CLAIMS", {

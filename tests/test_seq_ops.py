@@ -329,6 +329,29 @@ def test_exact_sequence_builders_check_the_cap_first(tmp_path, monkeypatch):
     assert so.catalog_seq("em", m=3).terms == ((3, 1),)
 
 
+def _harmonic_pair(lo, hi):
+    """sum_{lo <= k < hi} 1/k as an unreduced (numerator, denominator)."""
+    if hi - lo == 1:
+        return 1, lo
+    mid = (lo + hi) // 2
+    p1, q1 = _harmonic_pair(lo, mid)
+    p2, q2 = _harmonic_pair(mid, hi)
+    return p1 * q2 + p2 * q1, q1 * q2
+
+
+def test_exact_sums_run_up_to_the_support_cap_and_stop_past_it():
+    m = so.MAX_EXACT_SUPPORT
+    norm = so.l1_norm_mod(so.catalog_seq("em", m=m)).exact
+    p, q = _harmonic_pair(1, m + 1)  # H_m = p/q with q = m!, compared unreduced
+    assert norm.numerator * q == (p - q + q // m) * norm.denominator
+    past = so.catalog_seq("em", m=m + 1)
+    for op in (so.l1_norm_mod, so.j1_sum, so.j2_sum, so.build_report):
+        t0 = time.perf_counter()
+        with pytest.raises(so.SequenceError, match="exceed the cap"):
+            op(past)
+        assert time.perf_counter() - t0 < 0.5
+
+
 def test_harmonic_exact():
     assert so.harmonic(1) == 1
     assert so.harmonic(4) == Fraction(25, 12)
