@@ -50,5 +50,5 @@ print(f"  ||H theta||_1 = {co.l1_norm_modified(theta).value:.2e} while "
       f"W(theta) = {co.log_weight_norm(theta).value:.6f}")
 lam = so.catalog_seq("lambda")
 print(f"  ||corrected lambda||_1 = {so.l1_norm_mod(lam).value:.1f} while "
-      f"gamma*sum + L = {so.EULER_GAMMA + so.l1_log_weight(lam, 10**6).value:.6f}")
+      f"gamma*sum + L = {so.EULER_GAMMA + so.l1_log_weight(lam).value:.6f}")
 print("  (hence the input norm joins the left side of the comparison)")

@@ -7,9 +7,14 @@
 
 Every command computes at one fixed precision, which a verify report records
 under meta.config; a verify config file sets only ``claims`` and ``seed``.
+A sweep row is a view of the report of its point.
 
 Exit codes: 0 all claims pass, 1 any failure or unexpected inconclusive
-verdict, 2 configuration errors (reported before any check runs).
+verdict, 2 configuration errors and bad input, reported before any check
+runs: an unknown name or parameter, a non-finite or non-integral value, an
+unreadable --seq-file, an --out that is not a file in an existing
+directory.  A member that its family or its decay bound refuses also exits
+2; in a sweep it is an error cell of its row.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import cont_ops, funcspace, harness, seq_ops
+from .envelopes import EnvelopeError
 
 # config file keys and the JSON value types each accepts
 _CONFIG_TYPES = {"claims": str, "seed": int}
@@ -87,12 +93,14 @@ def _cmd_cont_eval(args) -> int:
     return 0
 
 
-def _cmd_cont_report(args) -> int:
-    f = funcspace.parse_function(args.fn)
-    rep = cont_ops.build_report(f)
+def _print_report(rep, out: str | None) -> int:
     payload = {"schema_version": harness.SCHEMA_VERSION, **rep.to_dict()}
-    _write_or_print(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+    _write_or_print(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
     return 0
+
+
+def _cmd_cont_report(args) -> int:
+    return _print_report(cont_ops.build_report(funcspace.parse_function(args.fn)), args.out)
 
 
 def _resolve_sequence(args):
@@ -104,11 +112,7 @@ def _resolve_sequence(args):
 
 
 def _cmd_disc_report(args) -> int:
-    seq = _resolve_sequence(args)
-    rep = seq_ops.build_report(seq)
-    payload = {"schema_version": harness.SCHEMA_VERSION, **rep.to_dict()}
-    _write_or_print(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
-    return 0
+    return _print_report(seq_ops.build_report(_resolve_sequence(args)), args.out)
 
 
 def _cmd_disc_ratio(args) -> int:
@@ -148,7 +152,7 @@ def _run_sweep(args, domain: str) -> int:
     else:
         raise harness.ConfigError("a sweep needs --param or --m")
     if domain == "auto":
-        domain = "cont" if args.family in harness._CONT_FAMILIES else "disc"
+        domain = "cont" if args.family in funcspace.FAMILIES else "disc"
     sweep = harness.sweep_cont if domain == "cont" else harness.sweep_disc
     rows, footer = sweep(args.family, param, values, harness.SuiteConfig(), fixed)
     if args.emit == "csv":
@@ -231,12 +235,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:
+        out = getattr(args, "out", None)
+        if out and (Path(out).is_dir() or not Path(out).parent.is_dir()):
+            raise harness.ConfigError(f"--out {out} is not a file in an existing directory")
         return args.handler(args)
     except harness.ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (funcspace.CatalogError, funcspace.ParameterError,
-            seq_ops.SequenceError, funcspace.DomainError) as exc:
+            seq_ops.SequenceError, funcspace.DomainError, EnvelopeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -435,8 +435,8 @@ class MeanLimitReport:
         return abs(self.limit_estimate) <= 1e-12
 
 
-def mean_limit_check(f: TestFunction, decades: float = 6.0) -> MeanLimitReport:
-    """Samples x Qf(x) across >= 4 decades and checks convergence to the
+def mean_limit_check(f: TestFunction) -> MeanLimitReport:
+    """Samples x Qf(x) across six decades and checks convergence to the
     total integral within the certified tail bound.
 
     The limit itself is estimated through the total integral (the identity
@@ -445,12 +445,9 @@ def mean_limit_check(f: TestFunction, decades: float = 6.0) -> MeanLimitReport:
     nonzero the doubling probe must flag |Qf| as logarithmically divergent
     with increments near |limit| * ln 2.
     """
-    if decades < 4.0:
-        raise ValueError("need at least four decades of samples")
     m = total_integral(f)
     cum = _Cumulative(f)
-    n = int(2 * decades) + 1
-    xs = tuple(10.0 ** (decades * i / (n - 1)) * 1.0137 for i in range(n))
+    xs = tuple(10.0 ** (6.0 * i / 12) * 1.0137 for i in range(13))
     values = tuple(cum.value(x) for x in xs)
 
     tail_bound = f.tail.remainder(xs[-1])
@@ -472,6 +469,19 @@ def mean_limit_check(f: TestFunction, decades: float = 6.0) -> MeanLimitReport:
     )
 
 
+def _ratio(f: TestFunction, wf: HalflineResult, hf: HalflineResult, l1: float) -> float:
+    """R(f) from W(f), the l1 norm of H f and that of f; DomainError where
+    it is not defined."""
+    if not _is_nonnegative(f):
+        raise DomainError("equivalence ratio defined for nonnegative functions")
+    for res, what in ((wf, "weighted norm"), (hf, "corrected norm")):
+        if res.verdict not in ("converged", "not-converged"):
+            raise DomainError(f"{f.name}: {what} is {res.verdict}")
+    if wf.value <= wf.total_error:
+        raise DomainError(f"{f.name}: weighted norm vanishes; function is a.e. zero")
+    return (hf.value + l1) / wf.value
+
+
 def equivalence_ratio(f: TestFunction) -> float:
     """R(f) = (l1 norm of H f + l1 norm of f) / W(f) for nonnegative f.
 
@@ -479,16 +489,7 @@ def equivalence_ratio(f: TestFunction) -> float:
     (theta) annihilates under H while carrying W(theta) = 2, so the bare
     quotient admits no universal lower constant.
     """
-    if not _is_nonnegative(f):
-        raise DomainError("equivalence ratio defined for nonnegative functions")
-    wf = log_weight_norm(f)
-    if wf.verdict not in ("converged", "not-converged"):
-        raise DomainError(f"{f.name}: weighted norm is {wf.verdict}")
-    if wf.value <= wf.total_error:
-        raise DomainError(f"{f.name}: weighted norm vanishes; function is a.e. zero")
-    hf = l1_norm_modified(f).require_value()
-    l1 = total_integral(absolute(f))
-    return (hf + l1) / wf.value
+    return _ratio(f, log_weight_norm(f), l1_norm_modified(f), total_integral(absolute(f)))
 
 
 def cont_hardy_ratio(f: TestFunction, p: float) -> float:
@@ -558,22 +559,23 @@ def _functional_dict(res: HalflineResult) -> dict:
 class ContReport:
     name: str
     total_integral: float
-    l1_norm: dict
-    weighted_norm: dict
-    l1_norm_modified: dict
-    i1: dict
-    i2: dict
+    l1_norm: float  # exact, from the closed form or the antiderivatives of |f|
+    weighted_norm: HalflineResult
+    l1_norm_modified: HalflineResult
+    i1: HalflineResult
+    i2: HalflineResult
     equivalence_ratio: float | None
 
     def to_dict(self) -> dict:
         return {
             "function": self.name,
             "total_integral": {"value": self.total_integral, "err_est": 0.0},
-            "l1_norm": self.l1_norm,
-            "weighted_norm": self.weighted_norm,
-            "l1_norm_modified": self.l1_norm_modified,
-            "i1": self.i1,
-            "i2": self.i2,
+            "l1_norm": {"verdict": "converged", "value": self.l1_norm,
+                        "err_est": 0.0, "tail_bound": 0.0},
+            "weighted_norm": _functional_dict(self.weighted_norm),
+            "l1_norm_modified": _functional_dict(self.l1_norm_modified),
+            "i1": _functional_dict(self.i1),
+            "i2": _functional_dict(self.i2),
             "equivalence_ratio": self.equivalence_ratio,
             "tolerances": {"rel_tol": DEFAULT_CONFIG.rel_tol,
                            "abs_tol": DEFAULT_CONFIG.abs_tol},
@@ -581,25 +583,21 @@ class ContReport:
 
 
 def build_report(f: TestFunction) -> ContReport:
-    m = total_integral(f)
-    l1_cum = _cumulative_abs(f)
+    m = total_integral(f)  # first, so a missing antiderivative is named for f
+    l1 = total_integral(absolute(f))
     wf = log_weight_norm(f)
     hf = l1_norm_modified(f)
-    i1 = split_i1(f)
-    i2 = split_i2(f)
-    ratio = None
-    if _is_nonnegative(f) and wf.verdict in ("converged", "not-converged") \
-            and wf.value > wf.total_error and hf.verdict in ("converged", "not-converged"):
-        ratio = (hf.value + l1_cum.total) / wf.value
+    try:
+        ratio = _ratio(f, wf, hf, l1)
+    except DomainError:
+        ratio = None
     return ContReport(
         name=f.name,
         total_integral=m,
-        # exact through the antiderivatives of |f|
-        l1_norm={"verdict": "converged", "value": l1_cum.total,
-                 "err_est": 0.0, "tail_bound": 0.0},
-        weighted_norm=_functional_dict(wf),
-        l1_norm_modified=_functional_dict(hf),
-        i1=_functional_dict(i1),
-        i2=_functional_dict(i2),
+        l1_norm=l1,
+        weighted_norm=wf,
+        l1_norm_modified=hf,
+        i1=split_i1(f),
+        i2=split_i2(f),
         equivalence_ratio=ratio,
     )

@@ -36,7 +36,8 @@ from .expressions import (
 __all__ = [
     "TestFunction", "Piece", "OriginClass", "TailClass",
     "DomainError", "CatalogError", "ParameterError",
-    "catalog", "catalog_names", "parse_function",
+    "FAMILIES", "catalog", "catalog_names", "check_params", "split_name",
+    "parse_params", "parse_function",
     "exact_antiderivative", "total_integral_exact",
     "absolute", "scale", "add",
 ]
@@ -617,16 +618,36 @@ def _box(lo: float, hi: float) -> TestFunction:
 
 
 _FIXED = {"theta": _theta, "f0": _f0, "fe": _fe}
-_FAMILIES = {
-    "power_cutoff": (_power_cutoff, ("alpha", "T")),
-    "power_tail": (_power_tail, ("beta",)),
-    "log_tail": (_log_tail, ("beta",)),
-    "box": (_box, ("lo", "hi")),
+FAMILIES = {  # name -> (builder, parameter names, parameter types)
+    "power_cutoff": (_power_cutoff, ("alpha", "T"), (float, float)),
+    "power_tail": (_power_tail, ("beta",), (float,)),
+    "log_tail": (_log_tail, ("beta",), (float,)),
+    "box": (_box, ("lo", "hi"), (float, float)),
 }
 
 
 def catalog_names() -> list[str]:
-    return sorted(_FIXED) + sorted(_FAMILIES)
+    return sorted(_FIXED) + sorted(FAMILIES)
+
+
+def check_params(table: dict, name: str, params: dict, error=ParameterError) -> dict:
+    """The parameters of family ``name`` of ``table`` ({name: (builder, keys,
+    types)}), each converted to its type; raises ``error`` when one is
+    missing, unknown, not finite, or not integral where an int is declared."""
+    _, keys, types = table[name]
+    missing = [k for k in keys if k not in params]
+    unknown = [k for k in params if k not in keys]
+    if missing or unknown:
+        raise error(f"{name} expects parameters {keys}; missing {missing}, unknown {unknown}")
+    out = {}
+    for k, typ in zip(keys, types):
+        value = float(params[k])
+        if not math.isfinite(value):
+            raise error(f"{name}: {k} must be finite, got {params[k]!r}")
+        if typ is int and not value.is_integer():
+            raise error(f"{name}: {k} must be an integer, got {params[k]!r}")
+        out[k] = typ(params[k])
+    return out
 
 
 def catalog(name: str, **params: float) -> TestFunction:
@@ -635,41 +656,43 @@ def catalog(name: str, **params: float) -> TestFunction:
         if params:
             raise ParameterError(f"{name} takes no parameters")
         return _FIXED[name]()
-    if name in _FAMILIES:
-        builder, keys = _FAMILIES[name]
-        missing = [k for k in keys if k not in params]
-        unknown = [k for k in params if k not in keys]
-        if missing or unknown:
-            raise ParameterError(
-                f"{name} expects parameters {keys}; missing {missing}, unknown {unknown}")
-        values = [float(params[k]) for k in keys]
-        if not all(map(math.isfinite, values)):
-            raise ParameterError(f"{name}: parameters must be finite, got {params}")
-        return builder(*values)
+    if name in FAMILIES:
+        return FAMILIES[name][0](**check_params(FAMILIES, name, params))
     raise CatalogError(name)
 
 
 _NAME_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z_0-9]*)\s*(?:\((.*)\))?\s*$")
 
 
-def parse_function(text: str) -> TestFunction:
-    """Parse 'name' or 'name(key=value,...)' or 'abs(name...)' into a function."""
+def split_name(text: str) -> tuple[str, str | None] | None:
+    """'name' or 'name(args)' as (name, args or None); None when malformed."""
     m = _NAME_RE.match(text)
-    if not m:
-        raise CatalogError(text)
-    name, argstr = m.group(1), m.group(2)
-    if name == "abs":
-        if argstr is None:
-            raise ParameterError("abs(...) needs an inner function")
-        return absolute(parse_function(argstr))
+    return None if m is None else (m.group(1), m.group(2))
+
+
+def parse_params(text: str, argstr: str | None, error=ParameterError) -> dict[str, float]:
+    """The 'key=value,...' list ``argstr`` of ``text`` as floats by key."""
     params: dict[str, float] = {}
     if argstr is not None and argstr.strip():
         for item in argstr.split(","):
             if "=" not in item:
-                raise ParameterError(f"expected key=value in {text!r}")
+                raise error(f"expected key=value in {text!r}")
             key, val = item.split("=", 1)
             try:
                 params[key.strip()] = float(val)
             except ValueError as exc:
-                raise ParameterError(f"bad numeric value in {text!r}") from exc
-    return catalog(name, **params)
+                raise error(f"bad numeric value in {text!r}") from exc
+    return params
+
+
+def parse_function(text: str) -> TestFunction:
+    """Parse 'name' or 'name(key=value,...)' or 'abs(name...)' into a function."""
+    parts = split_name(text)
+    if parts is None:
+        raise CatalogError(text)
+    name, argstr = parts
+    if name == "abs":
+        if argstr is None:
+            raise ParameterError("abs(...) needs an inner function")
+        return absolute(parse_function(argstr))
+    return catalog(name, **parse_params(text, argstr))

@@ -30,6 +30,7 @@ from importlib import resources
 from typing import ClassVar
 
 from . import cont_ops, funcspace, seq_ops
+from .envelopes import EnvelopeError
 from .quad import DEFAULT_CONFIG, integrate_halfline
 
 __all__ = [
@@ -474,7 +475,7 @@ def _claim_disc_weight(cfg: SuiteConfig):
     checks.append(_near("single impulse weight is ln 2", L.value, _LN2, 1e-12,
                         "closed-form"))
     lam = seq_ops.catalog_seq("lambda")
-    L = seq_ops.l1_log_weight(lam, horizon=10 ** 6)
+    L = seq_ops.l1_log_weight(lam)
     gold = golden()["disc"]["l1_log_weight_lambda"]
     ok = abs(L.value - gold["value"]) <= L.err + gold["abs_err"]
     checks.append(_chk("kernel sequence weighted sum matches the frozen oracle "
@@ -534,7 +535,7 @@ def _claim_disc_equiv(cfg: SuiteConfig):
     checks = []
     lam = seq_ops.catalog_seq("lambda")
     ok = all(seq_ops.modified_cesaro(lam, n) == 0 for n in (1, 2, 3, 10, 100))
-    L = seq_ops.l1_log_weight(lam, horizon=10 ** 6)
+    L = seq_ops.l1_log_weight(lam)
     denom = seq_ops.EULER_GAMMA * 1.0 + L.value
     checks.append(_chk("kernel counterexample: corrected image is exactly zero "
                        "while the weighted side exceeds 0.6",
@@ -720,101 +721,75 @@ def parse_grid(text: str):
     return values
 
 
-_CONT_FAMILIES = ("power_tail", "power_cutoff", "log_tail", "box")
+def _converged(res) -> float | None:
+    """A functional's value when it converged; None otherwise."""
+    return res.value if res.verdict == "converged" else None
 
 
-def _cont_row(family, param, val, fixed) -> dict:
-    """One sweep point; a bad point is recorded in its row, not raised."""
-    params = dict(fixed or {})
-    params[param] = val
-    row = {"family": family, param: val}
-    try:
-        f = funcspace.catalog(family, **params)
-        l1 = cont_ops.total_integral(funcspace.absolute(f))
-        w = cont_ops.log_weight_norm(f)
-        h = cont_ops.l1_norm_modified(f)
-        i1 = cont_ops.split_i1(f)
-        i2 = cont_ops.split_i2(f)
-        row.update({
-            "l1_norm": l1,
-            "weighted_norm": w.value if w.verdict == "converged" else None,
-            "weighted_verdict": w.verdict,
-            "l1_norm_modified": h.value if h.verdict == "converged" else None,
-            "modified_verdict": h.verdict,
-            "i1": i1.value if i1.verdict == "converged" else None,
-            "i2": i2.value if i2.verdict == "converged" else None,
-        })
-        if w.verdict == "converged" and h.verdict == "converged" and w.value > 0:
-            row["equivalence_ratio"] = (h.value + l1) / w.value
-        else:
-            row["equivalence_ratio"] = None
-    except (funcspace.ParameterError, funcspace.DomainError) as exc:
-        row["error"] = str(exc)
-    return row
+def _cont_row(family: str, params: dict) -> dict:
+    rep = cont_ops.build_report(funcspace.catalog(family, **params))
+    return {
+        "l1_norm": rep.l1_norm,
+        "weighted_norm": _converged(rep.weighted_norm),
+        "weighted_verdict": rep.weighted_norm.verdict,
+        "l1_norm_modified": _converged(rep.l1_norm_modified),
+        "modified_verdict": rep.l1_norm_modified.verdict,
+        "i1": _converged(rep.i1),
+        "i2": _converged(rep.i2),
+        "equivalence_ratio": rep.equivalence_ratio,
+    }
 
 
-def _footer(rows: list[dict]) -> dict:
+def _disc_row(family: str, params: dict) -> dict:
+    rep = seq_ops.build_report(seq_ops.catalog_seq(family, **params))
+    return {
+        "total_sum": _converged(rep.total),
+        "log_weight": _converged(rep.log_weight),
+        "weight_verdict": rep.log_weight.verdict,
+        "l1_norm_modified": _converged(rep.l1_norm_mod),
+        "norm_verdict": rep.l1_norm_mod.verdict,
+        "equivalence_ratio": rep.equivalence_ratio,
+    }
+
+
+def _sweep(table: dict, kind: str, family: str, param: str, values, fixed: dict,
+           row_of, errors) -> tuple[list[dict], dict]:
+    """Rows over ``values`` of ``param``, each read by ``row_of`` from the
+    report of one family member, and the range of their ratios.  Every
+    point's parameters are checked and typed by ``table`` before any row is
+    computed; a point that the family's builder or the report refuses with
+    one of ``errors`` records it in its row."""
+    if family not in table:
+        raise ConfigError(f"unknown {kind} family {family!r}")
+    points = [funcspace.check_params(table, family, {**fixed, param: v}, ConfigError)
+              for v in values]
+    rows = []
+    for params in points:
+        row = {"family": family, param: params[param]}
+        try:
+            row.update(row_of(family, params))
+        except errors as exc:
+            row["error"] = str(exc)
+        rows.append(row)
     ratios = [r["equivalence_ratio"] for r in rows
               if r.get("equivalence_ratio") is not None]
-    return {"ratio_min": min(ratios) if ratios else None,
-            "ratio_max": max(ratios) if ratios else None}
+    return rows, {"ratio_min": min(ratios) if ratios else None,
+                  "ratio_max": max(ratios) if ratios else None}
 
 
 def sweep_cont(family: str, param: str, values, cfg: SuiteConfig,
                fixed: dict | None = None) -> tuple[list[dict], dict]:
-    if family not in _CONT_FAMILIES:
-        raise ConfigError(f"unknown continuous family {family!r}")
-    rows = [_cont_row(family, param, v, fixed) for v in values]
-    return rows, _footer(rows)
-
-
-def _disc_row(family, param, val, fixed, cfg) -> dict:
-    """One sweep point; a bad point is recorded in its row, not raised."""
-    params = dict(fixed or {})
-    params[param] = val
-    row = {"family": family, param: val}
-    try:
-        seq = seq_ops.catalog_seq(family, **params)
-        total = seq_ops.total_sum(seq)
-        weight = seq_ops.l1_log_weight(seq)
-        norm = seq_ops.l1_norm_mod(seq, cfg.seq_horizon)
-        row.update({
-            "total_sum": total.value if total.verdict == "converged" else None,
-            "log_weight": weight.value if weight.verdict == "converged" else None,
-            "weight_verdict": weight.verdict,
-            "l1_norm_modified": norm.value if norm.verdict == "converged" else None,
-            "norm_verdict": norm.verdict,
-        })
-        if (weight.verdict == norm.verdict == total.verdict == "converged"
-                and total.value > 0):
-            denom = seq_ops.EULER_GAMMA * total.value + weight.value
-            row["equivalence_ratio"] = (norm.value + total.value) / denom
-        else:
-            row["equivalence_ratio"] = None
-    except seq_ops.SequenceError as exc:
-        row["error"] = str(exc)
-    return row
-
-
-def _integer(name: str, value: float) -> int:
-    """An integer parameter's value, refused rather than truncated."""
-    if not float(value).is_integer():
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    return _sweep(funcspace.FAMILIES, "continuous", family, param, values, fixed or {},
+                  _cont_row, (funcspace.ParameterError, funcspace.DomainError, EnvelopeError))
 
 
 def sweep_disc(family: str, param: str, values, cfg: SuiteConfig,
                fixed: dict | None = None) -> tuple[list[dict], dict]:
     """Rows over ``values`` of ``param``; integer parameters, swept or fixed,
     must be integral and are recorded as integers."""
-    if family not in seq_ops.SEQ_FAMILIES:
-        raise ConfigError(f"unknown discrete family {family!r}")
-    _, keys, types = seq_ops.SEQ_FAMILIES[family]
-    ints = {k for k, typ in zip(keys, types) if typ is int}
-    values = [_integer(param, v) if param in ints else v for v in values]
-    fixed = {k: _integer(k, v) if k in ints else v for k, v in (fixed or {}).items()}
-    rows = [_disc_row(family, param, v, fixed, cfg) for v in values]
-    return rows, _footer(rows)
+    defaults = seq_ops.SEQ_DEFAULTS.get(family, {})
+    return _sweep(seq_ops.SEQ_FAMILIES, "discrete", family, param, values,
+                  {**defaults, **(fixed or {})}, _disc_row, seq_ops.SequenceError)
 
 
 def sweep_to_csv(rows: list[dict], footer: dict) -> str:

@@ -41,12 +41,12 @@ from typing import Callable
 
 import numpy as np
 
-from .funcspace import TailClass
+from .funcspace import TailClass, check_params, parse_params, split_name
 
 __all__ = [
     "SeqSpec", "SumResult", "DiscMeanReport", "DiscReport", "SequenceError",
     "EULER_GAMMA", "MAX_FLOAT_TERMS", "MAX_EXACT_SUPPORT", "SEQ_HORIZON", "SEQ_FAMILIES",
-    "catalog_seq", "parse_sequence", "finite_sequence", "load_rational_file",
+    "SEQ_DEFAULTS", "catalog_seq", "parse_sequence", "finite_sequence", "load_rational_file",
     "pointwise_numerators", "cesaro", "modified_cesaro", "j1_term", "j2_term",
     "j1_sum", "j2_sum", "j1_sum_by_weights", "j2_sum_by_weights",
     "l1_log_weight", "l1_norm_mod", "total_sum",
@@ -73,6 +73,9 @@ SEQ_HORIZON = 10 ** 4
 
 # Truncation point of the operator-side sums j1_sum and j2_sum on generators.
 _J_HORIZON = 10 ** 5
+
+# Truncation point of l1_log_weight on generators without compact support.
+_L_HORIZON = 10 ** 6
 
 
 class SequenceError(ValueError):
@@ -169,7 +172,7 @@ class SeqSpec:
     def finite(self) -> bool:
         return self.terms is not None
 
-    @property
+    @cached_property  # read by every sum and by the ratio's guard
     def nonnegative(self) -> bool:
         """Whether no term is negative; a generator is assumed nonnegative."""
         return not self.finite or all(v > 0 for _, v in self.terms)
@@ -431,7 +434,7 @@ def j2_sum_by_weights(seq: SeqSpec) -> SumResult:
     return SumResult.from_exact(total)
 
 
-def l1_log_weight(seq: SeqSpec, horizon: int = 10 ** 6) -> SumResult:
+def l1_log_weight(seq: SeqSpec) -> SumResult:
     """L(a) = sum_k |a_k| ln(k+1) with an integral-test tail bound."""
     if seq.finite:
         total = math.fsum(abs(float(v)) * math.log(k + 1.0) for k, v in seq.terms)
@@ -439,7 +442,7 @@ def l1_log_weight(seq: SeqSpec, horizon: int = 10 ** 6) -> SumResult:
     if _weighted_divergent(seq.decay):
         return SumResult.divergent()
     end = seq.support_end
-    n = end if end is not None else max(horizon, seq.decay.valid_from)
+    n = end if end is not None else max(_L_HORIZON, seq.decay.valid_from)
     # terms first, so the size cap fires before any other array is built
     head = float(np.sum(np.abs(seq.terms_float(n))
                         * np.log(np.arange(1, n + 1, dtype=np.float64) + 1.0)))
@@ -620,20 +623,20 @@ class DiscMeanReport:
         return abs(self.total) <= self.total_err + 1e-12
 
 
-def disc_mean_check(seq: SeqSpec, max_power: int = 20) -> DiscMeanReport:
+def disc_mean_check(seq: SeqSpec) -> DiscMeanReport:
     """Witness that a nonzero total forces log-divergent Cesaro partial sums.
 
-    For sum a != 0 the doubling blocks sum_{N<m<=2N} |(G a)_m| must settle
-    near |sum a| * ln 2 (checked within 10% at the largest scale); a zero
-    total asserts nothing.
+    For sum a != 0 the doubling blocks sum_{N<m<=2N} |(G a)_m|, N = 2**10 ..
+    2**19, must settle near |sum a| * ln 2 (checked within 10% at the largest
+    scale); a zero total asserts nothing.
     """
     total = total_sum(seq)
     if total.verdict != "converged":
         raise SequenceError(f"{seq.name}: total sum is {total.verdict}")
-    n_top = 2 ** max_power
+    n_top = 2 ** 20
     arr = seq.terms_float(n_top)
     means = np.abs(np.cumsum(arr) / np.arange(1, n_top + 1, dtype=np.float64))
-    ns = tuple(2 ** j for j in range(10, max_power))
+    ns = tuple(2 ** j for j in range(10, 20))
     increments = tuple(float(np.sum(means[n: 2 * n])) for n in ns)
     target = abs(total.value) * _LN2
     if abs(total.value) <= total.err + 1e-12:
@@ -644,6 +647,17 @@ def disc_mean_check(seq: SeqSpec, max_power: int = 20) -> DiscMeanReport:
                           target, rate_ok)
 
 
+def _ratio(seq: SeqSpec, total: SumResult, norm: SumResult, weight: SumResult) -> float:
+    """R(a) from its three sums; SequenceError where it is not defined."""
+    _require_nonneg_finite(seq, "disc_equivalence_ratio")
+    if weight.verdict != "converged":
+        raise SequenceError(f"{seq.name}: log-weighted sum is {weight.verdict}")
+    denom = EULER_GAMMA * total.value + weight.value
+    if denom <= 0.0:
+        raise SequenceError("equivalence ratio needs a nonzero sequence")
+    return (norm.require_value() + total.value) / denom
+
+
 def disc_equivalence_ratio(seq: SeqSpec, horizon: int = SEQ_HORIZON) -> float:
     """R(a) = (l1 norm of Gm a + sum a) / (gamma * sum a + L(a)), a >= 0.
 
@@ -651,16 +665,7 @@ def disc_equivalence_ratio(seq: SeqSpec, horizon: int = SEQ_HORIZON) -> float:
     lambda_k = 1/(k(k+1)) annihilates under Gm while the right side stays
     positive, so the bare quotient admits no universal lower constant.
     """
-    _require_nonneg_finite(seq, "disc_equivalence_ratio")
-    weight = l1_log_weight(seq)
-    if weight.verdict != "converged":
-        raise SequenceError(f"{seq.name}: log-weighted sum is {weight.verdict}")
-    total = total_sum(seq)
-    norm = l1_norm_mod(seq, horizon)
-    denom = EULER_GAMMA * total.value + weight.value
-    if denom <= 0.0:
-        raise SequenceError("equivalence ratio needs a nonzero sequence")
-    return (norm.require_value() + total.value) / denom
+    return _ratio(seq, total_sum(seq), l1_norm_mod(seq, horizon), l1_log_weight(seq))
 
 
 # ---------------------------------------------------------------------------
@@ -732,7 +737,7 @@ SEQ_FAMILIES = {  # name -> (builder, parameter names, parameter types)
     "power": (_seq_power, ("alpha",), (float,)),
     "logdecay": (_seq_logdecay, ("beta", "start"), (float, int)),
 }
-_SEQ_DEFAULTS = {"logdecay": {"start": 3}}
+SEQ_DEFAULTS = {"logdecay": {"start": 3}}  # parameters a name may leave out
 
 
 def catalog_seq(name: str, **params) -> SeqSpec:
@@ -741,63 +746,41 @@ def catalog_seq(name: str, **params) -> SeqSpec:
             raise SequenceError(f"{name} takes no parameters")
         return _SEQ_FIXED[name]()
     if name in SEQ_FAMILIES:
-        builder, keys, types = SEQ_FAMILIES[name]
-        merged = dict(_SEQ_DEFAULTS.get(name, {}))
-        merged.update(params)
-        missing = [k for k in keys if k not in merged]
-        unknown = [k for k in merged if k not in keys]
-        if missing or unknown:
-            raise SequenceError(
-                f"{name} expects parameters {keys}; missing {missing}, unknown {unknown}")
-        for k, typ in zip(keys, types):
-            if not math.isfinite(float(merged[k])):
-                raise SequenceError(f"{name}: {k} must be finite, got {merged[k]!r}")
-            if typ is int and not float(merged[k]).is_integer():
-                raise SequenceError(f"{name}: {k} must be an integer, got {merged[k]!r}")
-        return builder(*(typ(merged[k]) for k, typ in zip(keys, types)))
+        merged = {**SEQ_DEFAULTS.get(name, {}), **params}
+        return SEQ_FAMILIES[name][0](**check_params(SEQ_FAMILIES, name, merged, SequenceError))
     raise SequenceError(f"unknown sequence {name!r}")
 
 
-_SEQ_NAME_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z_0-9]*)\s*(?:\((.*)\))?\s*$")
-
-
 def parse_sequence(text: str) -> SeqSpec:
-    m = _SEQ_NAME_RE.match(text)
-    if not m:
+    parts = split_name(text)
+    if parts is None:
         raise SequenceError(f"cannot parse sequence {text!r}")
-    name, argstr = m.group(1), m.group(2)
-    params = {}
-    if argstr is not None and argstr.strip():
-        for item in argstr.split(","):
-            if "=" not in item:
-                raise SequenceError(f"expected key=value in {text!r}")
-            key, val = item.split("=", 1)
-            try:
-                params[key.strip()] = float(val)
-            except ValueError as exc:
-                raise SequenceError(f"bad numeric value in {text!r}") from exc
-    return catalog_seq(name, **params)
+    name, argstr = parts
+    return catalog_seq(name, **parse_params(text, argstr, SequenceError))
 
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"^[+-]?\d+(/0*[1-9]\d*)?$")  # no zero denominator
 
 
 def load_rational_file(path) -> SeqSpec:
     """One rational per line, `p/q` or integer form; parsed exactly with no
     float round-trip."""
     terms, k = [], 0
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if not _RATIONAL_RE.match(line):
-                raise SequenceError(
-                    f"{path}:{lineno}: {line!r} is not an integer or p/q rational")
-            k += 1
-            _require_within_cap(f"file:{path}", k)
-            if q := Fraction(line):
-                terms.append((k, q))
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            for lineno, raw in enumerate(handle, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if not _RATIONAL_RE.match(line):
+                    raise SequenceError(
+                        f"{path}:{lineno}: {line!r} is not an integer or p/q rational")
+                k += 1
+                _require_within_cap(f"file:{path}", k)
+                if q := Fraction(line):
+                    terms.append((k, q))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SequenceError(f"cannot read {path}: {exc}") from exc
     return SeqSpec(name=f"file:{path}", terms=tuple(terms))
 
 
@@ -821,21 +804,21 @@ def _sum_dict(res: SumResult) -> dict:
 @dataclass(frozen=True)
 class DiscReport:
     name: str
-    total: dict
-    l1_norm_mod: dict
-    log_weight: dict
-    j1: dict
-    j2: dict
+    total: SumResult
+    l1_norm_mod: SumResult
+    log_weight: SumResult
+    j1: SumResult
+    j2: SumResult
     equivalence_ratio: float | None
 
     def to_dict(self) -> dict:
         return {
             "sequence": self.name,
-            "total_sum": self.total,
-            "l1_norm_modified": self.l1_norm_mod,
-            "log_weighted_sum": self.log_weight,
-            "j1_sum": self.j1,
-            "j2_sum": self.j2,
+            "total_sum": _sum_dict(self.total),
+            "l1_norm_modified": _sum_dict(self.l1_norm_mod),
+            "log_weighted_sum": _sum_dict(self.log_weight),
+            "j1_sum": _sum_dict(self.j1),
+            "j2_sum": _sum_dict(self.j2),
             "equivalence_ratio": self.equivalence_ratio,
         }
 
@@ -845,19 +828,16 @@ def build_report(seq: SeqSpec, horizon: int = SEQ_HORIZON) -> DiscReport:
     norm = l1_norm_mod(seq, horizon)
     weight = l1_log_weight(seq)
     nonneg = seq.nonnegative
-    j1 = j1_sum(seq) if nonneg else SumResult.inconclusive()
-    j2 = j2_sum(seq) if nonneg else SumResult.inconclusive()
-    ratio = None
-    if nonneg and weight.verdict == "converged" and norm.verdict == "converged" \
-            and total.verdict == "converged" and total.value > 0.0:
-        denom = EULER_GAMMA * total.value + weight.value
-        ratio = (norm.value + total.value) / denom
+    try:
+        ratio = _ratio(seq, total, norm, weight)
+    except SequenceError:
+        ratio = None
     return DiscReport(
         name=seq.name,
-        total=_sum_dict(total),
-        l1_norm_mod=_sum_dict(norm),
-        log_weight=_sum_dict(weight),
-        j1=_sum_dict(j1),
-        j2=_sum_dict(j2),
+        total=total,
+        l1_norm_mod=norm,
+        log_weight=weight,
+        j1=j1_sum(seq) if nonneg else SumResult.inconclusive(),
+        j2=j2_sum(seq) if nonneg else SumResult.inconclusive(),
         equivalence_ratio=ratio,
     )

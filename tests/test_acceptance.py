@@ -235,7 +235,7 @@ def test_criterion_09_corrected_equivalence():
 
     lam = so.catalog_seq("lambda")
     kernel_zero = all(so.modified_cesaro(lam, nn) == 0 for nn in (1, 5, 64, 512))
-    weighted = so.EULER_GAMMA + so.l1_log_weight(lam, horizon=10 ** 6).value
+    weighted = so.EULER_GAMMA + so.l1_log_weight(lam).value
     ok = ok and kernel_zero and weighted > 0.6
     _criterion(9, ok,
                f"sweep ratios inside frozen intervals (cont [{lo:.4f},{hi:.4f}], "

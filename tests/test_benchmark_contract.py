@@ -38,6 +38,12 @@ def test_benchmark_call_forms():
     family, param, value, fixed = inputs.cont_block(1, 0)[0]
     rows, _ = harness.sweep_cont(family, param, [value], cfg, fixed)
     assert "error" not in rows[0]
+    # the columns benchmark/oracles.py reads: the verdicts of a log_tail row,
+    # and the error cell of a point the family refuses
+    rows, _ = harness.sweep_cont("log_tail", "beta", [2.5], cfg, {})
+    assert {"weighted_verdict", "modified_verdict"} <= set(rows[0])
+    rows, _ = harness.sweep_cont("power_tail", "beta", [0.5], cfg, {})
+    assert "error" in rows[0]
     rows, _ = harness.sweep_disc("em", "m", [inputs.sparse_block(1, 0)[0]], cfg)
     assert "error" not in rows[0]
     seq = seq_ops.finite_sequence("dense-0", inputs.dense_block(1, 0)[0])

@@ -255,3 +255,56 @@ def test_non_finite_family_parameters_exit_2(argv):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "must be finite" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("cont", "sweep", "--family", "power_tail", "--m", "1:2"),
+    ("cont", "sweep", "--family", "power_tail", "--param", "foo=1:2"),
+    ("disc", "sweep", "--family", "em", "--param", "foo=1:2"),
+    ("cont", "sweep", "--family", "box", "--param", "lo=1:2"),
+])
+def test_sweep_parameter_names_are_checked_before_any_row(capsys, argv):
+    assert main(list(argv)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "configuration error" in err and "expects parameters" in err
+
+
+@pytest.mark.parametrize("name,content,where", [
+    ("missing.txt", None, ""), ("dir", None, ""),
+    ("binary.txt", b"\xff\xfe\n", ""), ("zero.txt", b"1\n1/0\n", ":2:"),
+])
+def test_bad_sequence_files_exit_2(tmp_path, capsys, name, content, where):
+    path = tmp_path / name
+    if name == "dir":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
+    assert main(["disc", "report", "--seq-file", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"{path}{where}" in err  # names the path, and the line
+
+
+@pytest.mark.parametrize("fn", ["power_tail(beta=1075)", "log_tail(beta=1e308)"])
+def test_unrepresentable_envelopes_exit_2(capsys, fn):
+    assert main(["cont", "report", "--fn", fn]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
+
+
+def test_unrepresentable_envelope_is_an_error_cell_in_a_sweep(capsys):
+    argv = ["cont", "sweep", "--family", "power_tail", "--param", "beta=1000:1100:50",
+            "--emit", "json"]
+    assert main(argv) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [("error" in row) for row in rows] == [False, False, True]
+
+
+@pytest.mark.parametrize("argv", [("verify", "--claims", "disc.cesaro*"),
+                                  ("cont", "report", "--fn", "theta")])
+@pytest.mark.parametrize("target", ["missing/x.json", "."])
+def test_out_into_a_missing_directory_exits_2_before_any_work(tmp_path, capsys, argv, target):
+    t0 = time.perf_counter()
+    assert main([*argv, "--out", str(tmp_path / target)]) == 2
+    assert time.perf_counter() - t0 < 0.1
+    out, err = capsys.readouterr()
+    assert out == "" and "is not a file in an existing directory" in err

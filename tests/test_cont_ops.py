@@ -185,11 +185,6 @@ def test_mean_zero_necessity_across_catalog():
         assert rep.probe_rate_ok, name
 
 
-def test_mean_limit_needs_four_decades(theta):
-    with pytest.raises(ValueError):
-        co.mean_limit_check(theta, decades=3.0)
-
-
 def test_equivalence_ratio(theta):
     assert co.equivalence_ratio(theta) == pytest.approx(0.5, abs=1e-9)
     r = co.equivalence_ratio(fs.catalog("power_tail", beta=2.0))

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from hardy import harness, quad, seq_ops
+from hardy import cont_ops, funcspace, harness, quad, seq_ops
 
 # the closed, documented enumeration of claim ids; a new claim must be added
 # here deliberately, a dropped one is a regression
@@ -162,6 +162,28 @@ def test_sweep_cont_divergent_rows_carry_verdicts():
     assert rows[0]["weighted_verdict"] == "divergent"
     assert rows[0]["equivalence_ratio"] is None
     assert footer["ratio_min"] is None
+
+
+@pytest.mark.parametrize("family,param,value,fixed", [
+    ("power_cutoff", "alpha", 0.25, {"T": 0.5}),
+    ("log_tail", "beta", 2.5, {}),  # not-converged: the ratio still reads
+])
+def test_sweep_row_is_a_view_of_its_report(family, param, value, fixed):
+    rows, _ = harness.sweep_cont(family, param, [value], harness.SuiteConfig(), fixed)
+    rep = cont_ops.build_report(funcspace.catalog(family, **fixed, **{param: value})).to_dict()
+
+    def cell(key):
+        return rep[key]["value"] if rep[key]["verdict"] == "converged" else None
+
+    assert rows[0] == {
+        "family": family, param: value, "l1_norm": rep["l1_norm"]["value"],
+        "weighted_norm": cell("weighted_norm"),
+        "weighted_verdict": rep["weighted_norm"]["verdict"],
+        "l1_norm_modified": cell("l1_norm_modified"),
+        "modified_verdict": rep["l1_norm_modified"]["verdict"],
+        "i1": cell("i1"), "i2": cell("i2"),
+        "equivalence_ratio": rep["equivalence_ratio"],
+    }
 
 
 def test_sweep_disc_rows():

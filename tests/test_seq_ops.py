@@ -290,7 +290,7 @@ def test_l1_norm_mod_generator_and_divergent():
 
 def test_l1_log_weight(lam, e1):
     assert so.l1_log_weight(e1).value == pytest.approx(math.log(2.0), rel=1e-15)
-    res = so.l1_log_weight(lam, horizon=10 ** 6)
+    res = so.l1_log_weight(lam)
     assert res.verdict == "converged"
     assert res.value == pytest.approx(1.2577468869443698, abs=res.err + 1e-12)
     assert so.l1_log_weight(so.catalog_seq("logdecay", beta=2.0)).verdict == \
@@ -455,12 +455,12 @@ def test_hardy_ratio_sharpness_trend():
 
 
 def test_disc_mean_check(lam):
-    rep = so.disc_mean_check(lam, max_power=18)
+    rep = so.disc_mean_check(lam)
     assert rep.target == pytest.approx(math.log(2.0), rel=1e-12)
     assert rep.rate_ok
     assert all(abs(inc - rep.target) <= 0.1 * rep.target for inc in rep.increments)
     pair = so.finite_sequence("pair", [1, -1])
-    rep = so.disc_mean_check(pair, max_power=12)
+    rep = so.disc_mean_check(pair)
     assert rep.zero_sum and rep.rate_ok
 
 
