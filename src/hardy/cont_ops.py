@@ -21,6 +21,8 @@ in v = ln t on the whole real line (see :func:`hardy.quad.integrate_halfline`);
 where the far tail and the origin need different cancellation-free forms,
 the density branches on the sign of v.  Cumulative integrals F and T come
 exactly from the piecewise antiderivatives, so every piece must carry one.
+A last piece that declares a log moment has its far tails closed exactly
+past a cut (``_closed_tail``) instead of walked.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from dataclasses import dataclass, replace
 from .envelopes import Envelope
 from .funcspace import DomainError, TestFunction, absolute, total_integral_exact
 from .quad import (
-    DEFAULT_CONFIG, HalflineResult, ProbeResult, integrate_halfline, probe_divergence,
+    _EPS, _TAIL_SHARE, DEFAULT_CONFIG, HalflineResult, ProbeResult,
+    integrate_halfline, probe_divergence,
 )
 
 __all__ = [
@@ -222,6 +225,47 @@ def _abs_density(f: TestFunction):
     return density
 
 
+def _closed_tail(f: TestFunction, functional: str, m: float = 0.0):
+    """The ``closed_tail`` (V, value, err, bound) of a functional of f past
+    X = e**V, or None unless the last piece of f declares a log moment.
+
+    With s the sign of that piece, T = int_X^inf |f| and M = int_X^inf |f| ln t
+    are exact, and by parts int_X^inf T(x)/x dx = M - V T.  With theta in
+    [0, 1] (from 0 <= ln(1 + 1/t) <= 1/X and 1/(x+1) = 1/x - 1/(x(x+1))):
+
+        W ("weight", w = ln t + 2 ln(1 + 1/t)):   M + theta 2T/X
+        int |f| ln(1 + t) ("large"):             M + theta T/X
+        I2 ("i2"):                               M - V T - theta T/X
+        int |H f| ("modified"):                  M - V T - s m ln(1 + 1/X)
+
+    The last needs s H f(x) = s m/(x(x+1)) - T(x)/x < 0 on x >= X: true once
+    X T(X) >= s m and x T(x) is nondecreasing, as (x+1) T(x) > x T(x) >= s m.
+    It is nondecreasing where T(x) >= x |f(x)|, which a power_log class with
+    upper and lower constants C, L gives for ln x >= (beta-1) C/L, since
+    T(x) >= L ln(x)**(1-beta)/(beta-1) and x |f(x)| <= C ln(x)**-beta.
+    V makes T/X meet the tail share of abs_tol; theta is taken at 1/2.
+    """
+    last, tail = f.pieces[-1], f.tail
+    s, A = last.sign, last.antiderivative
+    if last.log_moment is None or not s:
+        return None
+    lo = max(last.lo, tail.valid_from)
+    a_inf, target = A.eval(math.inf), _TAIL_SHARE * DEFAULT_CONFIG.abs_tol
+    V = max(math.log(lo), math.log(s * (a_inf - A.eval(lo)) / target))
+    if functional == "modified":
+        if tail.kind != "power_log" or tail.lower is None:
+            return None
+        V = max(V, (tail.beta - 1.0) * tail.coeff / tail.lower)
+    X = math.exp(min(V, 700.0))
+    T, M = s * (a_inf - A.eval(X)), -s * last.log_moment.eval(X)
+    if V > 700.0 or (functional == "modified" and X * T < s * m):
+        return None
+    terms, k = {"weight": ((M,), 2.0), "large": ((M,), 1.0), "i2": ((M, -V * T), -1.0),
+                "modified": ((M, -V * T, -s * m * math.log1p(1.0 / X)), 0.0)}[functional]
+    err = 16.0 * _EPS * math.fsum(abs(x) for x in terms + (k * T / X,))
+    return V, math.fsum(terms) + 0.5 * k * T / X, err, 0.5 * abs(k) * T / X
+
+
 def _env_weight_full(env: Envelope) -> Envelope:
     """Envelope after multiplying by the full weight w(t) (or w(1/u))."""
     return Envelope(env.coeff * _W_UP, env.power, env.logpow + 1.0,
@@ -237,6 +281,7 @@ def log_weight_norm(f: TestFunction) -> HalflineResult:
         origin_envs=(_env_weight_full(f.origin.envelope_reciprocal()),),
         tail_envs=(_env_weight_full(f.tail.envelope()),),
         probe_start=_probe_start(f), breakpoints=f.breakpoints,
+        closed_tail=_closed_tail(f, "weight"),
     )
 
 
@@ -264,7 +309,8 @@ def _single_weight_result(f: TestFunction, side: str) -> HalflineResult:
     else:
         raise ValueError(side)
     return integrate_halfline(density, origin_envs=(origin,), tail_envs=(tail,),
-                              probe_start=_probe_start(f), breakpoints=f.breakpoints)
+                              probe_start=_probe_start(f), breakpoints=f.breakpoints,
+                              closed_tail=_closed_tail(f, side) if side == "large" else None)
 
 
 def split_i1(f: TestFunction) -> HalflineResult:
@@ -307,7 +353,7 @@ def split_i2(f: TestFunction) -> HalflineResult:
     return integrate_halfline(density, origin_envs=(origin_env,),
                               tail_envs=(f.tail.averaged_envelope(),),
                               probe_start=_probe_start(f),
-                              breakpoints=f.breakpoints)
+                              breakpoints=f.breakpoints, closed_tail=_closed_tail(f, "i2"))
 
 
 @dataclass(frozen=True)
@@ -410,7 +456,8 @@ def l1_norm_modified(f: TestFunction) -> HalflineResult:
     origin_envs, tail_envs = _modified_envelopes(f, m)
     return integrate_halfline(density, origin_envs=origin_envs,
                               tail_envs=tail_envs, probe_start=_probe_start(f),
-                              breakpoints=f.breakpoints)
+                              breakpoints=f.breakpoints,
+                              closed_tail=_closed_tail(f, "modified", m))
 
 
 # ---------------------------------------------------------------------------

@@ -204,6 +204,7 @@ class Piece:
     expr: Expr
     antiderivative: Expr | None = None
     sign: int | None = None  # constant sign of the piece, when known
+    log_moment: Expr | None = None  # of expr(t) ln t, zero at inf; last piece only
 
 
 @dataclass(frozen=True)
@@ -356,8 +357,8 @@ def total_integral_exact(f: TestFunction) -> float | None:
 # algebra: absolute value, scaling, sums
 # ---------------------------------------------------------------------------
 
-def _negate(e: Expr | None) -> Expr | None:
-    return None if e is None else affine([(-1.0, e)])
+def _times(c: float, e: Expr | None) -> Expr | None:
+    return None if e is None else affine([(c, e)])
 
 
 def absolute(f: TestFunction) -> TestFunction:
@@ -367,7 +368,8 @@ def absolute(f: TestFunction) -> TestFunction:
         if p.sign is None:
             raise DomainError(f"{f.name}: piece on ({p.lo}, {p.hi}] has no declared sign")
         if p.sign < 0:
-            pieces.append(Piece(p.lo, p.hi, _negate(p.expr), _negate(p.antiderivative), 1))
+            pieces.append(Piece(p.lo, p.hi, _times(-1.0, p.expr),
+                                _times(-1.0, p.antiderivative), 1, _times(-1.0, p.log_moment)))
         else:
             pieces.append(replace(p, sign=abs(p.sign)))
     exact = []
@@ -385,9 +387,8 @@ def scale(f: TestFunction, c: float) -> TestFunction:
     mag = abs(c)
     sgn = 1 if c > 0 else -1
     pieces = tuple(
-        Piece(p.lo, p.hi, affine([(c, p.expr)]),
-              None if p.antiderivative is None else affine([(c, p.antiderivative)]),
-              None if p.sign is None else sgn * p.sign)
+        Piece(p.lo, p.hi, _times(c, p.expr), _times(c, p.antiderivative),
+              None if p.sign is None else sgn * p.sign, _times(c, p.log_moment))
         for p in f.pieces
     )
     origin = replace(f.origin, coeff=f.origin.coeff * mag,
@@ -586,12 +587,13 @@ def _log_tail(beta: float) -> TestFunction:
         raise ParameterError("log_tail needs beta > 1 for integrability")
     expr = Product((Power(_T, -1.0), Power(Log(_T), -beta)))
     anti = affine([(1.0 / (1.0 - beta), Power(Log(_T), 1.0 - beta))])
+    moment = affine([(1.0 / (2.0 - beta), Power(Log(_T), 2.0 - beta))]) if beta > 2.0 else None
     total = 1.0 / (beta - 1.0)
     return TestFunction(
         f"log_tail(beta={beta:g})",
         (
             Piece(0.0, _E, Const(0.0), Const(0.0), 0),
-            Piece(_E, math.inf, expr, anti, 1),
+            Piece(_E, math.inf, expr, anti, 1, moment),
         ),
         (_E,),
         OriginClass("bounded", 0.0, valid_below=1.0),

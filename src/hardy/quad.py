@@ -12,7 +12,9 @@ decay e**-(a-1)v as v -> +inf, and the origin becomes the mirror tail
 v -> -inf, walked in w = -v = ln(1/t).  A caller therefore writes one
 log-stable density d(v) = g(e**v) * e**v.  Each tail's truncation point is
 chosen from a declared decay envelope and the discarded remainder enters the
-result as an explicit, auditable ``tail_bound``.
+result as an explicit, auditable ``tail_bound``.  A power-log tail, whose walk
+can run to v = 1e12, may instead be handed over in closed form past a cut V
+(``closed_tail``); then only the head up to V is integrated.
 
 Divergence is a first-class verdict, produced two ways: a declared lower
 envelope whose integral diverges (a certificate), or the doubling-scale
@@ -267,13 +269,18 @@ def _spot_check_lower(density, envs: tuple[Envelope, ...], v_from: float) -> Non
                     f"certificate rejected at v={v:.3f}")
 
 
-def _tail_side(density, v0: float, envs: tuple[Envelope, ...]):
-    """Integrate a log-coordinate tail from v0 with a certified remainder.
+def _tail_side(density, v0: float, envs: tuple[Envelope, ...], closed=None):
+    """Integrate a log-coordinate tail from v0 with a certified remainder,
+    or only up to the cut of a ``closed`` tail (see ``integrate_halfline``).
 
     Returns (value, err, tail_bound, subdivisions).
     """
     if not envs:
         raise ValueError("tail integration requires at least one envelope")
+    if closed is not None and closed[0] > v0:
+        V, c_val, c_err, c_bound = closed
+        res = _integrate_core(density, v0, V, breakpoints=_geometric_seeds(v0, V))
+        return res.value + c_val, res.err_est + c_err, c_bound, res.subdivisions
     if all(env.is_compact for env in envs):
         v_end = max(math.log(env.valid_from) for env in envs)
         if v_end <= v0:
@@ -311,6 +318,7 @@ def integrate_halfline(
     tail_envs: tuple[Envelope, ...] = (),
     probe_start: float | None = None,
     breakpoints: Sequence[float] = (),
+    closed_tail: tuple[float, float, float, float] | None = None,
 ) -> HalflineResult:
     """Integral over (0, inf) of g, given as its density d(v) = g(e**v) * e**v
     on the whole real line; ``breakpoints`` are jumps of g, given in t.
@@ -322,7 +330,9 @@ def integrate_halfline(
     certificate is spot-checked against the density); an upper envelope
     that fails to integrate and carries no certificate triggers the doubling
     probe, whose inconclusive outcome is reported as such, never silently
-    converted.
+    converted.  ``closed_tail`` = (V, value, err, bound) hands over the tail
+    past v = V in closed form, with its rounding and remainder; the
+    divergence checks still run first.
     """
     if not origin_envs or not tail_envs:
         raise ValueError("half-line integration needs envelopes on both sides")
@@ -364,7 +374,7 @@ def integrate_halfline(
     inner = tuple(math.log(b) for b in bps if A0 < b < B0)
 
     middle = _integrate_core(density, -w0, v0, breakpoints=inner)
-    t_val, t_err, t_bound, t_sub = _tail_side(density, v0, tail_envs)
+    t_val, t_err, t_bound, t_sub = _tail_side(density, v0, tail_envs, closed_tail)
     o_val, o_err, o_bound, o_sub = _tail_side(origin_density, w0, origin_envs)
 
     value = math.fsum((middle.value, t_val, o_val))

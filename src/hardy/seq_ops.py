@@ -721,7 +721,8 @@ def _seq_power(alpha: float) -> SeqSpec:
 def _seq_logdecay(beta: float, start: int = 3) -> SeqSpec:
     if beta <= 1.0:
         raise SequenceError("logdecay needs beta > 1 for summability")
-    start = max(int(start), 3)
+    if start < 3:
+        raise SequenceError(f"logdecay needs start >= 3, got {start}")
     return SeqSpec(
         name=f"logdecay(beta={beta:g},start={start})",
         decay=TailClass("power_log", coeff=1.0, beta=beta, valid_from=start,

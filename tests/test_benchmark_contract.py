@@ -49,3 +49,16 @@ def test_benchmark_call_forms():
     seq = seq_ops.finite_sequence("dense-0", inputs.dense_block(1, 0)[0])
     rep = seq_ops.build_report(seq, cfg.seq_horizon).to_dict()
     assert rep["j1_sum"]["exact"] == str(seq_ops.j1_sum_by_weights(seq).exact)
+
+
+def test_log_tail_band_of_a_block_resolves():
+    # the band 2 < beta < 3 of cont-sweep, whose unresolved functionals
+    # would lower the benchmark's resolved_ratio
+    cfg = harness.SuiteConfig()
+    band = [(family, param, value, fixed) for family, param, value, fixed
+            in inputs.cont_block(1, 0) if family == "log_tail" and 2.0 < value < 3.0]
+    assert band
+    for family, param, value, fixed in band:
+        rows, _ = harness.sweep_cont(family, param, [value], cfg, fixed)
+        assert rows[0]["weighted_verdict"] == rows[0]["modified_verdict"] == "converged"
+        assert rows[0]["i2"] is not None

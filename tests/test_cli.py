@@ -291,6 +291,17 @@ def test_unrepresentable_envelopes_exit_2(capsys, fn):
     assert out == "" and err.startswith("error: ")
 
 
+def test_logdecay_start_below_3_is_refused(capsys):
+    assert main(["disc", "report", "--seq", "logdecay(beta=2.5,start=1)"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "start >= 3" in err
+    argv = ["disc", "sweep", "--family", "logdecay", "--param", "start=1:3",
+            "--fix", "beta=2.5", "--emit", "json"]
+    assert main(argv) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [("error" in row) for row in rows] == [True, True, False]
+
+
 def test_unrepresentable_envelope_is_an_error_cell_in_a_sweep(capsys):
     argv = ["cont", "sweep", "--family", "power_tail", "--param", "beta=1000:1100:50",
             "--emit", "json"]

@@ -160,6 +160,47 @@ def test_l1_norm_modified_fe_signed(fe):
     assert res.verdict == "divergent"
 
 
+# W(log_tail(2.5)): a head on v in [1, 40] plus the closed tail, in mpmath
+# at 30 digits
+W_LOG_TAIL_25 = 2.2247981944274122
+
+
+@pytest.mark.parametrize("beta", [2.05, 2.2, 2.5, 3.0, 3.7])
+def test_l1_norm_modified_log_tail_closed_form(beta):
+    # H f < 0 on (e, inf) for beta <= 1 + e, so with l = 1/(beta-1),
+    # ||H f||_1 = l ln(1+e) + 1/((beta-1)(beta-2)) - l (ln(1+e) - 1) = 1/(beta-2)
+    res = co.l1_norm_modified(fs.catalog("log_tail", beta=beta))
+    assert res.verdict == "converged"
+    assert abs(res.value - 1.0 / (beta - 2.0)) <= res.total_error
+
+
+def test_log_weight_norm_log_tail_matches_mpmath():
+    res = co.log_weight_norm(fs.catalog("log_tail", beta=2.5))
+    assert res.verdict == "converged"
+    assert abs(res.value - W_LOG_TAIL_25) <= res.total_error
+
+
+def test_fubini_check_log_tail_closes_both_i2_routes():
+    rep = co.fubini_check_cont(fs.catalog("log_tail", beta=2.5))
+    assert rep.passed
+    assert rep.i2_double.verdict == rep.i2_single.verdict == "converged"
+
+
+def test_log_moment_is_linear_and_declared_past_the_border_only():
+    for beta in (1.5, 2.0):
+        f = fs.catalog("log_tail", beta=beta)
+        assert f.pieces[-1].log_moment is None
+        assert co.log_weight_norm(f).verdict == "divergent"
+    f = fs.catalog("log_tail", beta=2.5)
+    assert fs.add(f, f).pieces[-1].log_moment is None
+    g = fs.scale(f, -3.0)  # a negative last piece: |g| = 3 f
+    for res, want in ((co.l1_norm_modified(g), 6.0),
+                      (co.log_weight_norm(g), 3.0 * W_LOG_TAIL_25),
+                      (co.log_weight_norm(fs.absolute(g)), 3.0 * W_LOG_TAIL_25)):
+        assert res.verdict == "converged"
+        assert abs(res.value - want) <= res.total_error
+
+
 def test_mean_limit_reports(theta, f0, fe):
     rep = co.mean_limit_check(f0)
     assert rep.limit_estimate == pytest.approx(LN32, rel=1e-12)

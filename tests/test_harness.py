@@ -166,7 +166,7 @@ def test_sweep_cont_divergent_rows_carry_verdicts():
 
 @pytest.mark.parametrize("family,param,value,fixed", [
     ("power_cutoff", "alpha", 0.25, {"T": 0.5}),
-    ("log_tail", "beta", 2.5, {}),  # not-converged: the ratio still reads
+    ("log_tail", "beta", 2.5, {}),  # converges through the closed power-log tail
 ])
 def test_sweep_row_is_a_view_of_its_report(family, param, value, fixed):
     rows, _ = harness.sweep_cont(family, param, [value], harness.SuiteConfig(), fixed)
