@@ -22,11 +22,12 @@ D n (n+1), and a float generator is refused before any term is built.
 Exact sums are taken over the runs a..b of constant S_n = sum_{k<=n} a_k, one
 starting at n = 1 and at each stored k (the last is open), each adding a
 closed form as integer pairs over D, summed pairwise and reduced once per
-output (see ``SeqSpec.run_sums``); the rearranged forms stay on ``Fraction``,
-as the independent route.  Harmonic sums are binary splits with 32-term
-integer leaves and no cache.  ``hardy_ratios`` builds a sequence's arrays
-once for all its (p, n) ratios, and H_k - ln k - gamma is summed from its
-log1p increments (see ``_gamma_residuals``).
+output (see ``SeqSpec.run_sums``).  The rearranged forms, the independent
+route, are integer sums too, built from the terms alone and reduced once.
+Harmonic sums are binary splits with 32-term integer leaves and no cache.
+``hardy_ratios`` builds a sequence's arrays once for all its (p, n) ratios,
+and H_k - ln k - gamma is summed from its log1p increments (see
+``_gamma_residuals``).
 """
 
 from __future__ import annotations
@@ -371,25 +372,31 @@ def _require_nonneg_finite(seq: SeqSpec, what: str):
 
 def j1_sum(seq: SeqSpec) -> SumResult:
     """sum_n J1(n), computed on the operator side (the n-sum); exact over
-    the runs of constant S_n for finite support (see ``SeqSpec.run_sums``)."""
+    the runs of constant S_n for finite support (see ``SeqSpec.run_sums``).
+    A compact generator is summed to its support end N, past which S_n is the
+    total, so the tail adds exactly total/(N+1)."""
     _require_nonneg_finite(seq, "j1_sum")
     if seq.finite:
         return SumResult.from_exact(seq.run_sums[1])
     total = total_sum(seq, _J_HORIZON)
     if total.verdict != "converged":
         return SumResult.inconclusive()
-    csum = np.cumsum(seq.terms_float(_J_HORIZON))
-    ns = np.arange(1, _J_HORIZON + 1, dtype=np.float64)
+    n = seq.support_end or _J_HORIZON
+    csum = np.cumsum(seq.terms_float(n))
+    ns = np.arange(1, n + 1, dtype=np.float64)
     head = float(np.sum(csum / (ns * (ns + 1.0))))
+    if seq.support_end is not None:
+        return SumResult(head + total.value / (n + 1), total.err + 1e-12 * abs(head),
+                         "converged")
     # S_n <= total on nonnegative sequences, so the tail is at most m/(H+1)
     m_up = abs(total.value) + total.err
-    return SumResult(head, m_up / (_J_HORIZON + 1) + total.err + 1e-12 * abs(head),
-                     "converged")
+    return SumResult(head, m_up / (n + 1) + total.err + 1e-12 * abs(head), "converged")
 
 
 def j2_sum(seq: SeqSpec) -> SumResult:
     """sum_n J2(n) on the operator side; DIVERGENT when the log-weighted
-    envelope certifies it."""
+    envelope certifies it.  A compact generator is summed to its support end,
+    past which every J2(n) is 0."""
     _require_nonneg_finite(seq, "j2_sum")
     if seq.finite:
         return SumResult.from_exact(seq.run_sums[2])
@@ -398,14 +405,15 @@ def j2_sum(seq: SeqSpec) -> SumResult:
     total = total_sum(seq, _J_HORIZON)
     if total.verdict != "converged":
         return SumResult.inconclusive()
-    wrem = _weighted_remainder(seq.decay, _J_HORIZON)
+    n = seq.support_end or _J_HORIZON
+    wrem = _weighted_remainder(seq.decay, n)
     if math.isinf(wrem):
         return SumResult.inconclusive()
-    csum = np.cumsum(seq.terms_float(_J_HORIZON))
-    ns = np.arange(1, _J_HORIZON + 1, dtype=np.float64)
+    csum = np.cumsum(seq.terms_float(n))
+    ns = np.arange(1, n + 1, dtype=np.float64)
     head = float(np.sum((total.value - csum) / (ns + 1.0)))
     # tail: sum_{n>H} T_n/(n+1) = sum_{k>H} a_k (H_k - H_{H+1}) <= weighted remainder
-    err = wrem + total.err * math.log(_J_HORIZON + 1.0) + 1e-12 * abs(head)
+    err = wrem + total.err * math.log(n + 1.0) + 1e-12 * abs(head)
     return SumResult(head, err, "converged")
 
 
@@ -418,20 +426,36 @@ def _require_finite(seq: SeqSpec, what: str):
 
 def j1_sum_by_weights(seq: SeqSpec) -> SumResult:
     """The rearranged form sum_k a_k / k of a finite sequence (independent
-    route for checking)."""
+    route for checking): with D the terms' common denominator, the integer
+    pairs (a_k D, k) summed by ``_tree_sum``, over D, reduced once."""
     _require_finite(seq, "j1_sum_by_weights")
-    return SumResult.from_exact(sum((v / k for k, v in seq.terms), Fraction(0)))
+    den = math.lcm(*(v.denominator for _, v in seq.terms))
+    num, k_den = _tree_sum((v.numerator * (den // v.denominator), k) for k, v in seq.terms)
+    return SumResult.from_exact(Fraction(num, k_den * den))
 
 
 def j2_sum_by_weights(seq: SeqSpec) -> SumResult:
-    """The rearranged form sum_k a_k (H_k - 1) of a finite sequence, carrying
-    H_k - 1 forward over the stored k with one harmonic split per gap."""
+    """The rearranged form sum_k a_k (H_k - 1) of a finite sequence, reduced
+    once.  H_k - 1 is carried forward over the stored k as an integer h over L,
+    the lcm of the gaps H_k - H_prev (one harmonic split each, reduced but for
+    the last; a 1-step gap is 1/k); the sum of a_k D h runs over D L, and
+    grows with h whenever L does."""
     _require_finite(seq, "j2_sum_by_weights")
-    total, h, prev = Fraction(0), Fraction(0), 1
+    den = math.lcm(*(v.denominator for _, v in seq.terms))
+    total, h, lcm, prev = 0, 0, 1, 1
     for k, v in seq.terms:
-        h, prev = h + Fraction(*_harmonic_split(prev + 1, k + 1)), k
-        total += v * h
-    return SumResult.from_exact(total)
+        if k == prev + 1:
+            num, gap = 1, k
+        else:
+            num, gap = _harmonic_split(prev + 1, k + 1)
+            if k < seq.support_end:  # the last gap is reduced with the result
+                num, gap = Fraction(num, gap).as_integer_ratio()
+        prev, grow = k, gap // math.gcd(lcm, gap)
+        if grow > 1:
+            lcm, h, total = lcm * grow, h * grow, total * grow
+        h += num * (lcm // gap)
+        total += v.numerator * (den // v.denominator) * h
+    return SumResult.from_exact(Fraction(total, den * lcm))
 
 
 def l1_log_weight(seq: SeqSpec) -> SumResult:

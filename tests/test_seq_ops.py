@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardy import seq_ops as so
 
@@ -130,6 +132,80 @@ def test_exact_identities_random():
         seq = so.finite_sequence(f"r{i}", values)
         assert so.j1_sum(seq).exact == so.j1_sum_by_weights(seq).exact
         assert so.j2_sum(seq).exact == so.j2_sum_by_weights(seq).exact
+
+
+def _j1_by_weights_reference(seq):
+    """sum_k a_k / k, one Fraction per term."""
+    return sum((v / k for k, v in seq.terms), Fraction(0))
+
+
+def _j2_by_weights_reference(seq):
+    """sum_k a_k (H_k - 1), with H_k - 1 carried forward one Fraction 1/j at
+    a time."""
+    total, h, prev = Fraction(0), Fraction(0), 1
+    for k, v in seq.terms:
+        h, prev = h + sum((Fraction(1, j) for j in range(prev + 1, k + 1)), Fraction(0)), k
+        total += v * h
+    return total
+
+
+_RATIONALS = st.builds(Fraction, st.integers(1, 1000), st.integers(1, 1000))
+# gaps on both sides of the harmonic split's 32-term leaves, and past two of them
+_GAPS = st.sampled_from((1, 2, 31, 32, 33)) | st.integers(65, 200)
+
+
+def _sparse(gaps, values):
+    ks = itertools.accumulate(gaps)
+    return so.SeqSpec(name="sparse", terms=tuple(zip(ks, values)))
+
+
+_REARRANGED_CASES = st.one_of(
+    st.lists(_RATIONALS | st.just(Fraction(0)), min_size=1, max_size=60)
+    .map(lambda values: so.finite_sequence("dense", values + [Fraction(1, 3)])),
+    st.lists(st.tuples(_GAPS, _RATIONALS), min_size=1, max_size=12)
+    .map(lambda pairs: _sparse(*zip(*pairs))),
+    st.sampled_from((1, 2, 32, 33, 65)).map(lambda m: so.catalog_seq("em", m=m)),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_REARRANGED_CASES)
+def test_rearranged_sums_match_the_fraction_reference(seq):
+    j1, j2 = so.j1_sum_by_weights(seq).exact, so.j2_sum_by_weights(seq).exact
+    assert j1 == _j1_by_weights_reference(seq)
+    assert j2 == _j2_by_weights_reference(seq)
+    assert so.j1_sum(seq).exact == j1 and so.j2_sum(seq).exact == j2
+
+
+def test_rearranged_sums_never_read_the_run_sums(monkeypatch):
+    rng = random.Random(5)
+    dense = [Fraction(rng.randint(0, 1000), rng.randint(1, 1000)) for _ in range(200)] + [1]
+    builds = (lambda: so.finite_sequence("dense", dense), lambda: so.catalog_seq("em", m=40))
+    expected = [(so.j1_sum(build()).exact, so.j2_sum(build()).exact) for build in builds]
+
+    def refuse(self):
+        raise RuntimeError("the rearranged sums read the operator side")
+
+    monkeypatch.setattr(so.SeqSpec, "int_runs", property(refuse))
+    monkeypatch.setattr(so.SeqSpec, "run_sums", property(refuse))
+    for build, (j1, j2) in zip(builds, expected):
+        seq = build()  # a new instance, with nothing cached
+        assert so.j1_sum_by_weights(seq).exact == j1
+        assert so.j2_sum_by_weights(seq).exact == j2
+        with pytest.raises(RuntimeError, match="operator side"):
+            so.j1_sum(seq)
+
+
+def test_compact_generator_j_sums_close_at_the_support_end():
+    # powcut(alpha=0, N) is 1 on 1..N: sum J1 = sum_k 1/k = H_N and
+    # sum J2 = sum_k (H_k - 1) = (N+1) H_N - 2N; past N, every J2(n) is 0 and
+    # the J1 tail is exactly the total over N+1
+    n = 1000
+    seq = so.catalog_seq("powcut", alpha=0.0, N=n)
+    h = so.harmonic(n)
+    for res, exact in ((so.j1_sum(seq), h), (so.j2_sum(seq), (n + 1) * h - 2 * n)):
+        assert res.verdict == "converged"
+        assert abs(res.value - float(exact)) <= res.err <= 1e-9 * res.value
 
 
 def test_j_sums_require_nonnegative():
