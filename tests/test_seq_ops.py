@@ -421,7 +421,7 @@ def test_exact_sums_run_up_to_the_support_cap_and_stop_past_it():
     p, q = _harmonic_pair(1, m + 1)  # H_m = p/q with q = m!, compared unreduced
     assert norm.numerator * q == (p - q + q // m) * norm.denominator
     past = so.catalog_seq("em", m=m + 1)
-    for op in (so.l1_norm_mod, so.j1_sum, so.j2_sum, so.build_report):
+    for op in (so.l1_norm_mod, so.j1_sum, so.j2_sum, so.j2_sum_by_weights, so.build_report):
         t0 = time.perf_counter()
         with pytest.raises(so.SequenceError, match="exceed the cap"):
             op(past)
@@ -434,6 +434,13 @@ def test_harmonic_exact():
     assert so.harmonic(10) == sum((Fraction(1, k) for k in range(1, 11)), Fraction(0))
     with pytest.raises(so.SequenceError):
         so.harmonic(0)
+    with pytest.raises(so.SequenceError, match="exceed the cap"):
+        so.harmonic(so.MAX_EXACT_SUPPORT + 1)
+    for lo in (1, 2, 977):  # across the 32-term leaves and the 256-term reduction
+        for length in (1, 32, 33, 256, 257, 513, 5000):
+            num, den = so._harmonic_split(lo, lo + length)
+            p, q = _harmonic_pair(lo, lo + length)
+            assert num * q == p * den and math.gcd(num, den) == 1
 
 
 def test_harmonic_leaves_no_module_state():
