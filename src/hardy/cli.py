@@ -14,7 +14,7 @@ verdict, 2 configuration errors and bad input, reported before any check
 runs: an unknown name or parameter, a non-finite or non-integral value, an
 unreadable --seq-file, an --out that is not a file in an existing
 directory.  A member that its family or its decay bound refuses also exits
-2; in a sweep it is an error cell of its row.
+2; in a sweep it is an error cell of its row.  Ctrl-C exits 130.
 """
 
 from __future__ import annotations
@@ -246,6 +246,9 @@ def main(argv=None) -> int:
             seq_ops.SequenceError, funcspace.DomainError, EnvelopeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

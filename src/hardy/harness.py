@@ -9,8 +9,9 @@ DIVERGENT-AS-EXPECTED   all checks hold and the claim's content is a
 FAIL                    at least one check is violated
 INCONCLUSIVE            a verdict the runner could not resolve either way
 
-Two runs with the same :class:`SuiteConfig` produce byte-identical reports;
-the only nondeterministic field (a wall-clock timestamp) lives in the
+Two runs with the same :class:`SuiteConfig` produce byte-identical reports,
+whatever the number of forked workers that run the claims (one per usable
+CPU); the only nondeterministic field (a wall-clock timestamp) lives in the
 report's metadata block, outside the claim records.
 """
 
@@ -21,6 +22,7 @@ import fnmatch
 import io
 import json
 import math
+import os
 import random
 import zlib
 from dataclasses import dataclass
@@ -443,22 +445,24 @@ def _claim_disc_hardy(cfg: SuiteConfig):
     checks = []
     n = cfg.sharp_n
     ps = (1.25, 1.5, 2.0, 3.0, 10.0)
+    n_chks = [n_chk for n_chk in (10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6) if n_chk <= n]
+    ratios = {}  # sequence text -> its ratios at every n_chk, each sequence built once
     for template in _DISC_RATIO_SUITE:
-        seq = seq_ops.parse_sequence(template.format(n=n))
-        ratios = seq_ops.hardy_ratios(seq, ps, (n,))
+        text = template.format(n=n)
+        seq = seq_ops.parse_sequence(text)
+        ratios[text] = seq_ops.hardy_ratios(seq, ps, n_chks)
         for p in ps:
-            r, bound = ratios[(p, n)], (p / (p - 1.0)) ** p
+            r, bound = ratios[text][(p, n)], (p / (p - 1.0)) ** p
             checks.append(_chk(f"{seq.name}, p={p:g} under the sharp bound",
                                r <= bound, r, f"<= {bound!r}", "sharp constant"))
     gold = golden()["disc"]["sharpness"]
-    n_chks = [n_chk for n_chk in (10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6) if n_chk <= n]
     for p in ps:
         marks = gold[f"{p:g}"]
-        seq = seq_ops.catalog_seq("powcut", alpha=1.0 / p, N=n)
-        ratios = seq_ops.hardy_ratios(seq, (p,), n_chks)
+        text = f"powcut(alpha={1.0 / p!r},N={n})"  # p = 1.25 and 2 are in the suite
+        table = ratios.get(text) or seq_ops.hardy_ratios(seq_ops.parse_sequence(text), (p,), n_chks)
         prev = 0.0
         for n_chk in n_chks:
-            r = ratios[(p, n_chk)]
+            r = table[(p, n_chk)]
             expected = marks[str(n_chk)]
             ok = abs(r - expected) <= 1e-7 * max(1.0, abs(expected)) and r > prev
             checks.append(_chk(
@@ -634,26 +638,57 @@ def claim_ids() -> list[str]:
     return sorted(_CLAIMS)
 
 
+def _usable_cpus() -> int:
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _crashed(cid: str, exc: BaseException) -> ClaimRecord:
+    check = _chk("runner completed", False, repr(exc), "no exception", "runner")
+    return ClaimRecord(cid, _CLAIMS[cid][0], FAIL, (check,))
+
+
+def _run_claim(cid: str, cfg: SuiteConfig) -> ClaimRecord:
+    description, runner, divergence = _CLAIMS[cid]
+    try:
+        checks = tuple(runner(cfg))
+    except Exception as exc:  # a crashed runner is a failed claim
+        return _crashed(cid, exc)
+    if all(c.ok for c in checks):
+        verdict = DIVERGENT_OK if divergence else PASS
+    elif any(c.computed == "inconclusive" for c in checks if not c.ok):
+        verdict = INCONCLUSIVE
+    else:
+        verdict = FAIL
+    return ClaimRecord(cid, description, verdict, checks)
+
+
 def run_suite(cfg: SuiteConfig) -> list[ClaimRecord]:
     selected = [cid for cid in claim_ids() if fnmatch.fnmatch(cid, cfg.claims)]
     if not selected:
         raise ConfigError(f"claim filter {cfg.claims!r} matches nothing")
-    records = []
-    for cid in selected:
-        description, runner, divergence = _CLAIMS[cid]
+    workers = min(len(selected), _usable_cpus()) if hasattr(os, "fork") else 1
+    if workers == 1:
+        return [_run_claim(cid, cfg) for cid in selected]
+    import multiprocessing
+    import signal
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+
+    def result(cid, future):
         try:
-            checks = tuple(runner(cfg))
-        except Exception as exc:  # a crashed runner is a failed claim
-            checks = (_chk("runner completed", False, repr(exc), "no exception",
-                           "runner"),)
-        if all(c.ok for c in checks):
-            verdict = DIVERGENT_OK if divergence else PASS
-        elif any(c.computed == "inconclusive" for c in checks if not c.ok):
-            verdict = INCONCLUSIVE
-        else:
-            verdict = FAIL
-        records.append(ClaimRecord(cid, description, verdict, checks))
-    return records
+            return future.result()
+        except BrokenExecutor as exc:  # the worker died: the claim failed
+            return _crashed(cid, exc)
+
+    # fork carries _CLAIMS; the long disc.* claims, last in id order, go first
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=signal.signal,
+                             initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
+        try:
+            futures = {cid: pool.submit(_run_claim, cid, cfg) for cid in reversed(selected)}
+            return [result(cid, futures[cid]) for cid in selected]
+        finally:  # on an interrupt, start no further claim
+            pool.shutdown(cancel_futures=True)
 
 
 def exit_code(records: list[ClaimRecord]) -> int:

@@ -62,3 +62,17 @@ def test_log_tail_band_of_a_block_resolves():
         rows, _ = harness.sweep_cont(family, param, [value], cfg, fixed)
         assert rows[0]["weighted_verdict"] == rows[0]["modified_verdict"] == "converged"
         assert rows[0]["i2"] is not None
+
+
+def test_a_single_claim_runs_in_the_calling_process():
+    # the tracer's per-claim spans and units.Capture hook this process only
+    calls = [0]
+    orig = seq_ops.cesaro
+    counter = tracer.Tracer.counted(calls, orig)
+    tracer.rebind(orig, counter)
+    try:
+        records = harness.run_suite(replace(harness.SuiteConfig(), claims="disc.cesaro.kernel"))
+    finally:
+        tracer.rebind(counter, orig)
+    assert records[0].verdict == harness.PASS
+    assert calls[0] > 0

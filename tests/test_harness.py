@@ -1,9 +1,16 @@
 import inspect
 import json
+import multiprocessing
+import os
+import signal
 
 import pytest
 
 from hardy import cont_ops, funcspace, harness, quad, seq_ops
+from hardy.cli import main
+
+needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                                reason="the claim pool forks its workers")
 
 # the closed, documented enumeration of claim ids; a new claim must be added
 # here deliberately, a dropped one is a regression
@@ -116,6 +123,69 @@ def test_report_determinism_in_process():
     payload = json.loads(r1)
     assert payload["schema_version"] == harness.SCHEMA_VERSION
     assert payload["meta"]["seed"] == cfg.seed
+
+
+@needs_fork
+def test_pool_report_is_byte_identical_to_the_in_process_one(monkeypatch):
+    cfg = harness.SuiteConfig()
+    reports = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        records = harness.run_suite(cfg)
+        assert multiprocessing.active_children() == []
+        assert [r.claim_id for r in records] == harness.claim_ids()
+        reports[cpus] = harness.render_report(records, cfg, timestamp="T")
+    assert reports[1] == reports[2]
+    assert json.loads(reports[2])["summary"]["fail"] == 0
+
+
+def _replace_a_cont_runner(monkeypatch, cpus, runner):
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+    desc, _, divergence = harness._CLAIMS["cont.kernel.identities"]
+    monkeypatch.setitem(harness._CLAIMS, "cont.kernel.identities", (desc, runner, divergence))
+
+
+@needs_fork
+def test_a_dead_worker_fails_its_claim_without_a_traceback(monkeypatch, capsys):
+    _replace_a_cont_runner(monkeypatch, 2, lambda cfg: os._exit(3))
+    records = harness.run_suite(harness.SuiteConfig(claims="cont.*"))
+    assert multiprocessing.active_children() == []
+    assert [r.claim_id for r in records] == [c for c in harness.claim_ids()
+                                             if c.startswith("cont.")]
+    dead = {r.claim_id: r for r in records}["cont.kernel.identities"]
+    assert dead.verdict == harness.FAIL
+    assert [c.name for c in dead.checks] == ["runner completed"]
+    assert dead.checks[0].computed.startswith("BrokenProcessPool(")
+    assert main(["verify", "--claims", "cont.*"]) == 1
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_workers_leave_interrupts_to_the_caller(monkeypatch):
+    def handler(cfg):
+        return [harness._chk("SIGINT ignored", signal.getsignal(signal.SIGINT)
+                             is signal.SIG_IGN, "", "", "test")]
+
+    _replace_a_cont_runner(monkeypatch, 2, handler)
+    records = harness.run_suite(harness.SuiteConfig(claims="cont.*"))
+    assert all(r.passed for r in records)
+
+
+@needs_fork
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_an_interrupt_is_one_clean_exit(monkeypatch, capsys, cpus):
+    # the runner interrupts the process that called run_suite, in a worker
+    # or in-process, as Ctrl-C would
+    caller = os.getpid()
+    _replace_a_cont_runner(monkeypatch, cpus,
+                           lambda cfg: os.kill(caller, signal.SIGINT) or [])
+    assert main(["verify", "--claims", "cont.*"]) == 130
+    out, err = capsys.readouterr()
+    assert err == "interrupted\n"
+    assert "Traceback" not in out
+    assert multiprocessing.active_children() == []
 
 
 def test_report_csv_format():
