@@ -278,7 +278,7 @@ def log_weight_norm(f: TestFunction) -> HalflineResult:
     abs_density = _abs_density(f)
     return integrate_halfline(
         lambda v: abs_density(v) * _weight_logarg(v),
-        origin_envs=(_env_weight_full(f.origin.envelope_reciprocal()),),
+        origin_envs=(_env_weight_full(f.origin.envelope()),),
         tail_envs=(_env_weight_full(f.tail.envelope()),),
         probe_start=_probe_start(f), breakpoints=f.breakpoints,
         closed_tail=_closed_tail(f, "weight"),
@@ -297,7 +297,7 @@ def _single_weight_result(f: TestFunction, side: str) -> HalflineResult:
     and, by ln(1 + x) <= x, decays at least like 1/t or 1/u at the other.
     """
     abs_density = _abs_density(f)
-    env_o = f.origin.envelope_reciprocal()
+    env_o = f.origin.envelope()
     env_t = f.tail.envelope()
     if side == "small":
         # ln(1 + 1/t) = ln(1 + e**-v) = ln(1 + u)
@@ -414,7 +414,8 @@ def _modified_envelopes(f: TestFunction, m: float):
         |H f(x)| >= T(x)/x - |m| x^-2 >= A_lower(x)
     from the first doubling of valid_from where x^2 A_lower(x) >= |m|.  The
     origin side is the same in u = 1/x, with F(x) = int_0^x f in place of T;
-    a bounded origin folds the kernel term into its own u^-2 envelope.
+    an origin bounded like u^-2 (f bounded near 0) folds the kernel term into
+    that envelope.
     """
     am = abs(m)
     nonneg = _is_nonnegative(f)
@@ -429,7 +430,7 @@ def _modified_envelopes(f: TestFunction, m: float):
         return (kernel,) if avg.is_compact else (kernel, replace(avg, lower=None))
 
     org_avg = f.origin.averaged_envelope()
-    if f.origin.kind == "bounded":
+    if org_avg.power == 2.0:
         origin_envs = (Envelope(org_avg.coeff + am, 2.0, 0.0, org_avg.valid_from),)
     else:
         origin_envs = side(org_avg)
@@ -545,8 +546,11 @@ def cont_hardy_ratio(f: TestFunction, p: float) -> float:
         raise DomainError("exponent must lie in (1, inf)")
     if not _is_nonnegative(f):
         raise DomainError("ratio defined for nonnegative functions")
-    org = f.origin
-    if org.kind == "power_log" or (org.kind == "power" and p * org.alpha >= 1.0):
+    # |f(t)| <= c t^-alpha near 0 with alpha = 2 - avg.power (1 for a power-log
+    # origin); that power was rounded, so half its ulp keeps the refusal safe
+    org, avg = f.origin, f.origin.averaged_envelope()
+    alpha = 2.0 - avg.power
+    if p * (alpha + math.ulp(avg.power) / 2) >= 1.0:
         raise DomainError(f"{f.name} is not p-integrable near the origin for p={p}")
     m = total_integral(f)
     cum = _Cumulative(f)
@@ -562,9 +566,7 @@ def cont_hardy_ratio(f: TestFunction, p: float) -> float:
 
     # in u = 1/t, (F(1/u) u)^p / u**2 and |f(1/u)|^p / u**2 are at most the
     # averaged and the declared constant, to the p, times u^(p alpha - 2)
-    # (a bounded origin has alpha = 0)
-    avg = org.averaged_envelope()
-    power = 2.0 - p * org.alpha
+    power = 2.0 - p * alpha
     num_origin = Envelope(avg.coeff ** p, power, 0.0, avg.valid_from)
     den_origin = Envelope(org.coeff ** p, power, 0.0, avg.valid_from)
     num_tail = Envelope(max(abs(m) ** p, 1e-300), p, 0.0)

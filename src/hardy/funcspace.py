@@ -13,12 +13,16 @@ Conventions
 * Pieces are half-open on the left: piece i covers (b_{i-1}, b_i].  At a
   breakpoint ``eval`` therefore returns the left piece's value; the choice is
   irrelevant for integration and fixed only for determinism.
-* Decay behaviour at 0 and at infinity is *declared* through
-  :class:`OriginClass` / :class:`TailClass` descriptors and spot-checked by
-  sampling at construction time, never inferred from the expression tree.
-  Generator sequences in ``seq_ops`` declare their decay with the same
-  :class:`TailClass`: by the integral test its remainder bounds a sum over
-  k > n as well as an integral over t > n.
+* Decay behaviour at 0 and at infinity is *declared* through one
+  descriptor, :class:`TailClass`, and spot-checked by sampling at
+  construction time, never inferred from the expression tree.  The origin
+  is a tail too: substituting u = 1/t maps int_0^a |f(t)| dt onto
+  int_{1/a}^inf |f(1/u)| / u**2 du, so a function's ``origin`` is the
+  :class:`TailClass` of u -> |f(1/u)| / u**2.  A bounded f declares power 2
+  there, |f| <= c t**-alpha declares power 2 - alpha, and f = 0 near 0
+  declares a compact class.  Generator sequences in ``seq_ops`` declare
+  their decay with the same :class:`TailClass`: by the integral test its
+  remainder bounds a sum over k > n as well as an integral over t > n.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .expressions import (
 )
 
 __all__ = [
-    "TestFunction", "Piece", "OriginClass", "TailClass",
+    "TestFunction", "Piece", "TailClass",
     "DomainError", "CatalogError", "ParameterError",
     "FAMILIES", "catalog", "catalog_names", "check_params", "split_name",
     "parse_params", "parse_function",
@@ -61,68 +65,6 @@ class ParameterError(ValueError):
 # declared behaviour at the origin and at infinity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OriginClass:
-    """Declared bound on |f| as t -> 0+.
-
-    kind = "bounded":    |f(t)| <= coeff                     for t <= valid_below
-    kind = "power":      |f(t)| <= coeff * t**-alpha,         0 < alpha < 1
-    kind = "power_log":  |f(t)| <= coeff / (t * ln(1/t)**beta),  beta > 1
-    """
-
-    kind: str
-    coeff: float
-    alpha: float = 0.0
-    beta: float = 0.0
-    valid_below: float = 1.0
-    lower: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("bounded", "power", "power_log"):
-            raise ParameterError(f"unknown origin kind {self.kind!r}")
-        if self.kind == "power" and not 0.0 < self.alpha < 1.0:
-            raise ParameterError("origin power exponent must lie in (0, 1)")
-        if self.kind == "power_log" and self.beta <= 1.0:
-            raise ParameterError("origin power-log exponent must exceed 1")
-        limit = 1.0 / _E if self.kind == "power_log" else 1.0
-        if not 0.0 < self.valid_below <= limit:
-            raise ParameterError("origin valid_below out of range")
-
-    def bound(self, t: float) -> float:
-        if not 0.0 < t <= self.valid_below:
-            raise DomainError("origin bound queried outside its valid range")
-        if self.kind == "bounded":
-            return self.coeff
-        if self.kind == "power":
-            return self.coeff * t ** (-self.alpha)
-        return self.coeff / (t * math.log(1.0 / t) ** self.beta)
-
-    def lower_bound(self, t: float) -> float:
-        if self.lower is None:
-            raise DomainError("no lower constant declared")
-        return self.bound(t) * self.lower / self.coeff
-
-    def envelope_reciprocal(self) -> Envelope:
-        """Envelope in u = 1/t of the substituted integrand g(1/u)/u**2."""
-        vf = max(_E, 1.0 / self.valid_below)
-        if self.kind == "bounded":
-            return Envelope(self.coeff, 2.0, 0.0, vf, lower=None)
-        if self.kind == "power":
-            return Envelope(self.coeff, 2.0 - self.alpha, 0.0, vf, lower=None)
-        return Envelope(self.coeff, 1.0, -self.beta, vf, lower=self.lower)
-
-    def averaged_envelope(self) -> Envelope:
-        """Envelope in u = 1/t of F(1/u)/u, F(x) = int_0^x |f|: the declared
-        bound integrated from 0, over x."""
-        vf = max(_E, 1.0 / self.valid_below)
-        if self.kind == "bounded":
-            return Envelope(self.coeff, 2.0, 0.0, vf)
-        if self.kind == "power":
-            return Envelope(self.coeff / (1.0 - self.alpha), 2.0 - self.alpha, 0.0, vf)
-        return Envelope(self.coeff / (self.beta - 1.0), 1.0, 1.0 - self.beta, vf,
-                        lower=_averaged_lower(self.lower, self.beta))
-
-
 def _averaged_lower(lower: float | None, beta: float) -> float | None:
     """Lower constant of an averaged power-log bound.  The integrated lower
     bound is lower/(beta-1); the extra 1/2 absorbs x+1 <= 2x on x >= 1, so
@@ -132,11 +74,12 @@ def _averaged_lower(lower: float | None, beta: float) -> float | None:
 
 @dataclass(frozen=True)
 class TailClass:
-    """Declared bound on |f| as t -> inf.
+    """Declared bound on |g| as t -> inf: g = f at a function's tail, and
+    g(u) = f(1/u) / u**2 at its origin, in u = 1/t.
 
-    kind = "compact":    f(t) = 0                          for t > support_end
-    kind = "power":      |f(t)| <= coeff * t**-alpha,       alpha > 1
-    kind = "power_log":  |f(t)| <= coeff / (t * ln(t)**beta),  beta > 1
+    kind = "compact":    g(t) = 0                          for t > support_end
+    kind = "power":      |g(t)| <= coeff * t**-alpha,       alpha > 1
+    kind = "power_log":  |g(t)| <= coeff / (t * ln(t)**beta),  beta > 1
     """
 
     kind: str
@@ -183,8 +126,9 @@ class TailClass:
         return env.remainder(math.log(max(x, self.valid_from)))
 
     def averaged_envelope(self) -> Envelope:
-        """Envelope of T(t)/t, T(t) = int_t^inf |f|: the declared bound
-        integrated to infinity, over t."""
+        """Envelope of T(t)/t, T(t) = int_t^inf |g|: the declared bound
+        integrated to infinity, over t.  At the origin T(u) = F(1/u), with
+        F(x) = int_0^x |f|."""
         if self.kind == "compact":
             return Envelope.compact(self.support_end)
         if self.kind == "power":
@@ -209,12 +153,16 @@ class Piece:
 
 @dataclass(frozen=True)
 class TestFunction:
+    """f on (0, inf): ``tail`` declares the decay of f as t -> inf and
+    ``origin`` that of u -> f(1/u) / u**2 as u = 1/t -> inf; ``exact_values``
+    holds closed-form (key, value) pairs such as ("l1_norm", 2.0)."""
+
     name: str
     pieces: tuple[Piece, ...]
     breakpoints: tuple[float, ...]
-    origin: OriginClass
+    origin: TailClass
     tail: TailClass
-    exact_values: tuple[tuple[str, float, str], ...] = ()
+    exact_values: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self):
         _validate(self)
@@ -244,22 +192,16 @@ class TestFunction:
     # -- exact data ----------------------------------------------------------
 
     def exact(self, key: str) -> float | None:
-        for k, val, _tag in self.exact_values:
-            if k == key:
-                return val
-        return None
-
-    def exact_tag(self, key: str) -> str | None:
-        for k, _val, tag in self.exact_values:
-            if k == key:
-                return tag
-        return None
+        return dict(self.exact_values).get(key)
 
 
 def _validate(f: TestFunction) -> None:
     bps = f.breakpoints
-    if list(bps) != sorted(set(bps)) or any(b <= 0 or not math.isfinite(b) for b in bps):
-        raise ParameterError(f"{f.name}: breakpoints must be finite, positive, strictly increasing")
+    # the origin is walked in u = 1/t, so a breakpoint's reciprocal must be finite too
+    if list(bps) != sorted(set(bps)) or any(
+            not 0.0 < b < math.inf or 1.0 / b == math.inf for b in bps):
+        raise ParameterError(f"{f.name}: breakpoints must be positive, strictly increasing, "
+                             "and finite with a finite reciprocal")
     if len(f.pieces) != len(bps) + 1:
         raise ParameterError(f"{f.name}: need exactly one more piece than breakpoints")
     lo = 0.0
@@ -267,48 +209,37 @@ def _validate(f: TestFunction) -> None:
         if piece.lo != lo or piece.hi != hi:
             raise ParameterError(f"{f.name}: pieces must tile (0, inf) in order")
         lo = hi
-    _spot_check_tail(f)
-    _spot_check_origin(f)
+    _spot_check(f, "tail")
+    _spot_check(f, "origin")
 
 
-def _spot_check_tail(f: TestFunction, n: int = 64) -> None:
-    tail = f.tail
-    if tail.kind == "compact":
-        t0 = tail.support_end
+def _spot_check(f: TestFunction, end: str, n: int = 64) -> None:
+    """Sample the declared class of one end against ln|g| at e**v: the tail
+    reads g(t) = f(t), the origin g(u) = f(1/u) / u**2, so ln|f(e**-v)| - 2v."""
+    if end == "tail":
+        cls, x, log_abs = f.tail, "t", lambda v: f.log_eval(v)[0]
+    else:
+        cls, x, log_abs = f.origin, "u", lambda v: f.log_eval(-v)[0] - 2.0 * v
+    if cls.kind == "compact":
+        v0 = math.log(cls.support_end) + 1e-9
         for i in range(n):
-            t = t0 * (1.0 + 1e-9) * 10.0 ** (6.0 * i / (n - 1))
-            if f.eval(t) != 0.0:
-                raise ParameterError(f"{f.name}: declared compact beyond {t0} but f({t}) != 0")
+            v = v0 + 6.0 * math.log(10.0) * i / (n - 1)
+            if log_abs(v) > -math.inf:
+                raise ParameterError(f"{f.name}: {end} declared compact beyond "
+                                     f"{x}={cls.support_end} but f != 0 at {x}=e**{v:.3f}")
         return
-    env = tail.envelope()
+    env = cls.envelope()
     v0 = math.log(env.valid_from) + 1e-9
     for i in range(n):
         v = v0 + 14.0 * i / (n - 1)
-        la, _sign = f.log_eval(v)
+        la = log_abs(v)
         cap = math.log(env.coeff) - env.power * v + env.logpow * math.log(v)
         if la > cap + 1e-9:
-            raise ParameterError(f"{f.name}: tail envelope violated at t=e**{v:.3f}")
+            raise ParameterError(f"{f.name}: {end} envelope violated at {x}=e**{v:.3f}")
         if env.lower is not None:
             floor = math.log(env.lower) - env.power * v + env.logpow * math.log(v)
             if la < floor - 1e-9:
-                raise ParameterError(f"{f.name}: tail lower bound violated at t=e**{v:.3f}")
-
-
-def _spot_check_origin(f: TestFunction, n: int = 64) -> None:
-    org = f.origin
-    if org.coeff == 0.0:
-        for i in range(n):
-            t = org.valid_below * 10.0 ** (-6.0 * i / (n - 1))
-            if f.eval(t) != 0.0:
-                raise ParameterError(f"{f.name}: origin declared zero but f({t}) != 0")
-        return
-    for i in range(n):
-        t = org.valid_below * 10.0 ** (-6.0 * i / (n - 1))
-        val = abs(f.eval(t))
-        if val > org.bound(t) * (1.0 + 1e-9):
-            raise ParameterError(f"{f.name}: origin envelope violated at t={t}")
-        if org.lower is not None and val < org.lower_bound(t) * (1.0 - 1e-9):
-            raise ParameterError(f"{f.name}: origin lower bound violated at t={t}")
+                raise ParameterError(f"{f.name}: {end} lower bound violated at {x}=e**{v:.3f}")
 
 
 # ---------------------------------------------------------------------------
@@ -372,13 +303,10 @@ def absolute(f: TestFunction) -> TestFunction:
                                 _times(-1.0, p.antiderivative), 1, _times(-1.0, p.log_moment)))
         else:
             pieces.append(replace(p, sign=abs(p.sign)))
-    exact = []
     l1 = f.exact("l1_norm")
-    if l1 is not None:
-        exact.append(("total_integral", l1, f.exact_tag("l1_norm")))
-        exact.append(("l1_norm", l1, f.exact_tag("l1_norm")))
+    exact = () if l1 is None else (("total_integral", l1), ("l1_norm", l1))
     return TestFunction(f"abs({f.name})", tuple(pieces), f.breakpoints,
-                        f.origin, f.tail, tuple(exact))
+                        f.origin, f.tail, exact)
 
 
 def scale(f: TestFunction, c: float) -> TestFunction:
@@ -391,15 +319,11 @@ def scale(f: TestFunction, c: float) -> TestFunction:
               None if p.sign is None else sgn * p.sign, _times(c, p.log_moment))
         for p in f.pieces
     )
-    origin = replace(f.origin, coeff=f.origin.coeff * mag,
-                     lower=None if f.origin.lower is None else f.origin.lower * mag)
-    if f.tail.kind == "compact":
-        tail = f.tail
-    else:
-        tail = replace(f.tail, coeff=f.tail.coeff * mag,
-                       lower=None if f.tail.lower is None else f.tail.lower * mag)
-    exact = tuple((k, v * (c if k == "total_integral" else mag), tag)
-                  for k, v, tag in f.exact_values if k in ("total_integral", "l1_norm"))
+    origin, tail = (replace(cls, coeff=cls.coeff * mag,
+                            lower=None if cls.lower is None else cls.lower * mag)
+                    for cls in (f.origin, f.tail))
+    exact = tuple((k, v * (c if k == "total_integral" else mag))
+                  for k, v in f.exact_values if k in ("total_integral", "l1_norm"))
     return TestFunction(f"scale({f.name},{c:g})", pieces, f.breakpoints, origin, tail, exact)
 
 
@@ -410,29 +334,8 @@ def _sup_power_exp(beta: float, rate: float, v0: float) -> float:
     return v ** beta * math.exp(-rate * v)
 
 
-def _join_origin(a: OriginClass, b: OriginClass) -> OriginClass:
-    """Conservative origin class for a sum |f + g| <= |f| + |g|."""
-    order = {"bounded": 0, "power": 1, "power_log": 2}
-    hi, lo_cls = (a, b) if order[a.kind] >= order[b.kind] else (b, a)
-    if hi.kind == lo_cls.kind == "power":
-        hi = replace(hi, alpha=max(a.alpha, b.alpha))
-    if hi.kind == lo_cls.kind == "power_log":
-        hi = replace(hi, beta=min(a.beta, b.beta))
-    valid = min(a.valid_below, b.valid_below)
-    # the slower class absorbs the faster one: in w = ln(1/t) their shapes
-    # differ by the factor w**beta e**(-rate w), at most its sup over
-    # w >= ln(1/valid) (a bounded class has alpha = 0)
-    w0 = math.log(1.0 / valid)
-    if hi.kind == "power" and lo_cls.kind == "bounded":
-        extra = lo_cls.coeff * _sup_power_exp(0.0, hi.alpha, w0)
-    elif hi.kind == "power_log" and lo_cls.kind != "power_log":
-        extra = lo_cls.coeff * _sup_power_exp(hi.beta, 1.0 - lo_cls.alpha, w0)
-    else:
-        extra = lo_cls.coeff
-    return OriginClass(hi.kind, hi.coeff + extra, hi.alpha, hi.beta, valid, lower=None)
-
-
 def _join_tail(a: TailClass, b: TailClass) -> TailClass:
+    """Conservative class for a sum |f + g| <= |f| + |g|, at either end."""
     order = {"compact": 0, "power": 1, "power_log": 2}
     hi, lo_cls = (a, b) if order[a.kind] >= order[b.kind] else (b, a)
     if hi.kind == "compact":
@@ -476,9 +379,9 @@ def add(f: TestFunction, g: TestFunction) -> TestFunction:
     exact = []
     tf, tg = f.exact("total_integral"), g.exact("total_integral")
     if tf is not None and tg is not None:
-        exact.append(("total_integral", tf + tg, "closed-form"))
+        exact.append(("total_integral", tf + tg))
     return TestFunction(f"({f.name}+{g.name})", tuple(pieces), bps,
-                        _join_origin(f.origin, g.origin), _join_tail(f.tail, g.tail),
+                        _join_tail(f.origin, g.origin), _join_tail(f.tail, g.tail),
                         tuple(exact))
 
 
@@ -497,9 +400,9 @@ def _theta() -> TestFunction:
         "theta",
         (Piece(0.0, math.inf, expr, anti, 1),),
         (),
-        OriginClass("bounded", 1.0, valid_below=1.0),
+        TailClass("power", coeff=1.0, alpha=2.0, valid_from=1.0),
         TailClass("power", coeff=1.0, alpha=2.0, lower=0.25, valid_from=1.0),
-        (("total_integral", 1.0, "closed-form"), ("l1_norm", 1.0, "closed-form")),
+        (("total_integral", 1.0), ("l1_norm", 1.0)),
     )
 
 
@@ -516,12 +419,9 @@ def _f0() -> TestFunction:
             Piece(4.0, math.inf, Const(0.0), Const(0.0), 0),
         ),
         (1.0, 2.0, 3.0, 4.0),
-        OriginClass("bounded", 0.0, valid_below=1.0),
+        TailClass("compact", support_end=1.0),
         TailClass("compact", support_end=4.0),
-        (
-            ("total_integral", math.log(1.5), "closed-form"),
-            ("l1_norm", math.log(8.0 / 3.0), "closed-form"),
-        ),
+        (("total_integral", math.log(1.5)), ("l1_norm", math.log(8.0 / 3.0))),
     )
 
 
@@ -535,9 +435,9 @@ def _fe() -> TestFunction:
             Piece(_E, math.inf, affine([(-1.0, core)]), Power(Log(_T), -1.0), -1),
         ),
         (1.0 / _E, _E),
-        OriginClass("power_log", 1.0, beta=2.0, valid_below=1.0 / _E, lower=1.0),
         TailClass("power_log", coeff=1.0, beta=2.0, valid_from=_E, lower=1.0),
-        (("total_integral", 0.0, "closed-form"), ("l1_norm", 2.0, "closed-form")),
+        TailClass("power_log", coeff=1.0, beta=2.0, valid_from=_E, lower=1.0),
+        (("total_integral", 0.0), ("l1_norm", 2.0)),
     )
 
 
@@ -549,10 +449,6 @@ def _power_cutoff(alpha: float, T: float) -> TestFunction:
     expr = Const(1.0) if alpha == 0.0 else Power(_T, -alpha)
     anti = affine([(1.0 / (1.0 - alpha), Power(_T, 1.0 - alpha))])
     total = T ** (1.0 - alpha) / (1.0 - alpha)
-    if alpha == 0.0:
-        origin = OriginClass("bounded", 1.0, valid_below=min(T, 1.0))
-    else:
-        origin = OriginClass("power", 1.0, alpha=alpha, valid_below=min(T, 1.0), lower=1.0)
     return TestFunction(
         f"power_cutoff(alpha={alpha:g},T={T:g})",
         (
@@ -560,9 +456,9 @@ def _power_cutoff(alpha: float, T: float) -> TestFunction:
             Piece(T, math.inf, Const(0.0), Const(0.0), 0),
         ),
         (T,),
-        origin,
+        TailClass("power", coeff=1.0, alpha=2.0 - alpha, valid_from=1.0 / min(T, 1.0)),
         TailClass("compact", support_end=T),
-        (("total_integral", total, "closed-form"), ("l1_norm", total, "closed-form")),
+        (("total_integral", total), ("l1_norm", total)),
     )
 
 
@@ -576,9 +472,9 @@ def _power_tail(beta: float) -> TestFunction:
         f"power_tail(beta={beta:g})",
         (Piece(0.0, math.inf, expr, anti, 1),),
         (),
-        OriginClass("bounded", 1.0, valid_below=1.0),
+        TailClass("power", coeff=1.0, alpha=2.0, valid_from=1.0),
         TailClass("power", coeff=1.0, alpha=beta, lower=2.0 ** (-beta), valid_from=1.0),
-        (("total_integral", total, "closed-form"), ("l1_norm", total, "closed-form")),
+        (("total_integral", total), ("l1_norm", total)),
     )
 
 
@@ -596,9 +492,9 @@ def _log_tail(beta: float) -> TestFunction:
             Piece(_E, math.inf, expr, anti, 1, moment),
         ),
         (_E,),
-        OriginClass("bounded", 0.0, valid_below=1.0),
+        TailClass("compact", support_end=1.0),
         TailClass("power_log", coeff=1.0, beta=beta, valid_from=_E, lower=1.0),
-        (("total_integral", total, "closed-form"), ("l1_norm", total, "closed-form")),
+        (("total_integral", total), ("l1_norm", total)),
     )
 
 
@@ -613,9 +509,10 @@ def _box(lo: float, hi: float) -> TestFunction:
             Piece(hi, math.inf, Const(0.0), Const(0.0), 0),
         ),
         (lo, hi),
-        OriginClass("bounded", 0.0 if lo >= 1.0 else 1.0, valid_below=min(lo, 1.0)),
+        TailClass("power", coeff=1.0, alpha=2.0, valid_from=1.0 / lo) if lo < 1.0
+        else TailClass("compact", support_end=1.0),
         TailClass("compact", support_end=hi),
-        (("total_integral", hi - lo, "closed-form"), ("l1_norm", hi - lo, "closed-form")),
+        (("total_integral", hi - lo), ("l1_norm", hi - lo)),
     )
 
 

@@ -173,7 +173,7 @@ def _claim_theta(cfg: SuiteConfig):
                        worst, "<= 1e-12", "closed-form"))
     total = integrate_halfline(
         lambda v: math.exp(theta.log_eval(v)[0] + v),
-        origin_envs=(theta.origin.envelope_reciprocal(),),
+        origin_envs=(theta.origin.envelope(),),
         tail_envs=(theta.tail.envelope(),))
     checks.append(_near("quadrature total integral", total.value, 1.0, 1e-12,
                         "closed-form"))

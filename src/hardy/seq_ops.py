@@ -625,8 +625,10 @@ def hardy_ratios(seq: SeqSpec, ps, ns) -> dict[tuple[float, int], float]:
     truncated ratio is itself admissible against the (p/(p-1))^p bound).
     The arrays are built once, at max(ns); each sum is over a slice [:n] of
     one power array, so it has the bits of a separate call at its own n."""
-    if not all(p > 1.0 for p in ps):
-        raise SequenceError("the ratio needs p > 1")
+    if not all(1.0 < p < math.inf for p in ps):
+        raise SequenceError("the ratio needs a finite p > 1")
+    if min(ns) < 1:
+        raise SequenceError("the ratio needs n >= 1")
     n_top = max(ns)
     arr = seq.terms_float(n_top)
     if np.any(arr < 0.0):

@@ -61,7 +61,7 @@ def test_criterion_02_kernel_identities():
                 for x in _log_points(rng, 50, 1e-3, 1e4, ()))
     total = integrate_halfline(
         lambda v: math.exp(theta.log_eval(v)[0] + v),
-        origin_envs=(theta.origin.envelope_reciprocal(),),
+        origin_envs=(theta.origin.envelope(),),
         tail_envs=(theta.tail.envelope(),))
     hnorm = co.l1_norm_modified(theta)
     ok = (worst <= 1e-12

@@ -284,11 +284,24 @@ def test_bad_sequence_files_exit_2(tmp_path, capsys, name, content, where):
     assert out == "" and f"{path}{where}" in err  # names the path, and the line
 
 
-@pytest.mark.parametrize("fn", ["power_tail(beta=1075)", "log_tail(beta=1e308)"])
+@pytest.mark.parametrize("fn", [
+    "power_tail(beta=1075)", "log_tail(beta=1e308)",
+    # a breakpoint whose reciprocal overflows: the origin is walked in u = 1/t
+    "power_cutoff(alpha=0,T=1e-310)", "power_cutoff(alpha=0.5,T=1e-310)",
+    "box(lo=1e-310,hi=1e-309)", "box(lo=1e-320,hi=1)",
+])
 def test_unrepresentable_envelopes_exit_2(capsys, fn):
     assert main(["cont", "report", "--fn", fn]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("p,n", [("2", "-5"), ("inf", "100")])
+def test_disc_hardy_ratio_refuses_bad_n_and_p(p, n):
+    proc = run_cli("disc", "hardy-ratio", "--seq", "em(m=1)", "--p", p, "--n", n)
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: the ratio needs")
 
 
 def test_logdecay_start_below_3_is_refused(capsys):

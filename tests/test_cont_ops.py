@@ -5,6 +5,7 @@ import pytest
 
 from hardy import cont_ops as co
 from hardy import funcspace as fs
+from hardy import quad
 
 E = math.e
 LN32 = math.log(1.5)
@@ -249,6 +250,24 @@ def test_cont_hardy_ratio_under_bound():
         assert co.cont_hardy_ratio(pt, p) <= (p / (p - 1.0)) ** p
 
 
+def test_slow_power_tail_extends_the_walk_past_the_soft_cap(monkeypatch):
+    # (1+t)^-1.0001 needs V beyond the soft cap: quad._tail_side's extension
+    # round walks on to its hard cap and still converges to 1/(beta-1)**2
+    ends = []
+    core = quad._integrate_core
+
+    def recording(g, a, b, **kw):
+        ends.append(b)
+        return core(g, a, b, **kw)
+
+    monkeypatch.setattr(quad, "_integrate_core", recording)
+    beta = 1.0001
+    res = co.split_i2(fs.catalog("power_tail", beta=beta))
+    assert res.verdict == "converged"
+    assert abs(res.value - 1.0 / (beta - 1.0) ** 2) <= res.total_error
+    assert quad._TAIL_V_SOFT < max(ends) < quad._TAIL_V_HARD
+
+
 def test_cont_hardy_ratio_domain_errors(theta, f0, fe):
     with pytest.raises(fs.DomainError):
         co.cont_hardy_ratio(theta, 1.0)
@@ -256,9 +275,11 @@ def test_cont_hardy_ratio_domain_errors(theta, f0, fe):
         co.cont_hardy_ratio(f0, 2.0)  # signed
     with pytest.raises(fs.DomainError):
         co.cont_hardy_ratio(fs.absolute(fe), 2.0)  # not p-integrable near 0
-    with pytest.raises(fs.DomainError):
-        # p*alpha >= 1: p-norm blows up at the origin
-        co.cont_hardy_ratio(fs.catalog("power_cutoff", alpha=0.6, T=1.0), 2.0)
+    # p*alpha >= 1: p-norm blows up at the origin.  The origin class stores
+    # 2 - alpha, rounded, so p*alpha = 1 exactly must still be refused at once
+    for alpha, p in ((0.6, 2.0), (0.5, 2.0), (0.4, 2.5), (0.2, 5.0)):
+        with pytest.raises(fs.DomainError, match="not p-integrable near the origin"):
+            co.cont_hardy_ratio(fs.catalog("power_cutoff", alpha=alpha, T=1.0), p)
 
 
 def test_characterization_both_directions():

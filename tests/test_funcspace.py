@@ -150,7 +150,7 @@ def test_catalog_l1_membership():
         declared = f.exact("l1_norm") or f.exact("total_integral")
         res = quad.integrate_halfline(
             lambda v, f=f: math.exp(f.log_eval(v)[0] + v),
-            origin_envs=(f.origin.envelope_reciprocal(),),
+            origin_envs=(f.origin.envelope(),),
             tail_envs=(f.tail.envelope(),),
             breakpoints=f.breakpoints)
         assert res.verdict == "converged"
@@ -176,26 +176,69 @@ def test_absolute_flips_negative_pieces(f0, fe=None):
 
 def test_declared_class_is_spot_checked():
     # declaring a tail faster than the actual decay must be rejected
-    with pytest.raises(fs.ParameterError):
+    with pytest.raises(fs.ParameterError, match="tail envelope violated"):
         fs.TestFunction(
             "bad",
             (fs.Piece(0.0, math.inf, fs.catalog("power_tail", beta=1.5).pieces[0].expr,
                       None, 1),),
             (),
-            fs.OriginClass("bounded", 1.0),
+            fs.TailClass("power", coeff=1.0, alpha=2.0),
             fs.TailClass("power", coeff=1.0, alpha=3.0),
         )
 
 
 def test_compact_declaration_checked():
-    with pytest.raises(fs.ParameterError):
+    with pytest.raises(fs.ParameterError, match="tail declared compact"):
         fs.TestFunction(
             "bad-compact",
             (fs.Piece(0.0, math.inf, fs.catalog("theta").pieces[0].expr, None, 1),),
             (),
-            fs.OriginClass("bounded", 1.0),
+            fs.TailClass("power", coeff=1.0, alpha=2.0),
             fs.TailClass("compact", support_end=2.0),
         )
+
+
+# (coeff, power, logpow, valid_from, lower) of origin.envelope() and of
+# origin.averaged_envelope(), in u = 1/t: the envelopes the origin had while
+# it was declared in t, through a separate origin class
+_ORIGIN_ENVELOPES = {
+    "theta": ((1.0, 2.0, 0.0, E, None), (1.0, 2.0, 0.0, E, None)),
+    "f0": ((0.0, 2.0, 0.0, E, None), (0.0, 2.0, 0.0, E, None)),
+    "fe": ((1.0, 1.0, -2.0, E, 1.0), (1.0, 1.0, -1.0, E, 0.5)),
+    "abs(fe)": ((1.0, 1.0, -2.0, E, 1.0), (1.0, 1.0, -1.0, E, 0.5)),
+    "power_cutoff(alpha=0,T=0.3)": ((1.0, 2.0, 0.0, 1.0 / 0.3, None),
+                                    (1.0, 2.0, 0.0, 1.0 / 0.3, None)),
+    "power_cutoff(alpha=0.5,T=5)": ((1.0, 1.5, 0.0, E, None), (2.0, 1.5, 0.0, E, None)),
+    "power_tail(beta=1.5)": ((1.0, 2.0, 0.0, E, None), (1.0, 2.0, 0.0, E, None)),
+    "log_tail(beta=2.5)": ((0.0, 2.0, 0.0, E, None), (0.0, 2.0, 0.0, E, None)),
+    "box(lo=0.25,hi=4)": ((1.0, 2.0, 0.0, 4.0, None), (1.0, 2.0, 0.0, 4.0, None)),
+    "box(lo=2,hi=5)": ((0.0, 2.0, 0.0, E, None), (0.0, 2.0, 0.0, E, None)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORIGIN_ENVELOPES))
+def test_origin_envelopes_in_the_reciprocal_coordinate(name):
+    origin = fs.parse_function(name).origin
+    assert isinstance(origin, fs.TailClass)
+    got = tuple((e.coeff, e.power, e.logpow, e.valid_from, e.lower)
+                for e in (origin.envelope(), origin.averaged_envelope()))
+    assert got == _ORIGIN_ENVELOPES[name]
+
+
+@pytest.mark.parametrize("name,origin,message", [
+    # theta(0) = 1, not 0
+    ("theta", fs.TailClass("compact", support_end=1.0), "origin declared compact"),
+    # t^-1/2 near 0 is u^-3/2 in u = 1/t, slower than a bounded f's u^-2
+    ("power_cutoff(alpha=0.5,T=1)", fs.TailClass("power", coeff=1.0, alpha=2.0),
+     "origin envelope violated"),
+    # fe near 0 is 1/(t ln(1/t)**2), so the lower constant is 1, not 2
+    ("fe", fs.TailClass("power_log", coeff=2.0, beta=2.0, lower=2.0),
+     "origin lower bound violated"),
+])
+def test_origin_declaration_is_spot_checked(name, origin, message):
+    f = fs.parse_function(name)
+    with pytest.raises(fs.ParameterError, match=message):
+        fs.TestFunction("bad", f.pieces, f.breakpoints, origin, f.tail)
 
 
 @pytest.mark.parametrize("alpha,beta", [(1.01, 2.0), (1.2, 3.0)])
@@ -213,8 +256,8 @@ def test_add_absorbs_power_tail_into_power_log(alpha, beta):
 
 @pytest.mark.parametrize("names", [("theta", "fe"), ("power_cutoff(alpha=0.5,T=1)", "fe")])
 def test_add_absorbs_origin_class_into_power_log(names):
-    # t ln(1/t)**beta is not monotone on (0, 1/e], so the bounded or power
-    # class at the origin is absorbed with the sup of its ratio to the
-    # power-log shape, not with the ratio at valid_below
+    # t ln(1/t)**beta is not monotone on (0, 1/e], so the power class at the
+    # origin (in u = 1/t, power 2 for a bounded f) is absorbed with the sup
+    # of its ratio to the power-log shape, not with the ratio at valid_from
     g = fs.add(*(fs.parse_function(n) for n in names))  # spot-checks the class
     assert g.origin.kind == "power_log" and g.origin.beta == 2.0

@@ -60,7 +60,7 @@ def test_algebra_trees_construct_and_integrate_exactly(tree):
         return s * math.exp(la + v)
 
     res = integrate_halfline(density,
-                             origin_envs=(f.origin.envelope_reciprocal(),),
+                             origin_envs=(f.origin.envelope(),),
                              tail_envs=(f.tail.envelope(),),
                              breakpoints=f.breakpoints)
     exact = fs.total_integral_exact(f)

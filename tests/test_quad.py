@@ -89,7 +89,7 @@ def test_halfline_theta():
     theta = fs.catalog("theta")
     res = integrate_halfline(
         _abs_density(theta),
-        origin_envs=(theta.origin.envelope_reciprocal(),),
+        origin_envs=(theta.origin.envelope(),),
         tail_envs=(theta.tail.envelope(),))
     assert res.verdict == "converged"
     assert res.value == pytest.approx(1.0, abs=1e-10)
@@ -105,7 +105,7 @@ def test_halfline_weighted_theta():
         return theta.eval(t) * math.log1p(t) * t
 
     env_t = theta.tail.envelope().weighted_log()
-    env_o = theta.origin.envelope_reciprocal()
+    env_o = theta.origin.envelope()
     res = integrate_halfline(density, origin_envs=(env_o,), tail_envs=(env_t,))
     assert res.verdict == "converged"
     assert res.value == pytest.approx(1.0, abs=1e-9)
@@ -156,7 +156,7 @@ def test_substitution_consistency():
     density = _abs_density(g)
     direct = integrate_halfline(
         density,
-        origin_envs=(g.origin.envelope_reciprocal(),),
+        origin_envs=(g.origin.envelope(),),
         tail_envs=(g.tail.envelope(),))
 
     res = integrate_halfline(
@@ -211,7 +211,7 @@ def test_quadresult_converged_invariant():
     theta = fs.catalog("theta")
     res = integrate_halfline(
         _abs_density(theta),
-        origin_envs=(theta.origin.envelope_reciprocal(),),
+        origin_envs=(theta.origin.envelope(),),
         tail_envs=(theta.tail.envelope(),))
     tol = max(DEFAULT_CONFIG.rel_tol * abs(res.value), DEFAULT_CONFIG.abs_tol)
     assert res.verdict == "converged"

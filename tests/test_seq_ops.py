@@ -503,6 +503,10 @@ def test_hardy_ratio_rejects_bad_input(lam):
     with pytest.raises(so.SequenceError):
         so.hardy_ratio(lam, 1.0, 100)
     with pytest.raises(so.SequenceError):
+        so.hardy_ratio(lam, math.inf, 100)
+    with pytest.raises(so.SequenceError):
+        so.hardy_ratio(lam, 2.0, -5)
+    with pytest.raises(so.SequenceError):
         so.hardy_ratio(so.finite_sequence("signed", [1, -1]), 2.0, 100)
     zero_then = so.catalog_seq("em", m=50)
     with pytest.raises(so.SequenceError):
