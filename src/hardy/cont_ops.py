@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 from .envelopes import Envelope
 from .funcspace import DomainError, TestFunction, absolute, total_integral_exact
@@ -96,68 +97,61 @@ def _require_antiderivatives(f: TestFunction) -> None:
 
 
 class _Cumulative:
-    """F(x) = int_0^x f and T(x) = int_x^inf f, exact within each piece."""
+    """F(x) = int_0^x f and T(x) = int_x^inf f, exact within each piece.
+
+    A point is read as (i, A_i there): the piece that holds it and that
+    piece's antiderivative at it.  F and T add to A_i the widths of the
+    pieces before or after i, read once, so T never subtracts nearly equal
+    totals.  Past |v| = 690, where e**v leaves the float range, the piece of
+    t = e**v comes from ``TestFunction.log_piece_index``."""
 
     def __init__(self, f: TestFunction):
         _require_antiderivatives(f)
         self.f = f
-        # prefix[i] = int_0^{lo_i} f
-        prefix = [0.0]
-        for p in f.pieces[:-1]:
-            lo = p.antiderivative.eval(p.lo)
-            hi = p.antiderivative.eval(p.hi)
-            prefix.append(prefix[-1] + (hi - lo))
-        self._prefix = prefix
-        self._first_base = f.pieces[0].antiderivative.eval(0.0)
-        last = f.pieces[-1]
-        self._last_inf = last.antiderivative.eval(math.inf)
-        self.total = prefix[-1] + (self._last_inf - last.antiderivative.eval(last.lo))
+        self._anti = [p.antiderivative for p in f.pieces]
+        self._at_lo = [A.eval(p.lo) for A, p in zip(self._anti, f.pieces)]
+        self._at_hi = [A.eval(p.hi) for A, p in zip(self._anti, f.pieces)]
+        self._widths = [hi - lo for lo, hi in zip(self._at_lo, self._at_hi)]
+        self._prefix = list(accumulate(self._widths, initial=0.0))  # int_0^{lo_i} f
+        self.total = self._prefix[-1]
+
+    def _at(self, x: float) -> tuple[int, float]:
+        i = self.f.piece_index(x)
+        return i, self._anti[i].eval(x)
+
+    def _at_logarg(self, v: float) -> tuple[int, float]:
+        if abs(v) <= 690.0:
+            return self._at(math.exp(v))
+        i = self.f.log_piece_index(v)
+        la, s = self._anti[i].log_eval(v)
+        return i, s * math.exp(la)
+
+    def _value(self, i: int, a: float) -> float:
+        return self._prefix[i] + (a - self._at_lo[i])
+
+    def _tail(self, i: int, a: float) -> float:
+        out = self._at_hi[i] - a
+        for w in self._widths[i + 1:]:
+            out += w
+        return out
 
     def value(self, x: float) -> float:
-        if x <= 0.0:
-            raise DomainError("cumulative integral needs x > 0")
-        i = self.f.piece_index(x)
-        p = self.f.pieces[i]
-        base = self._first_base if i == 0 else p.antiderivative.eval(p.lo)
-        return self._prefix[i] + (p.antiderivative.eval(x) - base)
+        return self._value(*self._at(x))
 
     def value_logarg(self, v: float) -> float:
         """F(e**v), stable far beyond the float range of e**v itself."""
-        if v > 690.0:
-            p = self.f.pieces[-1]
-            la, s = p.antiderivative.log_eval(v)
-            aval = s * math.exp(la)
-            return self._prefix[-1] + (aval - p.antiderivative.eval(p.lo))
-        if v < -690.0:
-            p = self.f.pieces[0]
-            la, s = p.antiderivative.log_eval(v)
-            return s * math.exp(la) - self._first_base
-        return self.value(math.exp(v))
+        return self._value(*self._at_logarg(v))
 
     def tail(self, x: float) -> float:
-        """int_x^inf f, computed without subtracting nearly equal totals."""
-        pieces = self.f.pieces
-        i = self.f.piece_index(x)
-        last = pieces[-1]
-        if i == len(pieces) - 1:
-            return self._last_inf - last.antiderivative.eval(x)
-        p = pieces[i]
-        out = p.antiderivative.eval(p.hi) - p.antiderivative.eval(x)
-        for q in pieces[i + 1:-1]:
-            out += q.antiderivative.eval(q.hi) - q.antiderivative.eval(q.lo)
-        return out + (self._last_inf - last.antiderivative.eval(last.lo))
+        return self._tail(*self._at(x))
 
     def tail_logarg(self, v: float) -> float:
-        if v > 690.0:
-            p = self.f.pieces[-1]
-            la, s = p.antiderivative.log_eval(v)
-            return self._last_inf - s * math.exp(la)
-        return self.tail(math.exp(v))
+        return self._tail(*self._at_logarg(v))
 
 
-def _cumulative_abs(f: TestFunction) -> _Cumulative:
-    """The cumulatives of |f|."""
-    return _Cumulative(f if _is_nonnegative(f) else absolute(f))
+def _abs(f: TestFunction) -> TestFunction:
+    """|f|: f itself when no piece is negative."""
+    return f if _is_nonnegative(f) else absolute(f)
 
 
 def total_integral(f: TestFunction) -> float:
@@ -316,16 +310,12 @@ def _single_weight_result(f: TestFunction, side: str) -> HalflineResult:
 def split_i1(f: TestFunction) -> HalflineResult:
     """I1 as the iterated double integral int (1/x - 1/(x+1)) F(x) dx,
     F(x) = int_0^x |f|."""
-    cum = _cumulative_abs(f)
+    cum = _Cumulative(_abs(f))
 
     def density(v: float) -> float:
         # F(e^v) / (e^v + 1)
-        if v > 690.0:
-            return cum.value_logarg(v) * math.exp(-v)
-        if v < -690.0:
-            return cum.value_logarg(v)
-        t = math.exp(v)
-        return cum.value(t) / (t + 1.0)
+        F = cum.value_logarg(v)
+        return F * math.exp(-v) if v > 690.0 else F / (math.exp(v) + 1.0)
 
     # F(x)/(x(x+1)) <= F(x)/x at the origin and <= total/x**2 at infinity
     tail_env = Envelope(max(cum.total, 1e-300), 2.0, 0.0)
@@ -337,16 +327,18 @@ def split_i1(f: TestFunction) -> HalflineResult:
 def split_i2(f: TestFunction) -> HalflineResult:
     """I2 as the iterated double integral int (x+1)^-1 T(x) dx,
     T(x) = int_x^inf |f|."""
-    cum = _cumulative_abs(f)
+    cum = _Cumulative(_abs(f))
 
     def density(v: float) -> float:
-        # T(e^v) * e^v / (e^v + 1)
+        # T(e^v) * e^v / (e^v + 1), or T(e^v) / (1 + e^-v) where T e^v overflows
         if v > 690.0:
             return cum.tail_logarg(v)
         if v < -690.0:
             return 0.0  # T(t) t / (t+1) <= m * e^v, below any tolerance here
         t = math.exp(v)
-        return cum.tail(t) * t / (t + 1.0)
+        T = cum.tail(t)
+        Tt = T * t
+        return Tt / (t + 1.0) if math.isfinite(Tt) else T / (1.0 + 1.0 / t)
 
     # T(x)/(x+1) <= T(x)/x at infinity and <= total/u**2 at the origin
     origin_env = Envelope(max(cum.total, 1e-300), 2.0, 0.0)
@@ -537,7 +529,7 @@ def equivalence_ratio(f: TestFunction) -> float:
     (theta) annihilates under H while carrying W(theta) = 2, so the bare
     quotient admits no universal lower constant.
     """
-    return _ratio(f, log_weight_norm(f), l1_norm_modified(f), total_integral(absolute(f)))
+    return _ratio(f, log_weight_norm(f), l1_norm_modified(f), total_integral(_abs(f)))
 
 
 def cont_hardy_ratio(f: TestFunction, p: float) -> float:
@@ -633,7 +625,7 @@ class ContReport:
 
 def build_report(f: TestFunction) -> ContReport:
     m = total_integral(f)  # first, so a missing antiderivative is named for f
-    l1 = total_integral(absolute(f))
+    l1 = total_integral(_abs(f))
     wf = log_weight_norm(f)
     hf = l1_norm_modified(f)
     try:

@@ -13,6 +13,9 @@ Conventions
 * Pieces are half-open on the left: piece i covers (b_{i-1}, b_i].  At a
   breakpoint ``eval`` therefore returns the left piece's value; the choice is
   irrelevant for integration and fixed only for determinism.
+* ``eval`` finds the piece of t by a bisect over the breakpoints;
+  ``log_eval`` finds that of t = e**v, for every v, by a bisect over their
+  logarithms, so it reads the right piece at both ends of the float range.
 * Decay behaviour at 0 and at infinity is *declared* through one
   descriptor, :class:`TailClass`, and spot-checked by sampling at
   construction time, never inferred from the expression tree.  The origin
@@ -179,15 +182,15 @@ class TestFunction:
 
     __call__ = eval
 
+    def log_piece_index(self, v: float) -> int:
+        """The piece holding t = e**v, by a bisect over the log-breakpoints;
+        valid for any v, as e**v itself is never formed."""
+        return bisect_left(self.breakpoints, v, key=math.log)
+
     def log_eval(self, v: float) -> tuple[float, float]:
-        """(ln|f|, sign) at t = e**v; stable for v far beyond float overflow."""
-        if v > 700.0:
-            idx = len(self.breakpoints)
-        elif v < -700.0:
-            idx = 0
-        else:
-            idx = self.piece_index(math.exp(v))
-        return self.pieces[idx].expr.log_eval(v)
+        """(ln|f|, sign) at t = e**v, in the piece of the log-breakpoint
+        bisect; stable for v far beyond float overflow."""
+        return self.pieces[self.log_piece_index(v)].expr.log_eval(v)
 
     # -- exact data ----------------------------------------------------------
 

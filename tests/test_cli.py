@@ -296,6 +296,19 @@ def test_unrepresentable_envelopes_exit_2(capsys, fn):
     assert out == "" and err.startswith("error: ")
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("fn", ["box(lo=1e200,hi=1e250)", "box(lo=1e300,hi=1e305)"])
+def test_far_range_reports_are_strict_json(capsys, fn):
+    # T(t) t overflows long before T(t) does; the I2 density must not carry
+    # that overflow into an Infinity value or a NaN error estimate
+    assert main(["cont", "report", "--fn", fn]) == 0
+    payload = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    assert payload["i2"]["verdict"] == "converged"
+
+
 @pytest.mark.parametrize("p,n", [("2", "-5"), ("inf", "100")])
 def test_disc_hardy_ratio_refuses_bad_n_and_p(p, n):
     proc = run_cli("disc", "hardy-ratio", "--seq", "em(m=1)", "--p", p, "--n", n)

@@ -105,6 +105,35 @@ def test_log_weight_norm_box_golden():
     assert res.value == pytest.approx(6.0 * LN32 - 1.0, abs=1e-11)
 
 
+def _box_closed_forms(lo, hi):
+    """W, I1 and I2 of box(lo, hi): the integrals over [lo, hi] of w(t),
+    ln(1 + 1/t) and ln(1 + t)."""
+    def g(t):  # int ln(1 + t) dt
+        return (1.0 + t) * math.log1p(t) - t
+
+    def big_w(t):  # int w dt, as w(t) = 2 ln(1 + t) - ln t
+        return 2.0 * g(t) - (t * math.log(t) - t)
+
+    def i1(t):  # int ln(1 + 1/t) dt
+        return t * math.log1p(1.0 / t) + math.log1p(t)
+
+    return tuple(F(hi) - F(lo) for F in (big_w, i1, g))
+
+
+@pytest.mark.parametrize("lo,hi", [(1e-306, 1e-303), (1e200, 1e250), (1e290, 1e299),
+                                   (1e300, 1e305)])
+def test_far_boxes_match_their_closed_forms(lo, hi):
+    # both ends of the float range: every functional reads the piece that
+    # holds t = e**v, and I2's density does not overflow where T(t) t would
+    f = fs.catalog("box", lo=lo, hi=hi)
+    w, i1, i2 = _box_closed_forms(lo, hi)
+    rep = co.fubini_check_cont(f)
+    for res, exact in ((co.log_weight_norm(f), w), (rep.i1_double, i1), (rep.i1_single, i1),
+                       (rep.i2_double, i2), (rep.i2_single, i2)):
+        assert res.verdict == "converged", (lo, hi, exact, res)
+        assert abs(res.value - exact) <= res.total_error + 1e-14 * abs(exact), (lo, hi, res)
+
+
 def test_log_weight_norm_divergent(fe):
     assert co.log_weight_norm(fs.absolute(fe)).verdict == "divergent"
     assert co.log_weight_norm(fs.catalog("log_tail", beta=1.5)).verdict == "divergent"
@@ -302,6 +331,21 @@ def test_build_report_roundtrip(theta):
     assert d["function"] == "theta"
     assert d["weighted_norm"]["verdict"] == "converged"
     assert d["equivalence_ratio"] == pytest.approx(0.5, abs=1e-9)
+
+
+def test_build_report_builds_absolute_only_for_signed_f(monkeypatch):
+    # |f| is f itself when no piece is negative, so a nonnegative function's
+    # report builds no second function and repeats none of its spot checks;
+    # a signed one still builds |f| and checks both of its ends
+    pt, f0 = fs.catalog("power_tail", beta=2.0), fs.catalog("f0")
+    checked = []
+    spot_check = fs._spot_check
+    monkeypatch.setattr(fs, "_spot_check",
+                        lambda f, end, *a: (checked.append((f.name, end)), spot_check(f, end, *a)))
+    co.build_report(pt)
+    assert checked == []
+    co.build_report(f0)
+    assert set(checked) == {("abs(f0)", "tail"), ("abs(f0)", "origin")}
 
 
 def test_total_integral_divergent_rejected():

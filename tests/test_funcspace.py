@@ -57,6 +57,22 @@ def test_piece_coverage_property():
             f.eval(t)
 
 
+@pytest.mark.parametrize("name", ["f0", "fe", "box(lo=1e-306,hi=1e-303)",
+                                  "box(lo=1e300,hi=1e305)"])
+def test_log_eval_reads_the_piece_that_holds_t(name):
+    # the piece of t = e**v is found from the log-breakpoints for every v,
+    # so log_eval agrees with eval inside each piece, also where e**v
+    # leaves the float range
+    f = fs.parse_function(name)
+    bps = f.breakpoints
+    edges = (bps[0] / 10.0,) + bps + (bps[-1] * 10.0,)
+    for lo, hi in zip(edges, edges[1:]):
+        for k in (0.1, 0.5, 0.9):
+            t = lo ** (1.0 - k) * hi ** k
+            la, s = f.log_eval(math.log(t))
+            assert s * math.exp(la) == pytest.approx(f.eval(t), rel=1e-12), (name, t)
+
+
 def test_catalog_exact_values(theta, f0, fe):
     assert theta.exact("total_integral") == 1.0
     assert f0.exact("total_integral") == pytest.approx(math.log(1.5), rel=1e-15)
