@@ -549,15 +549,22 @@ def _claim_disc_equiv(cfg: SuiteConfig):
     checks.append(_near("unit impulse ratio", r1, gold["equivalence_e1"], 1e-12,
                         "frozen oracle"))
     interval = gold["em_ratio_interval"]
-    ratios = []
+    ratios, mismatched, h = [], [], Fraction(0)
     for m in range(1, interval["m_max"] + 1):
         norm = seq_ops.l1_norm_mod(seq_ops.catalog_seq("em", m=m)).exact
+        h += Fraction(1, m)  # H_m, summed here apart from seq_ops
+        if norm != h - 1 + Fraction(1, m):
+            mismatched.append(m)
         ratios.append((float(norm) + 1.0) / (seq_ops.EULER_GAMMA + math.log(m + 1.0)))
     lo, hi = min(ratios), max(ratios)
     inside = (lo >= interval["min"] - 1e-12) and (hi <= interval["max"] + 1e-12)
     checks.append(_chk("impulse sweep ratios inside the frozen interval",
                        inside, (lo, hi), (interval["min"], interval["max"]),
                        "frozen oracle"))
+    checks.append(_chk(f"impulse sweep norms equal H_m - 1 + 1/m exactly at each m "
+                       f"in 1..{interval['m_max']}", not mismatched,
+                       f"{len(mismatched)} differ, the first at m = {mismatched[0]}"
+                       if mismatched else "all equal", "all equal", "closed-form"))
     checks.append(_chk("impulse interval bounded away from 0 and infinity",
                        interval["min"] > 0 and math.isfinite(interval["max"]),
                        (interval["min"], interval["max"]), "(0, inf)",

@@ -24,7 +24,8 @@ starting at n = 1 and at each stored k (the last is open), each adding a
 closed form as integer pairs over D, summed pairwise and reduced once per
 output (see ``SeqSpec.run_sums``).  The rearranged forms, the independent
 route, are integer sums too, built from the terms alone and reduced once.
-Harmonic sums are reduced binary splits of 32-term integer leaves, no cache.
+Harmonic sums join reduced aligned blocks of 64 * 2**j terms, each summed
+once per process into a bounded memo (see ``_harmonic_split``).
 ``hardy_ratios`` builds a sequence's arrays once for all its (p, n) ratios,
 and H_k - ln k - gamma is summed from its log1p increments (see
 ``_gamma_residuals``).
@@ -37,7 +38,8 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache, reduce
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -65,8 +67,9 @@ _LN2 = math.log(2.0)
 # finite sequence that can be stored.
 MAX_FLOAT_TERMS = 10 ** 7
 
-# Longest support whose exact sums are taken: their cost grows about as n**1.7
-# (em(10**5) takes about 0.4 s on a 2-core host, 2*10**5 would take 1.3 s).
+# Longest support whose exact sums are taken, and so the reach of the harmonic
+# memo: their cold cost grows about as n**2 at the top (em(10**5) takes about
+# 0.5 s on a 2-core host, 2*10**5 would take 2 s; 0.2 s with the memo warm).
 MAX_EXACT_SUPPORT = 10 ** 5
 
 # Length of the head that l1_norm_mod sums before its certified tail bound.
@@ -219,7 +222,8 @@ class SeqSpec:
         adds P/a to J1.  (Gm a)_n = (P - (M - P) n) / (D n (n+1)) changes sign
         at most once on a run, after n* = P / (M - P), so each run is cut at
         floor(n*) into two pieces on which Gm a keeps its sign.  Each output is
-        one ``_tree_sum`` of the pieces' integer pairs, reduced once (em(10**5): 0.4 s)."""
+        one ``_tree_sum`` of the pieces' integer pairs, reduced once (em(10**5): 0.5 s
+        cold, 0.2 s with the harmonic memo warm)."""
         _require_exact_cap(self.name, self.support_end)
         den, starts, prefix = self.int_runs
         m, l1, j1, j2 = prefix[-1], [], [], []
@@ -295,20 +299,71 @@ def _harmonic_unreduced(lo: int, hi: int) -> tuple[int, int]:
     return n1 * d2 + n2 * d1, d1 * d2
 
 
-def _harmonic_split(lo: int, hi: int) -> tuple[int, int]:
-    """sum_{lo <= k < hi} 1/k reduced: up to 256 terms, the unreduced split and
-    one gcd; longer ranges add their reduced halves by Knuth's rule (TAOCP 2,
-    4.5.1), so no partial sum outgrows its lcm.  1..10**5 takes about 0.4 s."""
-    if hi - lo <= 256:
-        num, den = _harmonic_unreduced(lo, hi)
-        g = math.gcd(num, den)
-        return num // g, den // g
-    mid = (lo + hi) // 2
-    (n1, d1), (n2, d2) = _harmonic_split(lo, mid), _harmonic_split(mid, hi)
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
+def _add_reduced(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """x + y for reduced pairs, reduced by Knuth's rule (TAOCP 2, 4.5.1): the
+    gcds are taken on the denominators, so no sum outgrows its lcm."""
+    (n1, d1), (n2, d2) = x, y
     g = math.gcd(d1, d2)
     t = n1 * (d2 // g) + n2 * (d1 // g)
     g2 = math.gcd(t, g)
     return t // g2, (d1 // g) * (d2 // g2)
+
+
+# The node (j, i) is the reduced sum of 1/k over the aligned block
+# [i L 2**j, (i+1) L 2**j), L = _HARMONIC_LEAF, i >= 1.  Under
+# 2 (MAX_EXACT_SUPPORT + 1) / L of them lie within the cap, the memo's bound:
+# 3,108 nodes (about 2.4 MB) if every one is built, 770 after harmonic(10**5).
+_HARMONIC_LEAF = 64
+_HARMONIC_NODES = 2 * (MAX_EXACT_SUPPORT + 1) // _HARMONIC_LEAF
+
+
+@lru_cache(maxsize=_HARMONIC_NODES)
+def _harmonic_node(level: int, index: int) -> tuple[int, int]:
+    """The reduced sum over block (level, index): a block of 256 terms or
+    fewer is split unreduced and reduced once, a longer one adds its halves."""
+    span = _HARMONIC_LEAF << level
+    if span <= 256:
+        return _reduced(*_harmonic_unreduced(index * span, (index + 1) * span))
+    return _add_reduced(_harmonic_node(level - 1, 2 * index),
+                        _harmonic_node(level - 1, 2 * index + 1))
+
+
+def _harmonic_split(lo: int, hi: int) -> tuple[int, int]:
+    """sum_{lo <= k < hi} 1/k reduced.  The whole aligned blocks inside the
+    range come from ``_harmonic_node``, shared by every call in the process;
+    the two partial edge blocks, each under _HARMONIC_LEAF terms, are split
+    unreduced and reduced once.  1..10**5 takes about 0.45 s cold and 0.1 s
+    with its blocks in the memo."""
+    if hi - 1 > MAX_EXACT_SUPPORT:  # so no node reaches past the memo's bound
+        _require_exact_cap(f"H_{hi - 1}", hi - 1)
+    a, b = -(-lo // _HARMONIC_LEAF), hi // _HARMONIC_LEAF  # the whole leaves a..b-1
+    if a >= b:
+        num, den = _harmonic_unreduced(lo, hi)
+        g = math.gcd(num, den)
+        return num // g, den // g
+    left = _reduced(*_harmonic_unreduced(lo, a * _HARMONIC_LEAF))
+    right = _reduced(*_harmonic_unreduced(b * _HARMONIC_LEAF, hi))
+    level = 0
+    while a < b:  # the largest aligned blocks, taken inward from both ends
+        if a & 1:
+            left = _add_reduced(left, _harmonic_node(level, a))
+            a += 1
+        if b & 1:
+            b -= 1
+            right = _add_reduced(_harmonic_node(level, b), right)
+        a, b, level = a >> 1, b >> 1, level + 1
+    return _add_reduced(left, right)
+
+
+def _gen_terms(seq: SeqSpec, n: int):
+    """gen(1)..gen(n) of an exact generator as reduced (numerator, denominator)
+    pairs, for ``_add_reduced`` to sum into the prefix sums S_k."""
+    return ((q.numerator, q.denominator) for q in map(seq.gen, range(1, n + 1)))
 
 
 def _tree_sum(pairs) -> tuple[int, int]:
@@ -356,9 +411,9 @@ def pointwise_numerators(seq: SeqSpec, n: int) -> tuple[int, int, int, int]:
     elif seq.gen is None:
         raise SequenceError(f"{seq.name}: the pointwise operators need exact terms")
     else:
-        s_n = sum((seq.gen(k) for k in range(1, n + 1)), Fraction(0))
-        den = math.lcm(s_n.denominator, seq.exact_sum.denominator)
-        p, m = int(s_n * den), int(seq.exact_sum * den)
+        (s, s_den), total = reduce(_add_reduced, _gen_terms(seq, n)), seq.exact_sum
+        den = math.lcm(s_den, total.denominator)
+        p, m = s * (den // s_den), total.numerator * (den // total.denominator)
     return (n + 1) * p - n * m, p, n * (m - p), den * n * (n + 1)
 
 
@@ -457,7 +512,8 @@ def j2_sum_by_weights(seq: SeqSpec) -> SumResult:
     """The rearranged form sum_k a_k (H_k - 1) of a finite sequence, reduced
     once: H_k - 1 is an integer h over L, the lcm of the reduced gaps H_k - H_prev
     (``_harmonic_split``, or 1/k for one step), and the sum of a_k D h runs over
-    D L, growing with h whenever L does.  em(10**5) takes about 0.4 s."""
+    D L, growing with h whenever L does.  em(10**5) takes about 0.5 s cold,
+    0.15 s with the harmonic memo warm."""
     _require_finite(seq, "j2_sum_by_weights")
     _require_exact_cap(seq.name, seq.support_end)
     den = math.lcm(*(v.denominator for _, v in seq.terms))
@@ -523,11 +579,11 @@ def l1_norm_mod(seq: SeqSpec, horizon: int = SEQ_HORIZON) -> SumResult:
     if math.isinf(wrem):
         return SumResult.inconclusive()
     if seq.gen is not None:
-        m, s, pieces = total.exact, Fraction(0), []
-        for n in range(1, horizon + 1):  # |Gm a|_n = |(n+1) S_n - n m| / (n (n+1))
-            s += seq.gen(n)
-            gm = (n + 1) * s.numerator * m.denominator - n * m.numerator * s.denominator
-            pieces.append((abs(gm), n * (n + 1) * s.denominator * m.denominator))
+        m, pieces = total.exact, []
+        prefix = accumulate(_gen_terms(seq, horizon), _add_reduced)  # S_n = s / s_den
+        for n, (s, s_den) in enumerate(prefix, start=1):  # |(n+1) S_n - n m| / (n (n+1))
+            gm = (n + 1) * s * m.denominator - n * m.numerator * s_den
+            pieces.append((abs(gm), n * (n + 1) * s_den * m.denominator))
         head, head_err = float(Fraction(*_tree_sum(pieces))), 0.0
     else:
         arr = seq.terms_float(horizon)
@@ -545,10 +601,9 @@ def l1_norm_mod(seq: SeqSpec, horizon: int = SEQ_HORIZON) -> SumResult:
 # ---------------------------------------------------------------------------
 
 def harmonic(n: int) -> Fraction:
-    """H_n as an exact rational, by one binary split."""
+    """H_n as an exact rational, from ``_harmonic_split``."""
     if n < 1:
         raise SequenceError("harmonic numbers start at n = 1")
-    _require_exact_cap(f"H_{n}", n)
     return Fraction(*_harmonic_split(1, n + 1))
 
 

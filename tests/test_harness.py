@@ -139,6 +139,22 @@ def test_pool_report_is_byte_identical_to_the_in_process_one(monkeypatch):
     assert json.loads(reports[2])["summary"]["fail"] == 0
 
 
+@needs_fork
+def test_verdicts_do_not_depend_on_the_harmonic_memo(monkeypatch):
+    # the forked workers inherit the parent's memo: cleared, then warmed
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    cfg = harness.SuiteConfig(claims="disc.[es]*")
+    seq_ops._harmonic_node.cache_clear()
+    cold = [r.to_dict() for r in harness.run_suite(cfg)]
+    seq_ops.harmonic(5000)
+    assert seq_ops._harmonic_node.cache_info().currsize > 0
+    warm = [r.to_dict() for r in harness.run_suite(cfg)]
+    assert [r["claim_id"] for r in cold] == ["disc.equivalence.corrected",
+                                             "disc.split.exact_identities"]
+    assert all(r["verdict"] == harness.PASS for r in cold)
+    assert warm == cold
+
+
 def _replace_a_cont_runner(monkeypatch, cpus, runner):
     monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
     desc, _, divergence = harness._CLAIMS["cont.kernel.identities"]

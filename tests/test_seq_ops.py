@@ -436,30 +436,52 @@ def test_harmonic_exact():
         so.harmonic(0)
     with pytest.raises(so.SequenceError, match="exceed the cap"):
         so.harmonic(so.MAX_EXACT_SUPPORT + 1)
-    for lo in (1, 2, 977):  # across the 32-term leaves and the 256-term reduction
-        for length in (1, 32, 33, 256, 257, 513, 5000):
-            num, den = so._harmonic_split(lo, lo + length)
-            p, q = _harmonic_pair(lo, lo + length)
-            assert num * q == p * den and math.gcd(num, den) == 1
+    leaf = so._HARMONIC_LEAF
+    cases = [(lo, length) for lo in (1, 2, 977)  # across the 32-term leaves and 256-term nodes
+             for length in (1, 32, 33, 256, 257, 513, 5000)]
+    cases += [(lo, length) for lo in (leaf - 1, leaf, leaf + 1, 4095)  # at the block edges
+              for length in (leaf - 1, leaf, leaf + 1, 2 * leaf + 1)]
+    for lo, length in cases:
+        num, den = so._harmonic_split(lo, lo + length)
+        p, q = _harmonic_pair(lo, lo + length)
+        assert num * q == p * den and math.gcd(num, den) == 1
 
 
-def test_harmonic_leaves_no_module_state():
-    h = Fraction(0)
-    for n in range(1, 101):  # across the 32-term leaves of the split
+def test_harmonic_memo_is_bounded_and_leaves_values_unchanged():
+    def results():
+        em = so.catalog_seq("em", m=20000)
+        return ([so.harmonic(n) for n in range(1, 101)], so.harmonic(20000),
+                so.j2_sum_by_weights(em).exact, so.j2_sum(em).exact)
+
+    memo = so._harmonic_node
+    memo.cache_clear()
+    cold = results()
+    assert results() == cold  # warm
+    memo.cache_clear()
+    for n in (20000, 5000, 129, 64, 63):  # filled in reverse query order
+        so.harmonic(n)
+    assert results() == cold
+    h, hs = Fraction(0), []
+    for n in range(1, 101):  # across the 32-term leaves and the first aligned blocks
         h += Fraction(1, n)
-        assert so.harmonic(n) == h
-
-    def state():
-        return {name: (id(v), len(v)) for name, v in vars(so).items()
-                if isinstance(v, (list, dict, set))}
-
-    before = state()
-    h = so.harmonic(20000)
-    assert state() == before
+        hs.append(h)
+    small, h, by_weights, by_runs = cold
+    assert small == hs
     assert h == so.harmonic(19999) + Fraction(1, 20000)
-    em = so.catalog_seq("em", m=20000)
-    assert so.j2_sum_by_weights(em).exact == h - 1 == so.j2_sum(em).exact
-    assert state() == before
+    assert by_weights == h - 1 == by_runs
+
+    memo.cache_clear()  # every node a capped range can reach, none evicted
+    top = so.MAX_EXACT_SUPPORT + 1
+    for lo in (1, 2, 63, 65, 4095, 50001):
+        so._harmonic_split(lo, top)
+    info = memo.cache_info()
+    assert info.misses == info.currsize <= so._HARMONIC_NODES == info.maxsize
+
+    memo.cache_clear()
+    for lo in (1, so.MAX_EXACT_SUPPORT):
+        with pytest.raises(so.SequenceError, match="exceed the cap"):
+            so._harmonic_split(lo, top + 1)
+    assert memo.cache_info().currsize == 0
 
 
 def test_gamma_residual():
