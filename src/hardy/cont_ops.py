@@ -307,10 +307,10 @@ def _single_weight_result(f: TestFunction, side: str) -> HalflineResult:
                               closed_tail=_closed_tail(f, side) if side == "large" else None)
 
 
-def split_i1(f: TestFunction) -> HalflineResult:
+def split_i1(f: TestFunction, abs_f: TestFunction | None = None) -> HalflineResult:
     """I1 as the iterated double integral int (1/x - 1/(x+1)) F(x) dx,
-    F(x) = int_0^x |f|."""
-    cum = _Cumulative(_abs(f))
+    F(x) = int_0^x |f|; ``abs_f`` is |f| where the caller has built it."""
+    cum = _Cumulative(_abs(f) if abs_f is None else abs_f)
 
     def density(v: float) -> float:
         # F(e^v) / (e^v + 1)
@@ -324,10 +324,10 @@ def split_i1(f: TestFunction) -> HalflineResult:
                               breakpoints=f.breakpoints)
 
 
-def split_i2(f: TestFunction) -> HalflineResult:
+def split_i2(f: TestFunction, abs_f: TestFunction | None = None) -> HalflineResult:
     """I2 as the iterated double integral int (x+1)^-1 T(x) dx,
-    T(x) = int_x^inf |f|."""
-    cum = _Cumulative(_abs(f))
+    T(x) = int_x^inf |f|; ``abs_f`` is |f| where the caller has built it."""
+    cum = _Cumulative(_abs(f) if abs_f is None else abs_f)
 
     def density(v: float) -> float:
         # T(e^v) * e^v / (e^v + 1), or T(e^v) / (1 + e^-v) where T e^v overflows
@@ -382,11 +382,12 @@ class FubiniReport:
 def fubini_check_cont(f: TestFunction) -> FubiniReport:
     """Order-of-integration check: each split equals its weighted single
     integral within ten times the combined error estimates."""
+    abs_f = _abs(f)
     return FubiniReport(
         name=f.name,
-        i1_double=split_i1(f),
+        i1_double=split_i1(f, abs_f),
         i1_single=_single_weight_result(f, "small"),
-        i2_double=split_i2(f),
+        i2_double=split_i2(f, abs_f),
         i2_single=_single_weight_result(f, "large"),
     )
 
@@ -625,7 +626,8 @@ class ContReport:
 
 def build_report(f: TestFunction) -> ContReport:
     m = total_integral(f)  # first, so a missing antiderivative is named for f
-    l1 = total_integral(_abs(f))
+    abs_f = _abs(f)  # built once: each build re-runs both spot checks
+    l1 = total_integral(abs_f)
     wf = log_weight_norm(f)
     hf = l1_norm_modified(f)
     try:
@@ -638,7 +640,7 @@ def build_report(f: TestFunction) -> ContReport:
         l1_norm=l1,
         weighted_norm=wf,
         l1_norm_modified=hf,
-        i1=split_i1(f),
-        i2=split_i2(f),
+        i1=split_i1(f, abs_f),
+        i2=split_i2(f, abs_f),
         equivalence_ratio=ratio,
     )

@@ -681,6 +681,9 @@ def run_suite(cfg: SuiteConfig) -> list[ClaimRecord]:
     import signal
     from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
+    if any(cid.startswith("disc.") for cid in selected):  # seq_ops loads numpy
+        import numpy  # noqa: F401  (once, before the fork, for every worker)
+
     def result(cid, future):
         try:
             return future.result()

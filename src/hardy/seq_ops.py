@@ -29,6 +29,13 @@ once per process into a bounded memo (see ``_harmonic_split``).
 ``hardy_ratios`` builds a sequence's arrays once for all its (p, n) ratios,
 and H_k - ln k - gamma is summed from its log1p increments (see
 ``_gamma_residuals``).
+
+numpy is imported inside the functions that build float arrays: a
+generator's ``vec`` and its spot check, ``terms_float``, the float branches
+of the sums, the gamma scan, ``lp_norm``, ``hardy_ratios`` and
+``disc_mean_check``.  The exact finite-sequence paths and the continuous
+side never load it, so a command that uses no generator, p-power ratio or
+gamma scan is spared its import, about half of ``import hardy``.
 """
 
 from __future__ import annotations
@@ -41,8 +48,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import accumulate
 from typing import Callable
-
-import numpy as np
 
 from .funcspace import TailClass, check_params, parse_params, split_name
 
@@ -142,7 +147,7 @@ class SeqSpec:
     gen: Callable[[int], Fraction] | None = None
     decay: TailClass | None = None
     exact_sum: Fraction | None = None
-    vec: Callable[[np.ndarray], np.ndarray] | None = None
+    vec: Callable | None = None  # float64 array of k -> float64 array of a_k
 
     def __post_init__(self):
         if (self.terms is None) == (self.vec is None):
@@ -167,6 +172,8 @@ class SeqSpec:
             prev = k
 
     def _spot_check_decay(self, n: int = 64):
+        import numpy as np
+
         dec = self.decay
         ks = sorted({int(dec.valid_from * 2.0 ** (12.0 * i / (n - 1))) + 1 for i in range(n)})
         sizes = np.abs(self.vec(np.array(ks, dtype=np.float64)))
@@ -243,8 +250,10 @@ class SeqSpec:
         j1.append((m, starts[-1]))
         return tuple(Fraction(num, d * den) for num, d in map(_tree_sum, (l1, j1, j2)))
 
-    def terms_float(self, n: int) -> np.ndarray:
-        """a_1..a_n as float64, for n up to MAX_FLOAT_TERMS."""
+    def terms_float(self, n: int):
+        """a_1..a_n as a float64 numpy array, for n up to MAX_FLOAT_TERMS."""
+        import numpy as np
+
         _require_within_cap(self.name, n)
         if not self.finite:
             return np.asarray(self.vec(np.arange(1, n + 1, dtype=np.float64)),
@@ -382,6 +391,8 @@ def total_sum(seq: SeqSpec, horizon: int = 10 ** 6) -> SumResult:
     tail-bounded through the decay envelope otherwise."""
     if seq.exact_total is not None:
         return SumResult.from_exact(seq.exact_total)
+    import numpy as np
+
     end = seq.support_end
     if end is not None:
         total = float(np.sum(seq.terms_float(end)))
@@ -452,6 +463,8 @@ def j1_sum(seq: SeqSpec) -> SumResult:
     _require_nonneg_finite(seq, "j1_sum")
     if seq.finite:
         return SumResult.from_exact(seq.run_sums[1])
+    import numpy as np
+
     total = total_sum(seq, _J_HORIZON)
     if total.verdict != "converged":
         return SumResult.inconclusive()
@@ -474,6 +487,8 @@ def j2_sum(seq: SeqSpec) -> SumResult:
     _require_nonneg_finite(seq, "j2_sum")
     if seq.finite:
         return SumResult.from_exact(seq.run_sums[2])
+    import numpy as np
+
     if _weighted_divergent(seq.decay):
         return SumResult.divergent()
     total = total_sum(seq, _J_HORIZON)
@@ -533,6 +548,8 @@ def l1_log_weight(seq: SeqSpec) -> SumResult:
     if seq.finite:
         total = math.fsum(abs(float(v)) * math.log(k + 1.0) for k, v in seq.terms)
         return SumResult(total, 4e-16 * total * seq.support_end.bit_length(), "converged")
+    import numpy as np
+
     if _weighted_divergent(seq.decay):
         return SumResult.divergent()
     end = seq.support_end
@@ -561,6 +578,8 @@ def l1_norm_mod(seq: SeqSpec, horizon: int = SEQ_HORIZON) -> SumResult:
     """
     if seq.finite:
         return SumResult.from_exact(seq.run_sums[0])
+    import numpy as np
+
     if _weighted_divergent(seq.decay):
         return SumResult.divergent()
     total = total_sum(seq)
@@ -616,6 +635,8 @@ def _gamma_residuals(hi: int):
     r_1 = 1 - gamma: the exact telescoping of ln k.  The increments are
     summed by ``np.cumsum`` in blocks of _SCAN_BLOCK, and the block offsets
     are carried as a compensated pair by ``math.fsum``."""
+    import numpy as np
+
     carry = [0.0]
     for start in range(1, hi + 1, _SCAN_CHUNK):
         ks = np.arange(start, min(start + _SCAN_CHUNK, hi + 1), dtype=np.float64)
@@ -649,6 +670,8 @@ def scan_gamma_residual(lo: int, hi: int) -> tuple[bool, float, float]:
     two bounds."""
     if lo < 1 or hi < lo:
         raise SequenceError("bad scan range")
+    import numpy as np
+
     worst_lo = worst_hi = math.inf
     for ks, resid in _gamma_residuals(hi):
         ks, resid = ks[ks >= lo], resid[ks >= lo]
@@ -665,6 +688,8 @@ def lp_norm(seq: SeqSpec, p: float, n: int) -> float:
     """Truncated (sum_{k<=n} |a_k|^p)^(1/p)."""
     if p < 1.0:
         raise SequenceError("p must be at least 1")
+    import numpy as np
+
     arr = np.abs(seq.terms_float(n))
     return float(np.sum(arr ** p) ** (1.0 / p))
 
@@ -684,6 +709,8 @@ def hardy_ratios(seq: SeqSpec, ps, ns) -> dict[tuple[float, int], float]:
         raise SequenceError("the ratio needs a finite p > 1")
     if min(ns) < 1:
         raise SequenceError("the ratio needs n >= 1")
+    import numpy as np
+
     n_top = max(ns)
     arr = seq.terms_float(n_top)
     if np.any(arr < 0.0):
@@ -691,7 +718,7 @@ def hardy_ratios(seq: SeqSpec, ps, ns) -> dict[tuple[float, int], float]:
     means = np.cumsum(arr)
     means /= np.arange(1, n_top + 1, dtype=np.float64)
 
-    def prefix_sums(power: np.ndarray) -> list[float]:
+    def prefix_sums(power) -> list[float]:
         return [float(np.sum(power[:n])) for n in ns]  # one power array alive
 
     out = {}
@@ -726,6 +753,8 @@ def disc_mean_check(seq: SeqSpec) -> DiscMeanReport:
     2**19, must settle near |sum a| * ln 2 (checked within 10% at the largest
     scale); a zero total asserts nothing.
     """
+    import numpy as np
+
     total = total_sum(seq)
     if total.verdict != "converged":
         raise SequenceError(f"{seq.name}: total sum is {total.verdict}")
@@ -797,6 +826,8 @@ def _seq_powcut(alpha: float, N: int) -> SeqSpec:
         raise SequenceError("powcut needs alpha >= 0")
     if N < 1:
         raise SequenceError("powcut needs N >= 1")
+    import numpy as np
+
     return SeqSpec(
         name=f"powcut(alpha={alpha:g},N={N})",
         decay=TailClass("compact", support_end=N),
@@ -819,6 +850,8 @@ def _seq_logdecay(beta: float, start: int = 3) -> SeqSpec:
         raise SequenceError("logdecay needs beta > 1 for summability")
     if start < 3:
         raise SequenceError(f"logdecay needs start >= 3, got {start}")
+    import numpy as np
+
     return SeqSpec(
         name=f"logdecay(beta={beta:g},start={start})",
         decay=TailClass("power_log", coeff=1.0, beta=beta, valid_from=start,

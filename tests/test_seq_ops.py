@@ -1,9 +1,13 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -664,3 +668,32 @@ def test_build_report(lam):
     assert d["log_weighted_sum"]["verdict"] == "converged"
     assert d["equivalence_ratio"] == pytest.approx(
         1.0 / (GAMMA + 1.2577468869443698), rel=1e-4)
+
+
+_NUMPY_PROBE = """
+import contextlib, io, sys
+from hardy import cli, harness, seq_ops
+
+harness.golden()
+for argv in (["cont", "report", "--fn", "theta"],
+             ["disc", "report", "--seq", "em(m=7)"],
+             ["disc", "report", "--seq-file", sys.argv[1]],
+             ["disc", "sweep", "--family", "em", "--m", "1:50"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    assert "numpy" not in sys.modules, argv
+assert all(r.passed for r in harness.run_suite(harness.SuiteConfig(claims="cont.*")))
+assert "numpy" not in sys.modules, "cont.*"
+seq_ops.catalog_seq("lambda")
+assert "numpy" in sys.modules, "lambda"
+"""
+
+
+def test_numpy_loads_only_where_an_array_is_built(tmp_path):
+    # in a fresh interpreter: this one has numpy loaded already
+    seq_file = tmp_path / "seq.txt"
+    seq_file.write_text("1/2\n0\n-1/3\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, str(seq_file)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
