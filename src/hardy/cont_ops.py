@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 from itertools import accumulate
 
 from .envelopes import Envelope
-from .funcspace import DomainError, TestFunction, absolute, total_integral_exact
+from .funcspace import DomainError, TestFunction, abs_piece, total_integral_exact
 from .quad import (
     _EPS, _TAIL_SHARE, DEFAULT_CONFIG, HalflineResult, ProbeResult,
     integrate_halfline, probe_divergence,
@@ -97,7 +97,8 @@ def _require_antiderivatives(f: TestFunction) -> None:
 
 
 class _Cumulative:
-    """F(x) = int_0^x f and T(x) = int_x^inf f, exact within each piece.
+    """F(x) = int_0^x f and T(x) = int_x^inf f, exact within each piece; with
+    ``of_abs`` those of |f|, read piece by piece without building |f|.
 
     A point is read as (i, A_i there): the piece that holds it and that
     piece's antiderivative at it.  F and T add to A_i the widths of the
@@ -105,10 +106,11 @@ class _Cumulative:
     totals.  Past |v| = 690, where e**v leaves the float range, the piece of
     t = e**v comes from ``TestFunction.log_piece_index``."""
 
-    def __init__(self, f: TestFunction):
+    def __init__(self, f: TestFunction, of_abs: bool = False):
+        pieces = [abs_piece(f, p) for p in f.pieces] if of_abs else f.pieces
         _require_antiderivatives(f)
         self.f = f
-        self._anti = [p.antiderivative for p in f.pieces]
+        self._anti = [p.antiderivative for p in pieces]
         self._at_lo = [A.eval(p.lo) for A, p in zip(self._anti, f.pieces)]
         self._at_hi = [A.eval(p.hi) for A, p in zip(self._anti, f.pieces)]
         self._widths = [hi - lo for lo, hi in zip(self._at_lo, self._at_hi)]
@@ -149,9 +151,14 @@ class _Cumulative:
         return self._tail(*self._at_logarg(v))
 
 
-def _abs(f: TestFunction) -> TestFunction:
-    """|f|: f itself when no piece is negative."""
-    return f if _is_nonnegative(f) else absolute(f)
+def _l1_norm(f: TestFunction) -> float:
+    """int_0^inf |f|: the total of a nonnegative f, else the declared l1 norm
+    or the exact sum of |f| over the pieces."""
+    if _is_nonnegative(f):
+        return total_integral(f)
+    widths = _Cumulative(f, of_abs=True)._widths
+    known = f.exact("l1_norm")
+    return math.fsum(widths) if known is None else known
 
 
 def total_integral(f: TestFunction) -> float:
@@ -307,10 +314,10 @@ def _single_weight_result(f: TestFunction, side: str) -> HalflineResult:
                               closed_tail=_closed_tail(f, side) if side == "large" else None)
 
 
-def split_i1(f: TestFunction, abs_f: TestFunction | None = None) -> HalflineResult:
+def split_i1(f: TestFunction) -> HalflineResult:
     """I1 as the iterated double integral int (1/x - 1/(x+1)) F(x) dx,
-    F(x) = int_0^x |f|; ``abs_f`` is |f| where the caller has built it."""
-    cum = _Cumulative(_abs(f) if abs_f is None else abs_f)
+    F(x) = int_0^x |f|."""
+    cum = _Cumulative(f, of_abs=True)
 
     def density(v: float) -> float:
         # F(e^v) / (e^v + 1)
@@ -324,10 +331,10 @@ def split_i1(f: TestFunction, abs_f: TestFunction | None = None) -> HalflineResu
                               breakpoints=f.breakpoints)
 
 
-def split_i2(f: TestFunction, abs_f: TestFunction | None = None) -> HalflineResult:
+def split_i2(f: TestFunction) -> HalflineResult:
     """I2 as the iterated double integral int (x+1)^-1 T(x) dx,
-    T(x) = int_x^inf |f|; ``abs_f`` is |f| where the caller has built it."""
-    cum = _Cumulative(_abs(f) if abs_f is None else abs_f)
+    T(x) = int_x^inf |f|."""
+    cum = _Cumulative(f, of_abs=True)
 
     def density(v: float) -> float:
         # T(e^v) * e^v / (e^v + 1), or T(e^v) / (1 + e^-v) where T e^v overflows
@@ -382,12 +389,11 @@ class FubiniReport:
 def fubini_check_cont(f: TestFunction) -> FubiniReport:
     """Order-of-integration check: each split equals its weighted single
     integral within ten times the combined error estimates."""
-    abs_f = _abs(f)
     return FubiniReport(
         name=f.name,
-        i1_double=split_i1(f, abs_f),
+        i1_double=split_i1(f),
         i1_single=_single_weight_result(f, "small"),
-        i2_double=split_i2(f, abs_f),
+        i2_double=split_i2(f),
         i2_single=_single_weight_result(f, "large"),
     )
 
@@ -463,17 +469,12 @@ class MeanLimitReport:
     name: str
     xs: tuple[float, ...]
     scaled_values: tuple[float, ...]          # x * Qf(x) = int_0^x f
-    total_integral: float
-    limit_estimate: float                     # exact lim x Qf(x), the total
+    total_integral: float                     # exact lim x Qf(x)
     tail_bound_at_last: float
     consistent: bool                          # |last sample - total| within bounds
     probe: ProbeResult | None
     probe_rate_target: float                  # |limit| * ln 2
     probe_rate_ok: bool
-
-    @property
-    def limit_is_zero(self) -> bool:
-        return abs(self.limit_estimate) <= 1e-12
 
 
 def mean_limit_check(f: TestFunction) -> MeanLimitReport:
@@ -504,7 +505,7 @@ def mean_limit_check(f: TestFunction) -> MeanLimitReport:
                    and abs(probe.last_increment - rate_target) <= 0.1 * rate_target)
     return MeanLimitReport(
         name=f.name, xs=xs, scaled_values=values,
-        total_integral=m, limit_estimate=m,
+        total_integral=m,
         tail_bound_at_last=tail_bound, consistent=consistent,
         probe=probe, probe_rate_target=rate_target, probe_rate_ok=rate_ok,
     )
@@ -530,7 +531,7 @@ def equivalence_ratio(f: TestFunction) -> float:
     (theta) annihilates under H while carrying W(theta) = 2, so the bare
     quotient admits no universal lower constant.
     """
-    return _ratio(f, log_weight_norm(f), l1_norm_modified(f), total_integral(_abs(f)))
+    return _ratio(f, log_weight_norm(f), l1_norm_modified(f), _l1_norm(f))
 
 
 def cont_hardy_ratio(f: TestFunction, p: float) -> float:
@@ -626,8 +627,7 @@ class ContReport:
 
 def build_report(f: TestFunction) -> ContReport:
     m = total_integral(f)  # first, so a missing antiderivative is named for f
-    abs_f = _abs(f)  # built once: each build re-runs both spot checks
-    l1 = total_integral(abs_f)
+    l1 = _l1_norm(f)
     wf = log_weight_norm(f)
     hf = l1_norm_modified(f)
     try:
@@ -640,7 +640,7 @@ def build_report(f: TestFunction) -> ContReport:
         l1_norm=l1,
         weighted_norm=wf,
         l1_norm_modified=hf,
-        i1=split_i1(f, abs_f),
-        i2=split_i2(f, abs_f),
+        i1=split_i1(f),
+        i2=split_i2(f),
         equivalence_ratio=ratio,
     )

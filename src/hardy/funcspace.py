@@ -295,17 +295,19 @@ def _times(c: float, e: Expr | None) -> Expr | None:
     return None if e is None else affine([(c, e)])
 
 
+def abs_piece(f: TestFunction, p: Piece) -> Piece:
+    """|p| for a piece p of f that carries a declared constant sign."""
+    if p.sign is None:
+        raise DomainError(f"{f.name}: piece on ({p.lo}, {p.hi}] has no declared sign")
+    if p.sign < 0:
+        return Piece(p.lo, p.hi, _times(-1.0, p.expr), _times(-1.0, p.antiderivative), 1,
+                     _times(-1.0, p.log_moment))
+    return p
+
+
 def absolute(f: TestFunction) -> TestFunction:
     """|f| for functions whose pieces carry a declared constant sign."""
-    pieces = []
-    for p in f.pieces:
-        if p.sign is None:
-            raise DomainError(f"{f.name}: piece on ({p.lo}, {p.hi}] has no declared sign")
-        if p.sign < 0:
-            pieces.append(Piece(p.lo, p.hi, _times(-1.0, p.expr),
-                                _times(-1.0, p.antiderivative), 1, _times(-1.0, p.log_moment)))
-        else:
-            pieces.append(replace(p, sign=abs(p.sign)))
+    pieces = [abs_piece(f, p) for p in f.pieces]
     l1 = f.exact("l1_norm")
     exact = () if l1 is None else (("total_integral", l1), ("l1_norm", l1))
     return TestFunction(f"abs({f.name})", tuple(pieces), f.breakpoints,
@@ -366,9 +368,9 @@ def add(f: TestFunction, g: TestFunction) -> TestFunction:
     pieces = []
     lo = 0.0
     for hi in list(bps) + [math.inf]:
-        mid = lo + 1.0 if math.isinf(hi) else 0.5 * (lo + hi)
-        pf = f.pieces[f.piece_index(mid)]
-        pg = g.pieces[g.piece_index(mid)]
+        # pieces are (lo, hi], so hi itself names the piece of each summand
+        pf = f.pieces[f.piece_index(hi)]
+        pg = g.pieces[g.piece_index(hi)]
         expr = affine([(1.0, pf.expr), (1.0, pg.expr)])
         anti = None
         if pf.antiderivative is not None and pg.antiderivative is not None:

@@ -741,10 +741,6 @@ class DiscMeanReport:
     target: float                       # |sum a| * ln 2
     rate_ok: bool                       # increments within 10% at the top scale
 
-    @property
-    def zero_sum(self) -> bool:
-        return abs(self.total) <= self.total_err + 1e-12
-
 
 def disc_mean_check(seq: SeqSpec) -> DiscMeanReport:
     """Witness that a nonzero total forces log-divergent Cesaro partial sums.

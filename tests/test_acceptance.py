@@ -125,11 +125,11 @@ def test_criterion_05_mean_zero_necessity():
         details.append(f"{name}:{rep.probe.last_increment:.4f}")
     fe = fs.catalog("fe")
     rep = co.mean_limit_check(fe)  # samples reach past 10^6
-    ok = ok and rep.xs[-1] >= 1e6 and abs(rep.limit_estimate) < 1e-6 \
+    ok = ok and rep.xs[-1] >= 1e6 and abs(rep.total_integral) < 1e-6 \
         and rep.consistent
     _criterion(5, ok, "log-divergence at rate |total|*ln2 ("
                + ", ".join(details) + f"); certified zero limit for fe "
-               f"({rep.limit_estimate:.1e})")
+               f"({rep.total_integral:.1e})")
 
 
 def test_criterion_06_exact_discrete_identities():
@@ -206,8 +206,7 @@ def test_criterion_08_discrete_sharp_bound():
 
 
 def test_criterion_09_corrected_equivalence():
-    gold = golden()
-    interval = gold["cont"]["power_tail_ratio_interval"]
+    # power_tail's R(beta) spans [R(2), R(4)] = [1/2, 15/13] over the sweep
     lo = hi = None
     beta = 1.1
     while beta < 4.05:
@@ -215,18 +214,19 @@ def test_criterion_09_corrected_equivalence():
         lo = r if lo is None else min(lo, r)
         hi = r if hi is None else max(hi, r)
         beta += 0.1
-    ok = (interval["min"] > 0.0 and math.isfinite(interval["max"])
-          and lo >= interval["min"] - 1e-9 and hi <= interval["max"] + 1e-9)
+    ok = lo >= 0.5 - 1e-9 and hi <= 15.0 / 13.0 + 1e-9
 
-    d_interval = gold["disc"]["em_ratio_interval"]
-    dlo = dhi = None
-    for m in range(1, d_interval["m_max"] + 1):
+    # em(m)'s ratio from ||Gm e_m||_1 = H_m - 1 + 1/m, with H_m summed here
+    ratios, closed, h = [], [], Fraction(0)
+    for m in range(1, 1001):
         norm = so.l1_norm_mod(so.catalog_seq("em", m=m)).exact
-        r = (float(norm) + 1.0) / (so.EULER_GAMMA + math.log(m + 1.0))
-        dlo = r if dlo is None else min(dlo, r)
-        dhi = r if dhi is None else max(dhi, r)
-    ok = ok and d_interval["min"] > 0.0 and math.isfinite(d_interval["max"]) \
-        and dlo >= d_interval["min"] - 1e-12 and dhi <= d_interval["max"] + 1e-12
+        h += Fraction(1, m)
+        log_w = so.EULER_GAMMA + math.log(m + 1.0)
+        ratios.append((float(norm) + 1.0) / log_w)
+        closed.append((float(h - 1 + Fraction(1, m)) + 1.0) / log_w)
+    dlo, dhi = min(ratios), max(ratios)
+    ok = ok and min(closed) > 0.0 and math.isfinite(max(closed)) \
+        and dlo >= min(closed) - 1e-12 and dhi <= max(closed) + 1e-12
 
     theta = fs.catalog("theta")
     h = co.l1_norm_modified(theta)
@@ -238,7 +238,7 @@ def test_criterion_09_corrected_equivalence():
     weighted = so.EULER_GAMMA + so.l1_log_weight(lam).value
     ok = ok and kernel_zero and weighted > 0.6
     _criterion(9, ok,
-               f"sweep ratios inside frozen intervals (cont [{lo:.4f},{hi:.4f}], "
+               f"sweep ratios inside closed-form intervals (cont [{lo:.4f},{hi:.4f}], "
                f"disc [{dlo:.6f},{dhi:.6f}]); annihilated kernels defeat the "
                f"uncorrected comparison ({weighted:.3f} > 0.6)")
 

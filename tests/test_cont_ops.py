@@ -233,7 +233,7 @@ def test_log_moment_is_linear_and_declared_past_the_border_only():
 
 def test_mean_limit_reports(theta, f0, fe):
     rep = co.mean_limit_check(f0)
-    assert rep.limit_estimate == pytest.approx(LN32, rel=1e-12)
+    assert rep.total_integral == pytest.approx(LN32, rel=1e-12)
     assert rep.consistent and rep.probe_rate_ok
     assert rep.probe.verdict == "divergent-log"
 
@@ -242,7 +242,7 @@ def test_mean_limit_reports(theta, f0, fe):
     assert rep.scaled_values[-1] == pytest.approx(1.0, rel=1e-5)
 
     rep = co.mean_limit_check(fe)
-    assert rep.limit_is_zero and rep.consistent
+    assert abs(rep.total_integral) <= 1e-12 and rep.consistent
     assert rep.probe is None
 
 
@@ -333,10 +333,29 @@ def test_build_report_roundtrip(theta):
     assert d["equivalence_ratio"] == pytest.approx(0.5, abs=1e-9)
 
 
+@pytest.mark.parametrize("name", ["f0", "fe", "-2 power_tail", "-(theta + box)"])
+def test_splits_read_abs_f_from_the_piece_signs(name):
+    # the same results, bit for bit, as through the function |f| itself
+    f = {"-2 power_tail": lambda: fs.scale(fs.catalog("power_tail", beta=2.0), -2.0),
+         "-(theta + box)": lambda: fs.add(fs.scale(fs.catalog("theta"), -1.0),
+                                          fs.scale(fs.catalog("box", lo=1.0, hi=2.0), -1.0)),
+         }.get(name, lambda: fs.catalog(name))()
+    a = fs.absolute(f)
+    assert co.split_i1(f) == co.split_i1(a) and co.split_i2(f) == co.split_i2(a)
+    rep, rep_a = co.build_report(f), co.build_report(a)
+    assert (rep.l1_norm, rep.i1, rep.i2) == (rep_a.l1_norm, rep_a.i1, rep_a.i2)
+
+
+def test_splits_refuse_a_piece_of_unknown_sign(theta):
+    f = fs.add(theta, fs.scale(fs.catalog("box", lo=1.0, hi=2.0), -0.5))
+    for op in (co.split_i1, co.split_i2, co.build_report, co.fubini_check_cont):
+        with pytest.raises(fs.DomainError, match="has no declared sign"):
+            op(f)
+
+
 def test_build_report_builds_absolute_only_for_signed_f(monkeypatch):
-    # |f| is f itself when no piece is negative, so a nonnegative function's
-    # report builds no second function and repeats none of its spot checks;
-    # a signed one builds |f| once per report and checks both of its ends
+    # |f| is read from the signs of f's pieces, so no report builds a second
+    # function or repeats a spot check, for a signed f either
     pt, f0 = fs.catalog("power_tail", beta=2.0), fs.catalog("f0")
     checked = []
     spot_check = fs._spot_check
@@ -345,7 +364,7 @@ def test_build_report_builds_absolute_only_for_signed_f(monkeypatch):
     co.build_report(pt)
     assert checked == []
     co.build_report(f0)
-    assert checked == [("abs(f0)", "tail"), ("abs(f0)", "origin")]
+    assert checked == []
 
 
 def test_total_integral_divergent_rejected():

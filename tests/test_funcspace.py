@@ -277,3 +277,18 @@ def test_add_absorbs_origin_class_into_power_log(names):
     # of its ratio to the power-log shape, not with the ratio at valid_from
     g = fs.add(*(fs.parse_function(n) for n in names))  # spot-checks the class
     assert g.origin.kind == "power_log" and g.origin.beta == 2.0
+
+
+def test_add_reads_each_piece_at_its_right_end(theta):
+    # pieces are (lo, hi]; a read at lo + 1 (equal to lo past 2**53) or at
+    # (lo + hi)/2 (overflowing near the top of the float range) took the
+    # piece that ends at lo, and the sum then failed its own spot check
+    pt = fs.catalog("power_tail", beta=2.0)
+    g = fs.add(fs.catalog("box", lo=3.0, hi=1e20), pt)
+    assert g.pieces[-1].lo == 1e20
+    assert [g.eval(t) for t in (1e21, 1e100)] == [pt.eval(t) for t in (1e21, 1e100)]
+    g = fs.add(fs.catalog("box", lo=1e307, hi=1.5e308), theta)
+    assert g.eval(1e308) == 1.0 and g.log_eval(710.0) == theta.log_eval(710.0)
+    g = fs.add(fs.scale(fs.catalog("box", lo=0.001, hi=2.0), -1.0),
+               fs.catalog("box", lo=3.0, hi=1e300))
+    assert g.eval(1e300) == 1.0 and g.eval(1e301) == 0.0

@@ -1,8 +1,12 @@
+import ast
+import importlib.util
 import inspect
 import json
 import multiprocessing
 import os
 import signal
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -298,6 +302,27 @@ def test_sweep_bad_point_recorded_not_raised():
 
 def test_golden_data_is_packaged():
     gold = harness.golden()
-    assert gold["cont"]["weighted_norm_box12"]["value"] == pytest.approx(
-        1.4327906486489863, rel=1e-12)
+    assert set(gold) == {"meta", "disc"}
+    assert set(gold["disc"]) == {"l1_log_weight_lambda", "sharpness"}
+    assert gold["disc"]["l1_log_weight_lambda"]["value"] == pytest.approx(
+        1.2577468869443698, rel=1e-12)
     assert set(gold["disc"]["sharpness"]) == {"1.25", "1.5", "2", "3", "10"}
+
+
+def test_golden_json_is_what_the_tool_writes():
+    # the tool's oracles import nothing from the library they check, and
+    # their output is the packaged file byte for byte
+    pytest.importorskip("mpmath")
+    path = Path(__file__).resolve().parent.parent / "tools" / "gen_golden.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add((node.module or ".").split(".")[0])
+    assert "hardy" not in imported and "" not in imported
+    spec = importlib.util.spec_from_file_location("gen_golden", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    packaged = resources.files("hardy").joinpath("data/golden.json").read_bytes()
+    assert tool.golden_text().encode() == packaged

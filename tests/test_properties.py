@@ -84,7 +84,7 @@ def _lower_value(env, x: float) -> float:
 def test_averaged_envelopes_bound_the_exact_cumulatives(tree):
     f = _build(tree)
     assume(all(p.sign is not None for p in f.pieces))
-    cum = cont_ops._Cumulative(cont_ops._abs(f))  # T and F of |f|, exact per piece
+    cum = cont_ops._Cumulative(f, of_abs=True)  # T and F of |f|, exact per piece
     tail = f.tail.averaged_envelope()
     for t in _decades(tail.valid_from):
         T = cum.tail(t)
