@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import accumulate
 
 from .envelopes import Envelope
@@ -96,15 +97,21 @@ def _require_antiderivatives(f: TestFunction) -> None:
                 f"{f.name}: piece on ({p.lo}, {p.hi}] has no antiderivative")
 
 
+# reads (i, A_i(x)) kept per cumulative: about 130 bytes each, 2.1 MiB when full
+_MEMO_CAP = 1 << 14
+
+
 class _Cumulative:
     """F(x) = int_0^x f and T(x) = int_x^inf f, exact within each piece; with
     ``of_abs`` those of |f|, read piece by piece without building |f|.
 
     A point is read as (i, A_i there): the piece that holds it and that
-    piece's antiderivative at it.  F and T add to A_i the widths of the
-    pieces before or after i, read once, so T never subtracts nearly equal
-    totals.  Past |v| = 690, where e**v leaves the float range, the piece of
-    t = e**v comes from ``TestFunction.log_piece_index``."""
+    piece's antiderivative at it.  The first _MEMO_CAP reads are kept, so a
+    walk that meets a point another walk has read gets the same pair back.
+    F and T add to A_i the widths of the pieces before or after i, read
+    once, so T never subtracts nearly equal totals.  Past |v| = 690, where
+    e**v leaves the float range, the piece of t = e**v comes from
+    ``TestFunction.log_piece_index``."""
 
     def __init__(self, f: TestFunction, of_abs: bool = False):
         pieces = [abs_piece(f, p) for p in f.pieces] if of_abs else f.pieces
@@ -116,10 +123,16 @@ class _Cumulative:
         self._widths = [hi - lo for lo, hi in zip(self._at_lo, self._at_hi)]
         self._prefix = list(accumulate(self._widths, initial=0.0))  # int_0^{lo_i} f
         self.total = self._prefix[-1]
+        self._memo: dict[float, tuple[int, float]] = {}
 
     def _at(self, x: float) -> tuple[int, float]:
-        i = self.f.piece_index(x)
-        return i, self._anti[i].eval(x)
+        read = self._memo.get(x)
+        if read is None:
+            i = self.f.piece_index(x)
+            read = i, self._anti[i].eval(x)
+            if len(self._memo) < _MEMO_CAP:
+                self._memo[x] = read
+        return read
 
     def _at_logarg(self, v: float) -> tuple[int, float]:
         if abs(v) <= 690.0:
@@ -151,12 +164,30 @@ class _Cumulative:
         return self._tail(*self._at_logarg(v))
 
 
+@lru_cache(maxsize=1)
+def _views(f: TestFunction) -> dict[bool, _Cumulative]:
+    """The cumulatives of the latest f, by ``of_abs``; an earlier function's
+    are dropped with it."""
+    return {}
+
+
+def _cumulative(f: TestFunction, of_abs: bool = False) -> _Cumulative:
+    """The one shared cumulative of f (of |f| with ``of_abs``), built on
+    first use; a nonnegative f has one, as f = |f|."""
+    of_abs = of_abs and not _is_nonnegative(f)
+    views = _views(f)
+    cum = views.get(of_abs)
+    if cum is None:
+        cum = views[of_abs] = _Cumulative(f, of_abs)
+    return cum
+
+
 def _l1_norm(f: TestFunction) -> float:
     """int_0^inf |f|: the total of a nonnegative f, else the declared l1 norm
     or the exact sum of |f| over the pieces."""
     if _is_nonnegative(f):
         return total_integral(f)
-    widths = _Cumulative(f, of_abs=True)._widths
+    widths = _cumulative(f, of_abs=True)._widths
     known = f.exact("l1_norm")
     return math.fsum(widths) if known is None else known
 
@@ -178,7 +209,7 @@ def hardy_avg(f: TestFunction, x: float) -> float:
     """Q f(x): the average of f over (0, x)."""
     if x <= 0.0:
         raise DomainError("hardy_avg needs x > 0")
-    return _Cumulative(f).value(x) / x
+    return _cumulative(f).value(x) / x
 
 
 def modified_hardy(f: TestFunction, x: float) -> float:
@@ -186,7 +217,7 @@ def modified_hardy(f: TestFunction, x: float) -> float:
     if x <= 0.0:
         raise DomainError("modified_hardy needs x > 0")
     m = total_integral(f)
-    return _Cumulative(f).value(x) / x - m / (1.0 + x)
+    return _cumulative(f).value(x) / x - m / (1.0 + x)
 
 
 def oracle_qf0(x: float) -> float:
@@ -317,7 +348,7 @@ def _single_weight_result(f: TestFunction, side: str) -> HalflineResult:
 def split_i1(f: TestFunction) -> HalflineResult:
     """I1 as the iterated double integral int (1/x - 1/(x+1)) F(x) dx,
     F(x) = int_0^x |f|."""
-    cum = _Cumulative(f, of_abs=True)
+    cum = _cumulative(f, of_abs=True)
 
     def density(v: float) -> float:
         # F(e^v) / (e^v + 1)
@@ -334,7 +365,7 @@ def split_i1(f: TestFunction) -> HalflineResult:
 def split_i2(f: TestFunction) -> HalflineResult:
     """I2 as the iterated double integral int (x+1)^-1 T(x) dx,
     T(x) = int_x^inf |f|."""
-    cum = _Cumulative(f, of_abs=True)
+    cum = _cumulative(f, of_abs=True)
 
     def density(v: float) -> float:
         # T(e^v) * e^v / (e^v + 1), or T(e^v) / (1 + e^-v) where T e^v overflows
@@ -439,7 +470,7 @@ def _modified_envelopes(f: TestFunction, m: float):
 def l1_norm_modified(f: TestFunction) -> HalflineResult:
     """int_0^inf |H f(x)| dx, with DIVERGENT as a first-class outcome."""
     m = total_integral(f)
-    cum = _Cumulative(f)
+    cum = _cumulative(f)
 
     def density(v: float) -> float:
         if v >= 0.0:
@@ -488,7 +519,7 @@ def mean_limit_check(f: TestFunction) -> MeanLimitReport:
     with increments near |limit| * ln 2.
     """
     m = total_integral(f)
-    cum = _Cumulative(f)
+    cum = _cumulative(f)
     xs = tuple(10.0 ** (6.0 * i / 12) * 1.0137 for i in range(13))
     values = tuple(cum.value(x) for x in xs)
 
@@ -547,7 +578,7 @@ def cont_hardy_ratio(f: TestFunction, p: float) -> float:
     if p * (alpha + math.ulp(avg.power) / 2) >= 1.0:
         raise DomainError(f"{f.name} is not p-integrable near the origin for p={p}")
     m = total_integral(f)
-    cum = _Cumulative(f)
+    cum = _cumulative(f)
 
     def num_density(v: float) -> float:
         # (F(e^v) / e^v)^p e^v

@@ -102,31 +102,53 @@ class QuadResult:
 # finite intervals
 # ---------------------------------------------------------------------------
 
+def _fsum_pair(a: float, b: float, lo: float, hi: float) -> tuple[float, float]:
+    """(a + b, |a| + |b|) by ``math.fsum``, which raises on an overflow or on
+    inf - inf; a NaN is an EvaluationError."""
+    s = math.fsum((a, b))
+    if s != s:
+        raise EvaluationError(f"integrand returned NaN in [{lo}, {hi}]")
+    return s, math.fsum((abs(a), abs(b)))
+
+
 def _panel(g: Callable[[float], float], lo: float, hi: float):
-    """One GK15 panel: returns (k15, err, resabs)."""
+    """One GK15 panel: returns (k15, err, resabs).
+
+    g runs at the left then the right point of each abscissa pair, and at
+    the centre last.  Each pair is summed with a plain +, which for finite
+    values is the correctly rounded sum that ``math.fsum`` gives.  Where a
+    sum is not finite (a NaN, an infinity or an overflow), ``fsum`` decides
+    each pair in turn, so it raises or returns as it always has.
+    """
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
-    fv = []
-    for x in _XGK:
-        if x == 0.0:
-            fv.append((g(c),))
-        else:
-            fv.append((g(c - h * x), g(c + h * x)))
-    k15 = g7 = resabs = 0.0
-    for i, vals in enumerate(fv):
-        s = math.fsum(vals)
-        if math.isnan(s):
-            raise EvaluationError(f"integrand returned NaN in [{lo}, {hi}]")
-        k15 += _WGK[i] * s
-        resabs += _WGK[i] * math.fsum(abs(v) for v in vals)
-        if i % 2 == 1 or i == 7:
-            g7 += _WG[i // 2] * s
-    k15 *= h
-    g7 *= h
-    resabs *= h
+    pairs = [(g(c - h * x), g(c + h * x)) for x in _XGK[:7]]
+    fc = g(c)
+    (a0, b0), (a1, b1), (a2, b2), (a3, b3), (a4, b4), (a5, b5), (a6, b6) = pairs
+    s0, s1, s2, s3, s4, s5, s6 = a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4, a5 + b5, a6 + b6
+    r0, r1, r2, r3 = abs(a0) + abs(b0), abs(a1) + abs(b1), abs(a2) + abs(b2), abs(a3) + abs(b3)
+    r4, r5, r6 = abs(a4) + abs(b4), abs(a5) + abs(b5), abs(a6) + abs(b6)
+    if not r0 + r1 + r2 + r3 + r4 + r5 + r6 < math.inf:
+        (s0, r0), (s1, r1), (s2, r2), (s3, r3), (s4, r4), (s5, r5), (s6, r6) = [
+            _fsum_pair(a, b, lo, hi) for a, b in pairs]
+    if fc != fc:
+        raise EvaluationError(f"integrand returned NaN in [{lo}, {hi}]")
+    w0, w1, w2, w3, w4, w5, w6, w7 = _WGK
+    # each weighted sum runs from 0.0 in index order, as an accumulating loop
+    # would, so it rounds alike and a sum of -0.0 terms is +0.0
+    k15 = h * (0.0 + w0 * s0 + w1 * s1 + w2 * s2 + w3 * s3 + w4 * s4 + w5 * s5 + w6 * s6
+               + w7 * fc)
+    g7 = h * (0.0 + _WG[0] * s1 + _WG[1] * s3 + _WG[2] * s5 + _WG[3] * fc)
+    resabs = h * (0.0 + w0 * r0 + w1 * r1 + w2 * r2 + w3 * r3 + w4 * r4 + w5 * r5 + w6 * r6
+                  + w7 * abs(fc))
     mean = k15 / (hi - lo)
-    resasc = h * math.fsum(
-        _WGK[i] * math.fsum(abs(v - mean) for v in vals) for i, vals in enumerate(fv))
+    asc = [w * (abs(a - mean) + abs(b - mean)) for (a, b), w in zip(pairs, _WGK)]
+    asc.append(w7 * abs(fc - mean))
+    resasc = math.fsum(asc)
+    if not resasc < math.inf:
+        resasc = math.fsum([w * math.fsum((abs(a - mean), abs(b - mean)))
+                            for (a, b), w in zip(pairs, _WGK)] + [w7 * abs(fc - mean)])
+    resasc *= h
     diff = abs(k15 - g7)
     if resasc != 0.0 and diff != 0.0:
         err = resasc * min(1.0, (200.0 * diff / resasc) ** 1.5)
@@ -155,6 +177,24 @@ def integrate(
     return _integrate_core(g, a, b, cfg, breakpoints)
 
 
+def _grow(partials: list[float], x: float) -> None:
+    """Add x exactly to the sum that ``partials`` holds, by the grow step
+    ``math.fsum`` runs (Shewchuk, 1997): while every partial is finite,
+    fsum(partials) is the correctly rounded total of every x added, the
+    float that fsum of those x gives."""
+    i = 0
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            partials[i] = lo
+            i += 1
+        x = hi
+    partials[i:] = [x]
+
+
 def _integrate_core(
     g: Callable[[float], float],
     a: float,
@@ -169,21 +209,23 @@ def _integrate_core(
     cuts = sorted({a, b} | {p for p in breakpoints if a < p < b})
     heap = []
     frozen = []  # panels at max depth, no longer refinable
+    vals, errs = [], []  # exact running sums of the live panels' values and errors
     serial = 0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         val, err, _ = _panel(g, lo, hi)
         heap.append((-err, serial, lo, hi, val, err, 0))
+        _grow(vals, val)
+        _grow(errs, err)
         serial += 1
     heapq.heapify(heap)
     subdivisions = len(heap)
 
-    def totals():
-        vals = [item[4] for item in heap] + [item[4] for item in frozen]
-        errs = [item[5] for item in heap] + [item[5] for item in frozen]
-        return math.fsum(vals), math.fsum(errs)
-
     while heap:
-        value, err_total = totals()
+        if math.isfinite(vals[-1]) and math.isfinite(errs[-1]):
+            value, err_total = math.fsum(vals), math.fsum(errs)
+        else:  # a panel or a running sum is not finite: fsum of the panels decides
+            value = math.fsum([item[4] for item in heap] + [item[4] for item in frozen])
+            err_total = math.fsum([item[5] for item in heap] + [item[5] for item in frozen])
         if err_total <= 0.5 * cfg.tolerance(value):
             break
         if subdivisions >= cfg.max_panels:
@@ -193,9 +235,13 @@ def _integrate_core(
             frozen.append((0.0, 0, lo, hi, val, err, depth))
             continue
         mid = 0.5 * (lo + hi)
+        _grow(vals, -val)
+        _grow(errs, -err)
         for s, e in ((lo, mid), (mid, hi)):
             val, err, _ = _panel(g, s, e)
             heapq.heappush(heap, (-err, serial, s, e, val, err, depth + 1))
+            _grow(vals, val)
+            _grow(errs, err)
             serial += 1
         subdivisions += 1
 

@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import weakref
 
 import pytest
 
@@ -365,6 +367,51 @@ def test_build_report_builds_absolute_only_for_signed_f(monkeypatch):
     assert checked == []
     co.build_report(f0)
     assert checked == []
+
+
+@pytest.mark.parametrize("name", ["theta", "f0", "fe", "box(lo=1,hi=2)", "power_tail(beta=1.5)"])
+def test_reports_do_not_depend_on_the_cumulative_cache(name):
+    f = fs.parse_function(name)
+    co._views.cache_clear()
+    cold = co.build_report(f).to_dict()
+    warm = co.build_report(f).to_dict()
+    co._views.cache_clear()
+    # each functional alone, in the reverse of the report's order, from a cold cache
+    backward = {key: co._functional_dict(op(f)) for key, op in (
+        ("i2", co.split_i2), ("i1", co.split_i1),
+        ("l1_norm_modified", co.l1_norm_modified), ("weighted_norm", co.log_weight_norm))}
+    assert warm == cold
+    assert backward == {key: cold[key] for key in backward}
+    assert co.build_report(f).to_dict() == cold
+
+
+def test_a_signed_f_has_two_cumulatives_and_a_nonnegative_f_one(theta, f0):
+    assert co._cumulative(f0) is not co._cumulative(f0, of_abs=True)
+    assert co._cumulative(f0, of_abs=True) is co._cumulative(f0, of_abs=True)
+    assert co._cumulative(theta) is co._cumulative(theta, of_abs=True)
+
+
+def test_the_cumulative_cache_keeps_the_latest_function_within_its_cap():
+    alive = []
+    fns = [fs.catalog("power_tail", beta=1.1 + 0.15 * k) for k in range(10)] + [
+        fs.scale(fs.catalog("box", lo=0.1 * k + 0.1, hi=3.0), -1.0) for k in range(10)]
+    for f in fns:
+        co.build_report(f)
+        alive += [weakref.ref(c) for c in co._views(f).values()]
+    gc.collect()
+    kept = [ref() for ref in alive if ref() is not None]
+    assert co._views.cache_info().currsize == 1
+    assert len(kept) == 2 and {c.f for c in kept} == {fns[-1]}  # a signed f: f and |f|
+    assert all(len(c._memo) <= co._MEMO_CAP for c in kept)
+
+
+def test_reads_past_the_memo_cap_are_computed_alike(monkeypatch, f0):
+    co._views.cache_clear()
+    full = co.build_report(f0).to_dict()
+    co._views.cache_clear()
+    monkeypatch.setattr(co, "_MEMO_CAP", 8)
+    assert co.build_report(f0).to_dict() == full
+    assert [len(c._memo) for c in co._views(f0).values()] == [8, 8]
 
 
 def test_total_integral_divergent_rejected():

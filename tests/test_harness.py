@@ -159,6 +159,22 @@ def test_verdicts_do_not_depend_on_the_harmonic_memo(monkeypatch):
     assert warm == cold
 
 
+@needs_fork
+def test_verdicts_do_not_depend_on_the_cumulative_cache(monkeypatch):
+    # the forked workers inherit the parent's cache: cleared, then warmed
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    cfg = harness.SuiteConfig(claims="cont.*")
+    cont_ops._views.cache_clear()
+    cold = [r.to_dict() for r in harness.run_suite(cfg)]
+    cont_ops.build_report(funcspace.catalog("f0"))
+    assert cont_ops._views.cache_info().currsize == 1
+    warm = [r.to_dict() for r in harness.run_suite(cfg)]
+    assert [r["claim_id"] for r in cold] == [c for c in harness.claim_ids()
+                                             if c.startswith("cont.")]
+    assert all(r["verdict"] in (harness.PASS, harness.DIVERGENT_OK) for r in cold)
+    assert warm == cold
+
+
 def _replace_a_cont_runner(monkeypatch, cpus, runner):
     monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
     desc, _, divergence = harness._CLAIMS["cont.kernel.identities"]

@@ -5,6 +5,7 @@ import pytest
 
 from hardy import funcspace as fs
 from hardy.envelopes import Envelope
+from hardy import quad
 from hardy.quad import (
     DEFAULT_CONFIG, EvaluationError, QuadConfig,
     integrate, integrate_halfline, probe_divergence,
@@ -78,6 +79,174 @@ def test_error_estimate_covers_truth():
         exact = fs.exact_antiderivative(f0, a, b)
         res = integrate(f0.eval, a, b, breakpoints=f0.breakpoints)
         assert abs(res.value - exact) <= res.err_est + 1e-13 * (1.0 + abs(exact))
+
+
+def _fsum_panel(g, lo, hi):
+    """The GK15 panel with every pair summed by math.fsum: the reference
+    formulation that quad._panel must reproduce bit for bit."""
+    xgk, wgk, wg = quad._XGK, quad._WGK, quad._WG
+    c = 0.5 * (lo + hi)
+    h = 0.5 * (hi - lo)
+    fv = []
+    for x in xgk:
+        if x == 0.0:
+            fv.append((g(c),))
+        else:
+            fv.append((g(c - h * x), g(c + h * x)))
+    k15 = g7 = resabs = 0.0
+    for i, vals in enumerate(fv):
+        s = math.fsum(vals)
+        if math.isnan(s):
+            raise EvaluationError(f"integrand returned NaN in [{lo}, {hi}]")
+        k15 += wgk[i] * s
+        resabs += wgk[i] * math.fsum(abs(v) for v in vals)
+        if i % 2 == 1 or i == 7:
+            g7 += wg[i // 2] * s
+    k15 *= h
+    g7 *= h
+    resabs *= h
+    mean = k15 / (hi - lo)
+    resasc = h * math.fsum(
+        wgk[i] * math.fsum(abs(v - mean) for v in vals) for i, vals in enumerate(fv))
+    diff = abs(k15 - g7)
+    if resasc != 0.0 and diff != 0.0:
+        err = resasc * min(1.0, (200.0 * diff / resasc) ** 1.5)
+    else:
+        err = diff
+    err = max(err, 50.0 * quad._EPS * resabs)
+    return k15, err, resabs
+
+
+def _outcome(panel, g, lo, hi):
+    calls = []
+
+    def logged(x):
+        calls.append(x)
+        return g(x)
+
+    try:
+        out = tuple(v.hex() for v in panel(logged, lo, hi))  # NaN and -0.0 compare too
+    except (ArithmeticError, ValueError, EvaluationError) as exc:
+        out = type(exc)
+    return out, calls
+
+
+def _random_integrands(rng):
+    a, k, jump, scale = rng.uniform(-3, 3), rng.uniform(1, 400), rng.uniform(-2, 2), \
+        10.0 ** rng.uniform(-300, 300)
+    return (
+        lambda x: scale * math.exp(-a * x * x) / (1.0 + x * x),
+        lambda x: scale * math.sin(k * x + a),
+        lambda x: scale if x < jump else -0.5 * scale,
+        lambda x: abs(x - jump) ** 0.3,
+        lambda x: -0.0,
+    )
+
+
+def test_panel_matches_the_fsum_formulation_bit_for_bit():
+    rng = random.Random(20261020)
+    for _ in range(2100):
+        lo = rng.uniform(-5.0, 5.0) if rng.random() < 0.8 else rng.uniform(-1e6, 1e6)
+        hi = lo + 10.0 ** rng.uniform(-12, 1)
+        for g in _random_integrands(rng):
+            assert _outcome(quad._panel, g, lo, hi) == _outcome(_fsum_panel, g, lo, hi)
+
+
+@pytest.mark.parametrize("g, raised", [
+    (lambda x: math.nan if x > 0.7 else 1.0, EvaluationError),
+    (lambda x: math.nan if x == 0.5 else 1.0, EvaluationError),  # the centre
+    (lambda x: math.inf if x < 0.5 else -math.inf, ValueError),
+    (lambda x: 1e308, OverflowError),
+    # finite pair sums, but one spread |a - mean| + |b - mean| overflows
+    (lambda x: 8.5e307 if abs(x - 0.5) > 0.49 else (-1.7e308 if x == 0.5 else 0.0),
+     OverflowError),
+    (lambda x: math.inf, None),
+    (lambda x: 1e308 if x < 0.5 else -1e308, None),
+])
+def test_panel_fails_as_the_fsum_formulation_does(g, raised):
+    new, ref = _outcome(quad._panel, g, 0.0, 1.0), _outcome(_fsum_panel, g, 0.0, 1.0)
+    assert new == ref
+    if raised is not None:
+        assert new[0] is raised
+
+
+def _fsum_integrate(g, a, b, breakpoints=(), cfg=DEFAULT_CONFIG):
+    """The adaptive loop with its totals re-summed by math.fsum over every
+    live panel at each step: the reference for quad's running sums."""
+    import heapq
+    cuts = sorted({a, b} | {p for p in breakpoints if a < p < b})
+    heap, frozen, serial = [], [], 0
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        val, err, _ = quad._panel(g, lo, hi)
+        heap.append((-err, serial, lo, hi, val, err, 0))
+        serial += 1
+    heapq.heapify(heap)
+    subdivisions = len(heap)
+    while heap:
+        value = math.fsum([p[4] for p in heap] + [p[4] for p in frozen])
+        if math.fsum([p[5] for p in heap] + [p[5] for p in frozen]) <= 0.5 * cfg.tolerance(value):
+            break
+        if subdivisions >= cfg.max_panels:
+            break
+        _, _, lo, hi, val, err, depth = heapq.heappop(heap)
+        if depth >= cfg.max_depth or (hi - lo) <= 4.0 * quad._EPS * max(abs(lo), abs(hi)):
+            frozen.append((0.0, 0, lo, hi, val, err, depth))
+            continue
+        mid = 0.5 * (lo + hi)
+        for s, e in ((lo, mid), (mid, hi)):
+            val, err, _ = quad._panel(g, s, e)
+            heapq.heappush(heap, (-err, serial, s, e, val, err, depth + 1))
+            serial += 1
+        subdivisions += 1
+    panels = sorted(heap + frozen, key=lambda p: p[2])
+    value = math.fsum(p[4] for p in panels)
+    err_est = math.fsum(p[5] for p in panels)
+    return quad.QuadResult(value, err_est, subdivisions,
+                           err_est <= quad.SAFETY * cfg.tolerance(value))
+
+
+def test_running_sums_round_as_fsum_of_the_live_terms():
+    rng = random.Random(7)
+    for _ in range(300):
+        live, partials = [], []
+        for _ in range(40):
+            if live and rng.random() < 0.4:  # a bisected panel leaves
+                x = -live.pop(rng.randrange(len(live)))
+            else:
+                x = rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-20.0, 20.0)
+                live.append(x)
+            quad._grow(partials, x)
+            assert math.fsum(partials) == math.fsum(live)
+
+
+@pytest.mark.parametrize("g, a, b, breakpoints", [
+    (lambda v: abs(v - 0.3) ** 0.3, -1.0, 2.0, ()),
+    (lambda v: math.sin(60.0 * v) * math.exp(-v), 0.0, 3.0, (1.0, 2.0)),
+    (lambda v: 1e-3 if v < 0.7 else -5.0, -2.0, 1.0, ()),
+    (lambda v: 1e300 * math.exp(-v * v), -30.0, 30.0, ()),
+    (lambda v: 1.0 if (v * 1e7) % 2 < 1 else 0.0, 0.0, 1.0, ()),  # never converges
+    (lambda v: 1.0 / v if v > 0.0 else 0.0, -1.0, 1.0, ()),  # panels at max depth
+])
+def test_running_totals_take_the_decisions_fsum_takes(monkeypatch, g, a, b, breakpoints):
+    monkeypatch.setattr(QuadConfig, "max_panels", 600)
+    got = quad._integrate_core(g, a, b, breakpoints=breakpoints)
+    assert got == _fsum_integrate(g, a, b, breakpoints)
+
+
+def test_a_walk_of_nonfinite_panels_fails_as_fsum_does(monkeypatch):
+    monkeypatch.setattr(QuadConfig, "max_panels", 200)
+    for g, raised in ((lambda v: math.inf if v < 0.5 else -math.inf, ValueError),
+                      (lambda v: math.inf, None)):
+        try:
+            got = quad._integrate_core(g, 0.0, 1.0)
+        except ValueError as exc:
+            got = type(exc)
+        try:
+            ref = _fsum_integrate(g, 0.0, 1.0)
+        except ValueError as exc:
+            ref = type(exc)
+        assert repr(got) == repr(ref)
+        assert raised is None or got is raised
 
 
 def _abs_density(f):
