@@ -164,22 +164,15 @@ class _Cumulative:
         return self._tail(*self._at_logarg(v))
 
 
-@lru_cache(maxsize=1)
-def _views(f: TestFunction) -> dict[bool, _Cumulative]:
-    """The cumulatives of the latest f, by ``of_abs``; an earlier function's
-    are dropped with it."""
-    return {}
+# keyed on (f, of_abs), at most two stay alive: both views of the latest
+# signed f, or the latest nonnegative f's one and the view before it
+_cached = lru_cache(maxsize=2)(_Cumulative)
 
 
 def _cumulative(f: TestFunction, of_abs: bool = False) -> _Cumulative:
     """The one shared cumulative of f (of |f| with ``of_abs``), built on
     first use; a nonnegative f has one, as f = |f|."""
-    of_abs = of_abs and not _is_nonnegative(f)
-    views = _views(f)
-    cum = views.get(of_abs)
-    if cum is None:
-        cum = views[of_abs] = _Cumulative(f, of_abs)
-    return cum
+    return _cached(f, of_abs and not _is_nonnegative(f))
 
 
 def _l1_norm(f: TestFunction) -> float:

@@ -177,24 +177,6 @@ def integrate(
     return _integrate_core(g, a, b, cfg, breakpoints)
 
 
-def _grow(partials: list[float], x: float) -> None:
-    """Add x exactly to the sum that ``partials`` holds, by the grow step
-    ``math.fsum`` runs (Shewchuk, 1997): while every partial is finite,
-    fsum(partials) is the correctly rounded total of every x added, the
-    float that fsum of those x gives."""
-    i = 0
-    for y in partials:
-        if abs(x) < abs(y):
-            x, y = y, x
-        hi = x + y
-        lo = y - (hi - x)
-        if lo:
-            partials[i] = lo
-            i += 1
-        x = hi
-    partials[i:] = [x]
-
-
 def _integrate_core(
     g: Callable[[float], float],
     a: float,
@@ -209,23 +191,21 @@ def _integrate_core(
     cuts = sorted({a, b} | {p for p in breakpoints if a < p < b})
     heap = []
     frozen = []  # panels at max depth, no longer refinable
-    vals, errs = [], []  # exact running sums of the live panels' values and errors
     serial = 0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         val, err, _ = _panel(g, lo, hi)
         heap.append((-err, serial, lo, hi, val, err, 0))
-        _grow(vals, val)
-        _grow(errs, err)
         serial += 1
     heapq.heapify(heap)
     subdivisions = len(heap)
 
+    def totals():
+        vals = [item[4] for item in heap] + [item[4] for item in frozen]
+        errs = [item[5] for item in heap] + [item[5] for item in frozen]
+        return math.fsum(vals), math.fsum(errs)
+
     while heap:
-        if math.isfinite(vals[-1]) and math.isfinite(errs[-1]):
-            value, err_total = math.fsum(vals), math.fsum(errs)
-        else:  # a panel or a running sum is not finite: fsum of the panels decides
-            value = math.fsum([item[4] for item in heap] + [item[4] for item in frozen])
-            err_total = math.fsum([item[5] for item in heap] + [item[5] for item in frozen])
+        value, err_total = totals()
         if err_total <= 0.5 * cfg.tolerance(value):
             break
         if subdivisions >= cfg.max_panels:
@@ -235,13 +215,9 @@ def _integrate_core(
             frozen.append((0.0, 0, lo, hi, val, err, depth))
             continue
         mid = 0.5 * (lo + hi)
-        _grow(vals, -val)
-        _grow(errs, -err)
         for s, e in ((lo, mid), (mid, hi)):
             val, err, _ = _panel(g, s, e)
             heapq.heappush(heap, (-err, serial, s, e, val, err, depth + 1))
-            _grow(vals, val)
-            _grow(errs, err)
             serial += 1
         subdivisions += 1
 

@@ -372,10 +372,10 @@ def test_build_report_builds_absolute_only_for_signed_f(monkeypatch):
 @pytest.mark.parametrize("name", ["theta", "f0", "fe", "box(lo=1,hi=2)", "power_tail(beta=1.5)"])
 def test_reports_do_not_depend_on_the_cumulative_cache(name):
     f = fs.parse_function(name)
-    co._views.cache_clear()
+    co._cached.cache_clear()
     cold = co.build_report(f).to_dict()
     warm = co.build_report(f).to_dict()
-    co._views.cache_clear()
+    co._cached.cache_clear()
     # each functional alone, in the reverse of the report's order, from a cold cache
     backward = {key: co._functional_dict(op(f)) for key, op in (
         ("i2", co.split_i2), ("i1", co.split_i1),
@@ -397,21 +397,21 @@ def test_the_cumulative_cache_keeps_the_latest_function_within_its_cap():
         fs.scale(fs.catalog("box", lo=0.1 * k + 0.1, hi=3.0), -1.0) for k in range(10)]
     for f in fns:
         co.build_report(f)
-        alive += [weakref.ref(c) for c in co._views(f).values()]
+        alive += [weakref.ref(co._cumulative(f, of_abs)) for of_abs in (False, True)]
     gc.collect()
     kept = [ref() for ref in alive if ref() is not None]
-    assert co._views.cache_info().currsize == 1
+    assert co._cached.cache_info().currsize <= 2
     assert len(kept) == 2 and {c.f for c in kept} == {fns[-1]}  # a signed f: f and |f|
     assert all(len(c._memo) <= co._MEMO_CAP for c in kept)
 
 
 def test_reads_past_the_memo_cap_are_computed_alike(monkeypatch, f0):
-    co._views.cache_clear()
+    co._cached.cache_clear()
     full = co.build_report(f0).to_dict()
-    co._views.cache_clear()
+    co._cached.cache_clear()
     monkeypatch.setattr(co, "_MEMO_CAP", 8)
     assert co.build_report(f0).to_dict() == full
-    assert [len(c._memo) for c in co._views(f0).values()] == [8, 8]
+    assert [len(co._cumulative(f0, of_abs)._memo) for of_abs in (False, True)] == [8, 8]
 
 
 def test_total_integral_divergent_rejected():

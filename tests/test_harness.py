@@ -164,10 +164,10 @@ def test_verdicts_do_not_depend_on_the_cumulative_cache(monkeypatch):
     # the forked workers inherit the parent's cache: cleared, then warmed
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
     cfg = harness.SuiteConfig(claims="cont.*")
-    cont_ops._views.cache_clear()
+    cont_ops._cached.cache_clear()
     cold = [r.to_dict() for r in harness.run_suite(cfg)]
     cont_ops.build_report(funcspace.catalog("f0"))
-    assert cont_ops._views.cache_info().currsize == 1
+    assert cont_ops._cached.cache_info().currsize == 2  # f0 and |f0|
     warm = [r.to_dict() for r in harness.run_suite(cfg)]
     assert [r["claim_id"] for r in cold] == [c for c in harness.claim_ids()
                                              if c.startswith("cont.")]

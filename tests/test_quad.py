@@ -170,85 +170,6 @@ def test_panel_fails_as_the_fsum_formulation_does(g, raised):
         assert new[0] is raised
 
 
-def _fsum_integrate(g, a, b, breakpoints=(), cfg=DEFAULT_CONFIG):
-    """The adaptive loop with its totals re-summed by math.fsum over every
-    live panel at each step: the reference for quad's running sums."""
-    import heapq
-    cuts = sorted({a, b} | {p for p in breakpoints if a < p < b})
-    heap, frozen, serial = [], [], 0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        val, err, _ = quad._panel(g, lo, hi)
-        heap.append((-err, serial, lo, hi, val, err, 0))
-        serial += 1
-    heapq.heapify(heap)
-    subdivisions = len(heap)
-    while heap:
-        value = math.fsum([p[4] for p in heap] + [p[4] for p in frozen])
-        if math.fsum([p[5] for p in heap] + [p[5] for p in frozen]) <= 0.5 * cfg.tolerance(value):
-            break
-        if subdivisions >= cfg.max_panels:
-            break
-        _, _, lo, hi, val, err, depth = heapq.heappop(heap)
-        if depth >= cfg.max_depth or (hi - lo) <= 4.0 * quad._EPS * max(abs(lo), abs(hi)):
-            frozen.append((0.0, 0, lo, hi, val, err, depth))
-            continue
-        mid = 0.5 * (lo + hi)
-        for s, e in ((lo, mid), (mid, hi)):
-            val, err, _ = quad._panel(g, s, e)
-            heapq.heappush(heap, (-err, serial, s, e, val, err, depth + 1))
-            serial += 1
-        subdivisions += 1
-    panels = sorted(heap + frozen, key=lambda p: p[2])
-    value = math.fsum(p[4] for p in panels)
-    err_est = math.fsum(p[5] for p in panels)
-    return quad.QuadResult(value, err_est, subdivisions,
-                           err_est <= quad.SAFETY * cfg.tolerance(value))
-
-
-def test_running_sums_round_as_fsum_of_the_live_terms():
-    rng = random.Random(7)
-    for _ in range(300):
-        live, partials = [], []
-        for _ in range(40):
-            if live and rng.random() < 0.4:  # a bisected panel leaves
-                x = -live.pop(rng.randrange(len(live)))
-            else:
-                x = rng.choice((1.0, -1.0)) * 10.0 ** rng.uniform(-20.0, 20.0)
-                live.append(x)
-            quad._grow(partials, x)
-            assert math.fsum(partials) == math.fsum(live)
-
-
-@pytest.mark.parametrize("g, a, b, breakpoints", [
-    (lambda v: abs(v - 0.3) ** 0.3, -1.0, 2.0, ()),
-    (lambda v: math.sin(60.0 * v) * math.exp(-v), 0.0, 3.0, (1.0, 2.0)),
-    (lambda v: 1e-3 if v < 0.7 else -5.0, -2.0, 1.0, ()),
-    (lambda v: 1e300 * math.exp(-v * v), -30.0, 30.0, ()),
-    (lambda v: 1.0 if (v * 1e7) % 2 < 1 else 0.0, 0.0, 1.0, ()),  # never converges
-    (lambda v: 1.0 / v if v > 0.0 else 0.0, -1.0, 1.0, ()),  # panels at max depth
-])
-def test_running_totals_take_the_decisions_fsum_takes(monkeypatch, g, a, b, breakpoints):
-    monkeypatch.setattr(QuadConfig, "max_panels", 600)
-    got = quad._integrate_core(g, a, b, breakpoints=breakpoints)
-    assert got == _fsum_integrate(g, a, b, breakpoints)
-
-
-def test_a_walk_of_nonfinite_panels_fails_as_fsum_does(monkeypatch):
-    monkeypatch.setattr(QuadConfig, "max_panels", 200)
-    for g, raised in ((lambda v: math.inf if v < 0.5 else -math.inf, ValueError),
-                      (lambda v: math.inf, None)):
-        try:
-            got = quad._integrate_core(g, 0.0, 1.0)
-        except ValueError as exc:
-            got = type(exc)
-        try:
-            ref = _fsum_integrate(g, 0.0, 1.0)
-        except ValueError as exc:
-            ref = type(exc)
-        assert repr(got) == repr(ref)
-        assert raised is None or got is raised
-
-
 def _abs_density(f):
     # |f(e^v)| e^v, the density of int |f| dt in v = ln t
     return lambda v: math.exp(f.log_eval(v)[0] + v)
