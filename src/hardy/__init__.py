@@ -11,7 +11,7 @@ first-class, certified outcome throughout.
 from .envelopes import Envelope
 from .expressions import Affine, Const, Expr, Log, Power, Product, Var
 from .funcspace import (
-    CatalogError, DomainError, ParameterError, Piece, TailClass,
+    CatalogError, DomainError, ParameterError, Piece,
     TestFunction, absolute, add, catalog, catalog_names, exact_antiderivative,
     parse_function, scale, total_integral_exact,
 )

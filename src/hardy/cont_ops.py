@@ -77,13 +77,14 @@ def _is_nonnegative(f: TestFunction) -> bool:
     return all(p.sign is not None and p.sign >= 0 for p in f.pieces)
 
 
+def _require_nonnegative(f: TestFunction, what: str) -> None:
+    if not _is_nonnegative(f):
+        raise DomainError(f"{what} defined for nonnegative functions")
+
+
 def _probe_start(f: TestFunction) -> float:
-    anchors = [_E] + list(f.breakpoints)
-    if f.tail.kind == "compact":
-        anchors.append(f.tail.support_end)
-    else:
-        anchors.append(f.tail.valid_from)
-    return 2.0 * max(anchors)
+    # valid_from >= e, and a compact tail's is max(support_end, e)
+    return 2.0 * max((f.tail.valid_from, *f.breakpoints))
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +266,7 @@ def _closed_tail(f: TestFunction, functional: str, m: float = 0.0):
 
     The last needs s H f(x) = s m/(x(x+1)) - T(x)/x < 0 on x >= X: true once
     X T(X) >= s m and x T(x) is nondecreasing, as (x+1) T(x) > x T(x) >= s m.
-    It is nondecreasing where T(x) >= x |f(x)|, which a power_log class with
+    It is nondecreasing where T(x) >= x |f(x)|, which a power-log tail with
     upper and lower constants C, L gives for ln x >= (beta-1) C/L, since
     T(x) >= L ln(x)**(1-beta)/(beta-1) and x |f(x)| <= C ln(x)**-beta.
     V makes T/X meet the tail share of abs_tol; theta is taken at 1/2.
@@ -278,9 +279,9 @@ def _closed_tail(f: TestFunction, functional: str, m: float = 0.0):
     a_inf, target = A.eval(math.inf), _TAIL_SHARE * DEFAULT_CONFIG.abs_tol
     V = max(math.log(lo), math.log(s * (a_inf - A.eval(lo)) / target))
     if functional == "modified":
-        if tail.kind != "power_log" or tail.lower is None:
+        if tail.logpow == 0.0 or tail.lower is None:  # no power-log lower bound
             return None
-        V = max(V, (tail.beta - 1.0) * tail.coeff / tail.lower)
+        V = max(V, (-tail.logpow - 1.0) * tail.coeff / tail.lower)
     X = math.exp(min(V, 700.0))
     T, M = s * (a_inf - A.eval(X)), -s * last.log_moment.eval(X)
     if V > 700.0 or (functional == "modified" and X * T < s * m):
@@ -303,8 +304,8 @@ def log_weight_norm(f: TestFunction) -> HalflineResult:
     abs_density = _abs_density(f)
     return integrate_halfline(
         lambda v: abs_density(v) * _weight_logarg(v),
-        origin_envs=(_env_weight_full(f.origin.envelope()),),
-        tail_envs=(_env_weight_full(f.tail.envelope()),),
+        origin_envs=(_env_weight_full(f.origin),),
+        tail_envs=(_env_weight_full(f.tail),),
         probe_start=_probe_start(f), breakpoints=f.breakpoints,
         closed_tail=_closed_tail(f, "weight"),
     )
@@ -322,15 +323,13 @@ def _single_weight_result(f: TestFunction, side: str) -> HalflineResult:
     and, by ln(1 + x) <= x, decays at least like 1/t or 1/u at the other.
     """
     abs_density = _abs_density(f)
-    env_o = f.origin.envelope()
-    env_t = f.tail.envelope()
     if side == "small":
         # ln(1 + 1/t) = ln(1 + e**-v) = ln(1 + u)
         density = lambda v: abs_density(v) * _ln1p_exp(-v)
-        origin, tail = env_o.weighted_log(), _over_t(env_t)
+        origin, tail = f.origin.weighted_log(), _over_t(f.tail)
     elif side == "large":
         density = lambda v: abs_density(v) * _ln1p_exp(v)
-        origin, tail = _over_t(env_o), env_t.weighted_log()
+        origin, tail = _over_t(f.origin), f.tail.weighted_log()
     else:
         raise ValueError(side)
     return integrate_halfline(density, origin_envs=(origin,), tail_envs=(tail,),
@@ -350,7 +349,7 @@ def split_i1(f: TestFunction) -> HalflineResult:
 
     # F(x)/(x(x+1)) <= F(x)/x at the origin and <= total/x**2 at infinity
     tail_env = Envelope(max(cum.total, 1e-300), 2.0, 0.0)
-    return integrate_halfline(density, origin_envs=(f.origin.averaged_envelope(),),
+    return integrate_halfline(density, origin_envs=(f.origin.averaged(),),
                               tail_envs=(tail_env,), probe_start=_probe_start(f),
                               breakpoints=f.breakpoints)
 
@@ -374,7 +373,7 @@ def split_i2(f: TestFunction) -> HalflineResult:
     # T(x)/(x+1) <= T(x)/x at infinity and <= total/u**2 at the origin
     origin_env = Envelope(max(cum.total, 1e-300), 2.0, 0.0)
     return integrate_halfline(density, origin_envs=(origin_env,),
-                              tail_envs=(f.tail.averaged_envelope(),),
+                              tail_envs=(f.tail.averaged(),),
                               probe_start=_probe_start(f),
                               breakpoints=f.breakpoints, closed_tail=_closed_tail(f, "i2"))
 
@@ -431,9 +430,9 @@ def _modified_envelopes(f: TestFunction, m: float):
 
     Tail side, from H f(x) = m/(x(x+1)) - T(x)/x with T(x) = int_x^inf f:
         |H f(x)| <= |m| x^-2 + T(x) / x,
-    bounded by the kernel term and the tail class's averaged envelope A.
+    bounded by the kernel term and the tail's averaged envelope A.
     When A carries a divergence certificate and f >= 0, T(x)/x >= 2 A_lower(x)
-    (see ``funcspace._averaged_lower``), so
+    (see ``Envelope.averaged``), so
         |H f(x)| >= T(x)/x - |m| x^-2 >= A_lower(x)
     from the first doubling of valid_from where x^2 A_lower(x) >= |m|.  The
     origin side is the same in u = 1/x, with F(x) = int_0^x f in place of T;
@@ -452,12 +451,12 @@ def _modified_envelopes(f: TestFunction, m: float):
         kernel = Envelope(max(am, 1e-300), 2.0, 0.0)
         return (kernel,) if avg.is_compact else (kernel, replace(avg, lower=None))
 
-    org_avg = f.origin.averaged_envelope()
+    org_avg = f.origin.averaged()
     if org_avg.power == 2.0:
         origin_envs = (Envelope(org_avg.coeff + am, 2.0, 0.0, org_avg.valid_from),)
     else:
         origin_envs = side(org_avg)
-    return origin_envs, side(f.tail.averaged_envelope())
+    return origin_envs, side(f.tail.averaged())
 
 
 def l1_norm_modified(f: TestFunction) -> HalflineResult:
@@ -516,7 +515,7 @@ def mean_limit_check(f: TestFunction) -> MeanLimitReport:
     xs = tuple(10.0 ** (6.0 * i / 12) * 1.0137 for i in range(13))
     values = tuple(cum.value(x) for x in xs)
 
-    tail_bound = f.tail.remainder(xs[-1])
+    tail_bound = f.tail.remainder_past(xs[-1])
     consistent = abs(values[-1] - m) <= tail_bound + 1e-6 * max(1.0, abs(m))
 
     probe = None
@@ -538,8 +537,7 @@ def mean_limit_check(f: TestFunction) -> MeanLimitReport:
 def _ratio(f: TestFunction, wf: HalflineResult, hf: HalflineResult, l1: float) -> float:
     """R(f) from W(f), the l1 norm of H f and that of f; DomainError where
     it is not defined."""
-    if not _is_nonnegative(f):
-        raise DomainError("equivalence ratio defined for nonnegative functions")
+    _require_nonnegative(f, "equivalence ratio")
     for res, what in ((wf, "weighted norm"), (hf, "corrected norm")):
         if res.verdict not in ("converged", "not-converged"):
             raise DomainError(f"{f.name}: {what} is {res.verdict}")
@@ -553,8 +551,10 @@ def equivalence_ratio(f: TestFunction) -> float:
 
     The l1 norm of f is added on the left because the correction kernel
     (theta) annihilates under H while carrying W(theta) = 2, so the bare
-    quotient admits no universal lower constant.
+    quotient admits no universal lower constant.  The sign is checked
+    before any integral is taken.
     """
+    _require_nonnegative(f, "equivalence ratio")
     return _ratio(f, log_weight_norm(f), l1_norm_modified(f), _l1_norm(f))
 
 
@@ -562,11 +562,10 @@ def cont_hardy_ratio(f: TestFunction, p: float) -> float:
     """[int (Qf)^p] / [int f^p] for nonnegative f; bounded by (p/(p-1))^p."""
     if not 1.0 < p < math.inf:
         raise DomainError("exponent must lie in (1, inf)")
-    if not _is_nonnegative(f):
-        raise DomainError("ratio defined for nonnegative functions")
+    _require_nonnegative(f, "ratio")
     # |f(t)| <= c t^-alpha near 0 with alpha = 2 - avg.power (1 for a power-log
     # origin); that power was rounded, so half its ulp keeps the refusal safe
-    org, avg = f.origin, f.origin.averaged_envelope()
+    org, avg = f.origin, f.origin.averaged()
     alpha = 2.0 - avg.power
     if p * (alpha + math.ulp(avg.power) / 2) >= 1.0:
         raise DomainError(f"{f.name} is not p-integrable near the origin for p={p}")
@@ -588,7 +587,7 @@ def cont_hardy_ratio(f: TestFunction, p: float) -> float:
     num_origin = Envelope(avg.coeff ** p, power, 0.0, avg.valid_from)
     den_origin = Envelope(org.coeff ** p, power, 0.0, avg.valid_from)
     num_tail = Envelope(max(abs(m) ** p, 1e-300), p, 0.0)
-    env = f.tail.envelope()  # raised to the p for |f|^p at infinity
+    env = f.tail  # raised to the p for |f|^p at infinity
     den_tail = Envelope(env.coeff ** p, p * env.power, p * env.logpow, env.valid_from)
 
     num = integrate_halfline(num_density, origin_envs=(num_origin,),

@@ -7,7 +7,15 @@ An :class:`Envelope` records the bound
 with ``valid_from >= e`` so that ``ln t >= 1`` throughout the valid range.
 Optionally a matching lower bound ``|g(t)| >= lower * t**(-power) * (ln t)**logpow``
 may be declared; a lower bound is what turns "the upper bound does not
-converge" into a certificate of divergence.
+converge" into a certificate of divergence.  A compact bound (``coeff`` 0,
+from :meth:`Envelope.compact`) records where g vanishes, ``support_end``.
+
+It is the one decay type: a function declares each end's decay as an
+envelope (its origin read in u = 1/t, see ``funcspace``), and so does a
+generator sequence in ``seq_ops``.  A declared envelope has one of the
+shapes of :attr:`Envelope.declarable`, and derives the envelope of its
+averaged side (:meth:`Envelope.averaged`) and its integral-test remainder
+past any x (:meth:`Envelope.remainder_past`).
 
 All remainder formulas are expressed through ``V = ln T`` because the
 quadrature engine walks tails in the ``v = ln t`` coordinate, where power
@@ -17,7 +25,7 @@ decay becomes exponential decay and power-log decay becomes power decay.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 __all__ = ["Envelope", "EnvelopeError"]
 
@@ -33,13 +41,15 @@ class EnvelopeError(ValueError):
 
 @dataclass(frozen=True)
 class Envelope:
-    """Upper (and optionally lower) bound C * t^-a * (ln t)^b beyond valid_from."""
+    """Upper (and optionally lower) bound C * t^-a * (ln t)^b beyond valid_from;
+    g = 0 past ``support_end``, which is finite only for a compact bound."""
 
     coeff: float
     power: float
     logpow: float = 0.0
     valid_from: float = math.e
     lower: float | None = None
+    support_end: float = math.inf
 
     def __post_init__(self):
         if self.coeff < 0:
@@ -60,13 +70,23 @@ class Envelope:
     @classmethod
     def compact(cls, support_end: float) -> "Envelope":
         """Envelope of a function vanishing beyond ``support_end``."""
-        return cls(0.0, 2.0, 0.0, valid_from=max(support_end, math.e))
+        return cls(0.0, 2.0, 0.0, valid_from=max(support_end, math.e), support_end=support_end)
 
     # -- basic queries -------------------------------------------------------
 
     @property
     def is_compact(self) -> bool:
         return self.coeff == 0.0
+
+    @property
+    def declarable(self) -> bool:
+        """Whether a function end or a generator may declare this bound: compact
+        with a finite support end, C t^-a with a > 1, or C t^-1 (ln t)^-b with
+        b > 1."""
+        if self.is_compact:
+            return self.support_end < math.inf
+        return (self.logpow == 0.0 and self.power > 1.0) or (
+            self.power == 1.0 and self.logpow < -1.0)
 
     def value(self, t: float) -> float:
         if t < self.valid_from:
@@ -112,6 +132,14 @@ class Envelope:
             return C * V ** (1.0 + b) / (-1.0 - b)
         return math.inf
 
+    def remainder_past(self, x: float) -> float:
+        """Integral-test bound on int_x^inf |g| for x at or past valid_from.
+        The bound decreases there, so it also bounds sum_{k>x} |a_k| of a
+        sequence that declares it."""
+        if self.is_compact:
+            return 0.0 if x >= self.support_end else math.inf
+        return self.remainder(math.log(max(x, self.valid_from)))
+
     def v_for_remainder(self, target: float) -> float:
         """Smallest V (up to a cap) with remainder(V) <= target.
 
@@ -152,13 +180,21 @@ class Envelope:
         exponent rises by one, the upper constant picks up (1 + ln 2) and the
         lower constant survives unchanged.
         """
-        return Envelope(
-            coeff=self.coeff * (1.0 + _LN2),
-            power=self.power,
-            logpow=self.logpow + 1.0,
-            valid_from=self.valid_from,
-            lower=self.lower,
-        )
+        return replace(self, coeff=self.coeff * (1.0 + _LN2), logpow=self.logpow + 1.0)
+
+    def averaged(self) -> "Envelope":
+        """Envelope of T(t)/t, T(t) = int_t^inf |g|, for a declarable bound: the
+        bound integrated to infinity, over t.  At a function's origin T(u) =
+        F(1/u), with F(x) = int_0^x |f|.  A power-log lower bound integrates
+        to lower/(b-1); the extra 1/2 absorbs x+1 <= 2x on x >= 1, so the
+        constant bounds T(t)/(t+1) and F(1/u)/(1+u) from below."""
+        if self.is_compact:
+            return self
+        if self.logpow == 0.0:
+            return Envelope(self.coeff / (self.power - 1.0), self.power, 0.0, self.valid_from)
+        lower = None if self.lower is None else self.lower / (2.0 * (-self.logpow - 1.0))
+        return Envelope(self.coeff / (-self.logpow - 1.0), 1.0, 1.0 + self.logpow,
+                        self.valid_from, lower=lower)
 
 
 def sum_remainder(envs: tuple[Envelope, ...], V: float) -> float:

@@ -16,16 +16,17 @@ Conventions
 * ``eval`` finds the piece of t by a bisect over the breakpoints;
   ``log_eval`` finds that of t = e**v, for every v, by a bisect over their
   logarithms, so it reads the right piece at both ends of the float range.
-* Decay behaviour at 0 and at infinity is *declared* through one
-  descriptor, :class:`TailClass`, and spot-checked by sampling at
-  construction time, never inferred from the expression tree.  The origin
-  is a tail too: substituting u = 1/t maps int_0^a |f(t)| dt onto
-  int_{1/a}^inf |f(1/u)| / u**2 du, so a function's ``origin`` is the
-  :class:`TailClass` of u -> |f(1/u)| / u**2.  A bounded f declares power 2
-  there, |f| <= c t**-alpha declares power 2 - alpha, and f = 0 near 0
-  declares a compact class.  Generator sequences in ``seq_ops`` declare
-  their decay with the same :class:`TailClass`: by the integral test its
-  remainder bounds a sum over k > n as well as an integral over t > n.
+* Decay behaviour at 0 and at infinity is *declared*, each end as one
+  :class:`~hardy.envelopes.Envelope` of a declarable shape (compact,
+  c t**-a with a > 1, or c / (t ln(t)**b) with b > 1), and spot-checked by
+  sampling at construction time, never inferred from the expression tree.
+  The origin is a tail too: substituting u = 1/t maps int_0^a |f(t)| dt
+  onto int_{1/a}^inf |f(1/u)| / u**2 du, so a function's ``origin`` is the
+  envelope of u -> |f(1/u)| / u**2.  A bounded f declares power 2 there,
+  |f| <= c t**-alpha declares power 2 - alpha, and f = 0 near 0 declares a
+  compact envelope.  Generator sequences in ``seq_ops`` declare their decay
+  the same way: by the integral test its remainder bounds a sum over k > n
+  as well as an integral over t > n.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .expressions import (
 )
 
 __all__ = [
-    "TestFunction", "Piece", "TailClass",
+    "TestFunction", "Piece",
     "DomainError", "CatalogError", "ParameterError",
     "FAMILIES", "catalog", "catalog_names", "check_params", "split_name",
     "parse_params", "parse_function",
@@ -62,82 +63,6 @@ class CatalogError(KeyError):
 
 class ParameterError(ValueError):
     """Family parameter outside its admissible range."""
-
-
-# ---------------------------------------------------------------------------
-# declared behaviour at the origin and at infinity
-# ---------------------------------------------------------------------------
-
-def _averaged_lower(lower: float | None, beta: float) -> float | None:
-    """Lower constant of an averaged power-log bound.  The integrated lower
-    bound is lower/(beta-1); the extra 1/2 absorbs x+1 <= 2x on x >= 1, so
-    the constant bounds T(t)/(t+1) and F(1/u)/(1+u) from below."""
-    return None if lower is None else lower / (2.0 * (beta - 1.0))
-
-
-@dataclass(frozen=True)
-class TailClass:
-    """Declared bound on |g| as t -> inf: g = f at a function's tail, and
-    g(u) = f(1/u) / u**2 at its origin, in u = 1/t.
-
-    kind = "compact":    g(t) = 0                          for t > support_end
-    kind = "power":      |g(t)| <= coeff * t**-alpha,       alpha > 1
-    kind = "power_log":  |g(t)| <= coeff / (t * ln(t)**beta),  beta > 1
-    """
-
-    kind: str
-    coeff: float = 0.0
-    alpha: float = 0.0
-    beta: float = 0.0
-    support_end: float = 0.0
-    valid_from: float = _E
-    lower: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("compact", "power", "power_log"):
-            raise ParameterError(f"unknown tail kind {self.kind!r}")
-        if self.kind == "power" and self.alpha <= 1.0:
-            raise ParameterError("tail power exponent must exceed 1")
-        if self.kind == "power_log" and self.beta <= 1.0:
-            raise ParameterError("tail power-log exponent must exceed 1")
-        if self.kind != "compact":
-            object.__setattr__(self, "valid_from", max(self.valid_from, _E))
-
-    def bound(self, t: float) -> float:
-        if self.kind == "compact":
-            return 0.0 if t > self.support_end else math.inf
-        if t < self.valid_from:
-            raise DomainError("tail bound queried before its valid range")
-        if self.kind == "power":
-            return self.coeff * t ** (-self.alpha)
-        return self.coeff / (t * math.log(t) ** self.beta)
-
-    def envelope(self) -> Envelope:
-        if self.kind == "compact":
-            return Envelope.compact(self.support_end)
-        if self.kind == "power":
-            return Envelope(self.coeff, self.alpha, 0.0, self.valid_from, lower=self.lower)
-        return Envelope(self.coeff, 1.0, -self.beta, self.valid_from, lower=self.lower)
-
-    def remainder(self, x: float) -> float:
-        """Integral-test bound on int_x^inf |f| for x at or past valid_from.
-        The declared bound decreases there, so it also bounds sum_{k>x} |a_k|
-        of a sequence that declares it."""
-        env = self.envelope()
-        if env.is_compact:
-            return 0.0 if x >= self.support_end else math.inf
-        return env.remainder(math.log(max(x, self.valid_from)))
-
-    def averaged_envelope(self) -> Envelope:
-        """Envelope of T(t)/t, T(t) = int_t^inf |g|: the declared bound
-        integrated to infinity, over t.  At the origin T(u) = F(1/u), with
-        F(x) = int_0^x |f|."""
-        if self.kind == "compact":
-            return Envelope.compact(self.support_end)
-        if self.kind == "power":
-            return Envelope(self.coeff / (self.alpha - 1.0), self.alpha, 0.0, self.valid_from)
-        return Envelope(self.coeff / (self.beta - 1.0), 1.0, 1.0 - self.beta, self.valid_from,
-                        lower=_averaged_lower(self.lower, self.beta))
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +88,8 @@ class TestFunction:
     name: str
     pieces: tuple[Piece, ...]
     breakpoints: tuple[float, ...]
-    origin: TailClass
-    tail: TailClass
+    origin: Envelope
+    tail: Envelope
     exact_values: tuple[tuple[str, float], ...] = ()
 
     def __post_init__(self):
@@ -217,21 +142,24 @@ def _validate(f: TestFunction) -> None:
 
 
 def _spot_check(f: TestFunction, end: str, n: int = 64) -> None:
-    """Sample the declared class of one end against ln|g| at e**v: the tail
-    reads g(t) = f(t), the origin g(u) = f(1/u) / u**2, so ln|f(e**-v)| - 2v."""
+    """Check the shape of one end's declared envelope and sample it against
+    ln|g| at e**v: the tail reads g(t) = f(t), the origin g(u) = f(1/u) / u**2,
+    so ln|f(e**-v)| - 2v."""
     if end == "tail":
-        cls, x, log_abs = f.tail, "t", lambda v: f.log_eval(v)[0]
+        env, x, log_abs = f.tail, "t", lambda v: f.log_eval(v)[0]
     else:
-        cls, x, log_abs = f.origin, "u", lambda v: f.log_eval(-v)[0] - 2.0 * v
-    if cls.kind == "compact":
-        v0 = math.log(cls.support_end) + 1e-9
+        env, x, log_abs = f.origin, "u", lambda v: f.log_eval(-v)[0] - 2.0 * v
+    if not env.declarable:
+        raise ParameterError(f"{f.name}: {end} must be declared compact, c {x}**-a with "
+                             f"a > 1 or c / ({x} ln({x})**b) with b > 1; got {env}")
+    if env.is_compact:
+        v0 = math.log(env.support_end) + 1e-9
         for i in range(n):
             v = v0 + 6.0 * math.log(10.0) * i / (n - 1)
             if log_abs(v) > -math.inf:
                 raise ParameterError(f"{f.name}: {end} declared compact beyond "
-                                     f"{x}={cls.support_end} but f != 0 at {x}=e**{v:.3f}")
+                                     f"{x}={env.support_end} but f != 0 at {x}=e**{v:.3f}")
         return
-    env = cls.envelope()
     v0 = math.log(env.valid_from) + 1e-9
     for i in range(n):
         v = v0 + 14.0 * i / (n - 1)
@@ -324,9 +252,9 @@ def scale(f: TestFunction, c: float) -> TestFunction:
               None if p.sign is None else sgn * p.sign, _times(c, p.log_moment))
         for p in f.pieces
     )
-    origin, tail = (replace(cls, coeff=cls.coeff * mag,
-                            lower=None if cls.lower is None else cls.lower * mag)
-                    for cls in (f.origin, f.tail))
+    origin, tail = (replace(env, coeff=env.coeff * mag,
+                            lower=None if env.lower is None else env.lower * mag)
+                    for env in (f.origin, f.tail))
     exact = tuple((k, v * (c if k == "total_integral" else mag))
                   for k, v in f.exact_values if k in ("total_integral", "l1_norm"))
     return TestFunction(f"scale({f.name},{c:g})", pieces, f.breakpoints, origin, tail, exact)
@@ -339,31 +267,26 @@ def _sup_power_exp(beta: float, rate: float, v0: float) -> float:
     return v ** beta * math.exp(-rate * v)
 
 
-def _join_tail(a: TailClass, b: TailClass) -> TailClass:
-    """Conservative class for a sum |f + g| <= |f| + |g|, at either end."""
-    order = {"compact": 0, "power": 1, "power_log": 2}
-    hi, lo_cls = (a, b) if order[a.kind] >= order[b.kind] else (b, a)
-    if hi.kind == "compact":
-        return TailClass("compact", support_end=max(a.support_end, b.support_end))
-    if hi.kind == lo_cls.kind == "power":
-        hi = replace(hi, alpha=min(a.alpha, b.alpha))
-    if hi.kind == lo_cls.kind == "power_log":
-        hi = replace(hi, beta=min(a.beta, b.beta))
-    valid = max(a.valid_from if a.kind != "compact" else a.support_end,
-                b.valid_from if b.kind != "compact" else b.support_end, _E)
-    if lo_cls.kind == "compact":
-        return replace(hi, valid_from=valid, lower=None)
-    if hi.kind == "power_log" and lo_cls.kind == "power":
-        # in v = ln t the two shapes differ by the factor v**beta e**(-(alpha-1)v),
-        # at most its sup over v >= ln(valid)
-        sup = _sup_power_exp(hi.beta, lo_cls.alpha - 1.0, math.log(valid))
-        return TailClass("power_log", coeff=hi.coeff + lo_cls.coeff * sup, beta=hi.beta,
-                         valid_from=valid, lower=None)
-    return replace(hi, coeff=hi.coeff + lo_cls.coeff, valid_from=valid, lower=None)
+def _join_tail(a: Envelope, b: Envelope) -> Envelope:
+    """Conservative envelope for a sum |f + g| <= |f| + |g|, at either end.
+    A compact envelope is valid from its support end, so ``valid`` starts
+    past both supports."""
+    if a.is_compact and b.is_compact:
+        return Envelope.compact(max(a.support_end, b.support_end))
+    valid = max(a.valid_from, b.valid_from)
+    if a.is_compact or b.is_compact:
+        return replace(b if a.is_compact else a, valid_from=valid, lower=None)
+    if (a.logpow == 0.0) != (b.logpow == 0.0):
+        # a power into a power-log: in v = ln t the shapes differ by the factor
+        # v**beta e**(-(alpha-1)v), at most its sup over v >= ln(valid)
+        slow, fast = (b, a) if a.logpow == 0.0 else (a, b)
+        sup = _sup_power_exp(-slow.logpow, fast.power - 1.0, math.log(valid))
+        return Envelope(slow.coeff + fast.coeff * sup, 1.0, slow.logpow, valid)
+    return Envelope(a.coeff + b.coeff, min(a.power, b.power), max(a.logpow, b.logpow), valid)
 
 
 def add(f: TestFunction, g: TestFunction) -> TestFunction:
-    """Pointwise sum with merged breakpoints and conservative decay classes."""
+    """Pointwise sum with merged breakpoints and conservative decay envelopes."""
     bps = tuple(sorted(set(f.breakpoints) | set(g.breakpoints)))
     pieces = []
     lo = 0.0
@@ -405,8 +328,8 @@ def _theta() -> TestFunction:
         "theta",
         (Piece(0.0, math.inf, expr, anti, 1),),
         (),
-        TailClass("power", coeff=1.0, alpha=2.0, valid_from=1.0),
-        TailClass("power", coeff=1.0, alpha=2.0, lower=0.25, valid_from=1.0),
+        Envelope(1.0, 2.0, valid_from=1.0),
+        Envelope(1.0, 2.0, lower=0.25, valid_from=1.0),
         (("total_integral", 1.0), ("l1_norm", 1.0)),
     )
 
@@ -424,8 +347,8 @@ def _f0() -> TestFunction:
             Piece(4.0, math.inf, Const(0.0), Const(0.0), 0),
         ),
         (1.0, 2.0, 3.0, 4.0),
-        TailClass("compact", support_end=1.0),
-        TailClass("compact", support_end=4.0),
+        Envelope.compact(1.0),
+        Envelope.compact(4.0),
         (("total_integral", math.log(1.5)), ("l1_norm", math.log(8.0 / 3.0))),
     )
 
@@ -440,8 +363,8 @@ def _fe() -> TestFunction:
             Piece(_E, math.inf, affine([(-1.0, core)]), Power(Log(_T), -1.0), -1),
         ),
         (1.0 / _E, _E),
-        TailClass("power_log", coeff=1.0, beta=2.0, valid_from=_E, lower=1.0),
-        TailClass("power_log", coeff=1.0, beta=2.0, valid_from=_E, lower=1.0),
+        Envelope(1.0, 1.0, -2.0, valid_from=_E, lower=1.0),
+        Envelope(1.0, 1.0, -2.0, valid_from=_E, lower=1.0),
         (("total_integral", 0.0), ("l1_norm", 2.0)),
     )
 
@@ -461,8 +384,8 @@ def _power_cutoff(alpha: float, T: float) -> TestFunction:
             Piece(T, math.inf, Const(0.0), Const(0.0), 0),
         ),
         (T,),
-        TailClass("power", coeff=1.0, alpha=2.0 - alpha, valid_from=1.0 / min(T, 1.0)),
-        TailClass("compact", support_end=T),
+        Envelope(1.0, 2.0 - alpha, valid_from=1.0 / min(T, 1.0)),
+        Envelope.compact(T),
         (("total_integral", total), ("l1_norm", total)),
     )
 
@@ -477,8 +400,8 @@ def _power_tail(beta: float) -> TestFunction:
         f"power_tail(beta={beta:g})",
         (Piece(0.0, math.inf, expr, anti, 1),),
         (),
-        TailClass("power", coeff=1.0, alpha=2.0, valid_from=1.0),
-        TailClass("power", coeff=1.0, alpha=beta, lower=2.0 ** (-beta), valid_from=1.0),
+        Envelope(1.0, 2.0, valid_from=1.0),
+        Envelope(1.0, beta, lower=2.0 ** (-beta), valid_from=1.0),
         (("total_integral", total), ("l1_norm", total)),
     )
 
@@ -497,8 +420,8 @@ def _log_tail(beta: float) -> TestFunction:
             Piece(_E, math.inf, expr, anti, 1, moment),
         ),
         (_E,),
-        TailClass("compact", support_end=1.0),
-        TailClass("power_log", coeff=1.0, beta=beta, valid_from=_E, lower=1.0),
+        Envelope.compact(1.0),
+        Envelope(1.0, 1.0, -beta, valid_from=_E, lower=1.0),
         (("total_integral", total), ("l1_norm", total)),
     )
 
@@ -514,9 +437,9 @@ def _box(lo: float, hi: float) -> TestFunction:
             Piece(hi, math.inf, Const(0.0), Const(0.0), 0),
         ),
         (lo, hi),
-        TailClass("power", coeff=1.0, alpha=2.0, valid_from=1.0 / lo) if lo < 1.0
-        else TailClass("compact", support_end=1.0),
-        TailClass("compact", support_end=hi),
+        Envelope(1.0, 2.0, valid_from=1.0 / lo) if lo < 1.0
+        else Envelope.compact(1.0),
+        Envelope.compact(hi),
         (("total_integral", hi - lo), ("l1_norm", hi - lo)),
     )
 

@@ -32,7 +32,7 @@ from importlib import resources
 from typing import ClassVar
 
 from . import cont_ops, funcspace, seq_ops
-from .envelopes import EnvelopeError
+from .envelopes import Envelope, EnvelopeError
 from .quad import DEFAULT_CONFIG, integrate_halfline
 
 __all__ = [
@@ -173,8 +173,7 @@ def _claim_theta(cfg: SuiteConfig):
                        worst, "<= 1e-12", "closed-form"))
     total = integrate_halfline(
         lambda v: math.exp(theta.log_eval(v)[0] + v),
-        origin_envs=(theta.origin.envelope(),),
-        tail_envs=(theta.tail.envelope(),))
+        origin_envs=(theta.origin,), tail_envs=(theta.tail,))
     checks.append(_near("quadrature total integral", total.value, 1.0, 1e-12,
                         "closed-form"))
     hnorm = cont_ops.l1_norm_modified(theta)
@@ -419,7 +418,7 @@ def _claim_disc_mean(cfg: SuiteConfig):
                        f"{rep.target!r} +- 10%", "doubling blocks"))
     lam2 = seq_ops.SeqSpec(
         name="2*lambda", gen=lambda k: Fraction(2, k * (k + 1)),
-        decay=funcspace.TailClass("power", coeff=2.0, alpha=2.0, valid_from=3, lower=1.0),
+        decay=Envelope(2.0, 2.0, valid_from=3, lower=1.0),
         exact_sum=Fraction(2),
         vec=lambda ks: 2.0 / (ks * (ks + 1.0)))
     rep2 = seq_ops.disc_mean_check(lam2)

@@ -12,8 +12,9 @@ Notation:
 Finite sequences are stored as their nonzero (k, a_k) terms, exact
 rationals, and their identities hold with zero tolerance: sum_n J1(n) = sum_k
 a_k / k and sum_n J2(n) = sum_k a_k (H_k - 1) (the rearranged forms, finite
-only).  A generator is one float rule ``vec``, with a decay declared as a
-``TailClass`` to certify its tails; an exact generator adds its rational
+only).  A generator is one float rule ``vec``, with a decay declared as an
+``Envelope`` of a declarable shape to certify its tails, the same type a
+function declares each end with; an exact generator adds its rational
 ``gen``.  The exact-only pointwise operators (``cesaro``, ``modified_cesaro``,
 ``j1_term``, ``j2_term``) each read ``pointwise_numerators``: with D the
 common denominator, P = S_n D and M = D sum_k a_k, they are integers over
@@ -49,7 +50,8 @@ from functools import cached_property, lru_cache, reduce
 from itertools import accumulate
 from typing import Callable
 
-from .funcspace import TailClass, check_params, parse_params, split_name
+from .envelopes import Envelope
+from .funcspace import check_params, parse_params, split_name
 
 __all__ = [
     "SeqSpec", "SumResult", "DiscMeanReport", "DiscReport", "SequenceError",
@@ -108,15 +110,15 @@ def _require_exact_cap(name: str, n: int) -> None:
 # log-weighted tails: the envelope of |a_k| ln(k+1) (Envelope.weighted_log)
 # ---------------------------------------------------------------------------
 
-def _weighted_divergent(decay: TailClass) -> bool:
-    return decay.envelope().weighted_log().certified_divergent()
+def _weighted_divergent(decay: Envelope) -> bool:
+    return decay.weighted_log().certified_divergent()
 
 
-def _weighted_remainder(decay: TailClass, n: int) -> float:
+def _weighted_remainder(decay: Envelope, n: int) -> float:
     """Integral-test bound on sum_{k>n} |a_k| ln(k+1)."""
-    env = decay.envelope().weighted_log()
+    env = decay.weighted_log()
     if env.is_compact:
-        return 0.0 if n >= decay.support_end else math.inf
+        return env.remainder_past(n)
     if not env.integrable():
         return math.inf
     return env.remainder(math.log(max(n, int(env.valid_from) + 1)))
@@ -135,9 +137,10 @@ class SeqSpec:
     read integer numerators over the common denominator D (``int_runs``), with
     one pairwise sum and one reduction per output.  Generator
     mode supplies ``vec``, the float rule that maps an array of indices k to
-    the terms a_k, plus its declared decay, a
-    :class:`~hardy.funcspace.TailClass` bound on |a_k| read at t = k and
-    spot-checked on ``vec`` at construction.  An exact generator adds
+    the terms a_k, plus its declared decay, a declarable
+    :class:`~hardy.envelopes.Envelope` bound on |a_k| read at t = k and
+    spot-checked on ``vec`` past its valid_from (past the support end of a
+    compact one) at construction.  An exact generator adds
     ``gen(k)``, its exact rational term, together with ``exact_sum``, its
     closed-form total; every float path still reads ``vec``.
     """
@@ -145,7 +148,7 @@ class SeqSpec:
     name: str
     terms: tuple[tuple[int, Fraction], ...] | None = None
     gen: Callable[[int], Fraction] | None = None
-    decay: TailClass | None = None
+    decay: Envelope | None = None
     exact_sum: Fraction | None = None
     vec: Callable | None = None  # float64 array of k -> float64 array of a_k
 
@@ -157,7 +160,10 @@ class SeqSpec:
         if self.finite:
             self._check_terms()
         elif self.decay is None:
-            raise SequenceError("generator sequences must declare a decay class")
+            raise SequenceError("generator sequences must declare a decay envelope")
+        elif not self.decay.declarable:
+            raise SequenceError(f"{self.name}: a decay must be declared compact, c k**-a "
+                                f"with a > 1 or c / (k ln(k)**b) with b > 1; got {self.decay}")
         else:
             self._spot_check_decay()
 
@@ -178,10 +184,10 @@ class SeqSpec:
         ks = sorted({int(dec.valid_from * 2.0 ** (12.0 * i / (n - 1))) + 1 for i in range(n)})
         sizes = np.abs(self.vec(np.array(ks, dtype=np.float64)))
         for k, size in zip(ks, sizes):
-            bound = dec.bound(k)
+            bound = dec.value(k)
             if size > bound * (1.0 + 1e-9):
                 raise SequenceError(f"{self.name}: decay envelope violated at k={k}")
-            if dec.lower is not None and dec.kind != "compact":
+            if dec.lower is not None and not dec.is_compact:
                 floor = bound * dec.lower / dec.coeff
                 if size < floor * (1.0 - 1e-9):
                     raise SequenceError(f"{self.name}: decay lower bound violated at k={k}")
@@ -199,7 +205,7 @@ class SeqSpec:
     def support_end(self) -> int | None:
         if self.finite:
             return self.terms[-1][0]
-        if self.decay.kind == "compact":
+        if self.decay.is_compact:
             return self.decay.support_end
         return None
 
@@ -352,9 +358,7 @@ def _harmonic_split(lo: int, hi: int) -> tuple[int, int]:
         _require_exact_cap(f"H_{hi - 1}", hi - 1)
     a, b = -(-lo // _HARMONIC_LEAF), hi // _HARMONIC_LEAF  # the whole leaves a..b-1
     if a >= b:
-        num, den = _harmonic_unreduced(lo, hi)
-        g = math.gcd(num, den)
-        return num // g, den // g
+        return _reduced(*_harmonic_unreduced(lo, hi))
     left = _reduced(*_harmonic_unreduced(lo, a * _HARMONIC_LEAF))
     right = _reduced(*_harmonic_unreduced(b * _HARMONIC_LEAF, hi))
     level = 0
@@ -386,7 +390,7 @@ def _tree_sum(pairs) -> tuple[int, int]:
     return pairs[0] if pairs else (0, 1)
 
 
-def total_sum(seq: SeqSpec, horizon: int = 10 ** 6) -> SumResult:
+def total_sum(seq: SeqSpec, horizon: int = _L_HORIZON) -> SumResult:
     """sum_k a_k, exact for finite support or a declared closed form,
     tail-bounded through the decay envelope otherwise."""
     if seq.exact_total is not None:
@@ -399,7 +403,7 @@ def total_sum(seq: SeqSpec, horizon: int = 10 ** 6) -> SumResult:
         return SumResult(total, abs(total) * 1e-13 * math.log2(end + 2), "converged")
     n = max(horizon, seq.decay.valid_from)
     head = float(np.sum(seq.terms_float(n)))
-    rem = seq.decay.remainder(n)
+    rem = seq.decay.remainder_past(n)
     if math.isinf(rem):
         return SumResult.inconclusive()
     return SumResult(head, rem + abs(head) * 1e-13 * math.log2(n), "converged")
@@ -804,7 +808,7 @@ def _seq_lambda() -> SeqSpec:
     return SeqSpec(
         name="lambda",
         gen=lambda k: Fraction(1, k * (k + 1)),
-        decay=TailClass("power", coeff=1.0, alpha=2.0, valid_from=3, lower=0.5),
+        decay=Envelope(1.0, 2.0, valid_from=3, lower=0.5),
         exact_sum=Fraction(1),
         vec=lambda ks: 1.0 / (ks * (ks + 1.0)),
     )
@@ -826,7 +830,7 @@ def _seq_powcut(alpha: float, N: int) -> SeqSpec:
 
     return SeqSpec(
         name=f"powcut(alpha={alpha:g},N={N})",
-        decay=TailClass("compact", support_end=N),
+        decay=Envelope.compact(N),
         vec=lambda ks: np.where(ks <= N, ks ** (-alpha), 0.0),
     )
 
@@ -836,7 +840,7 @@ def _seq_power(alpha: float) -> SeqSpec:
         raise SequenceError("power needs alpha > 1 for summability")
     return SeqSpec(
         name=f"power(alpha={alpha:g})",
-        decay=TailClass("power", coeff=1.0, alpha=alpha, valid_from=3, lower=1.0),
+        decay=Envelope(1.0, alpha, valid_from=3, lower=1.0),
         vec=lambda ks: ks ** (-alpha),
     )
 
@@ -850,8 +854,7 @@ def _seq_logdecay(beta: float, start: int = 3) -> SeqSpec:
 
     return SeqSpec(
         name=f"logdecay(beta={beta:g},start={start})",
-        decay=TailClass("power_log", coeff=1.0, beta=beta, valid_from=start,
-                        lower=2.0 ** (-beta)),
+        decay=Envelope(1.0, 1.0, -beta, valid_from=start, lower=2.0 ** (-beta)),
         vec=lambda ks: np.where(ks >= start, 1.0 / (ks * np.log(ks + 1.0) ** beta), 0.0),
     )
 

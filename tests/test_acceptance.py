@@ -61,8 +61,8 @@ def test_criterion_02_kernel_identities():
                 for x in _log_points(rng, 50, 1e-3, 1e4, ()))
     total = integrate_halfline(
         lambda v: math.exp(theta.log_eval(v)[0] + v),
-        origin_envs=(theta.origin.envelope(),),
-        tail_envs=(theta.tail.envelope(),))
+        origin_envs=(theta.origin,),
+        tail_envs=(theta.tail,))
     hnorm = co.l1_norm_modified(theta)
     ok = (worst <= 1e-12
           and abs(total.value - 1.0) <= 1e-12

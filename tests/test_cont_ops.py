@@ -266,6 +266,21 @@ def test_equivalence_ratio(theta):
         co.equivalence_ratio(fs.catalog("f0"))  # signed input
 
 
+def test_equivalence_ratio_refuses_a_signed_f_before_integrating(monkeypatch, theta, f0):
+    walks = []
+    monkeypatch.setattr(co, "integrate_halfline", lambda *a, **kw: walks.append(a))
+    with pytest.raises(fs.DomainError, match="defined for nonnegative functions"):
+        co.equivalence_ratio(f0)
+    assert walks == []
+    # a piece of unknown sign gets the same refusal, not its missing-sign error
+    p = theta.pieces[0]
+    unsigned = fs.TestFunction("unsigned", (fs.Piece(p.lo, p.hi, p.expr, p.antiderivative),),
+                               (), theta.origin, theta.tail)
+    with pytest.raises(fs.DomainError, match="defined for nonnegative functions"):
+        co.equivalence_ratio(unsigned)
+    assert walks == []
+
+
 def test_cont_hardy_ratio_closed_forms():
     chi = fs.catalog("power_cutoff", alpha=0.0, T=1.0)
     assert co.cont_hardy_ratio(chi, 2.0) == pytest.approx(2.0, abs=1e-9)

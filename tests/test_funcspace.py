@@ -4,6 +4,7 @@ import random
 import pytest
 
 from hardy import funcspace as fs
+from hardy.envelopes import Envelope
 from hardy import quad
 
 E = math.e
@@ -166,8 +167,8 @@ def test_catalog_l1_membership():
         declared = f.exact("l1_norm") or f.exact("total_integral")
         res = quad.integrate_halfline(
             lambda v, f=f: math.exp(f.log_eval(v)[0] + v),
-            origin_envs=(f.origin.envelope(),),
-            tail_envs=(f.tail.envelope(),),
+            origin_envs=(f.origin,),
+            tail_envs=(f.tail,),
             breakpoints=f.breakpoints)
         assert res.verdict == "converged"
         assert res.value == pytest.approx(declared, rel=1e-9)
@@ -198,8 +199,8 @@ def test_declared_class_is_spot_checked():
             (fs.Piece(0.0, math.inf, fs.catalog("power_tail", beta=1.5).pieces[0].expr,
                       None, 1),),
             (),
-            fs.TailClass("power", coeff=1.0, alpha=2.0),
-            fs.TailClass("power", coeff=1.0, alpha=3.0),
+            Envelope(1.0, 2.0),
+            Envelope(1.0, 3.0),
         )
 
 
@@ -209,14 +210,24 @@ def test_compact_declaration_checked():
             "bad-compact",
             (fs.Piece(0.0, math.inf, fs.catalog("theta").pieces[0].expr, None, 1),),
             (),
-            fs.TailClass("power", coeff=1.0, alpha=2.0),
-            fs.TailClass("compact", support_end=2.0),
+            Envelope(1.0, 2.0),
+            Envelope.compact(2.0),
         )
 
 
-# (coeff, power, logpow, valid_from, lower) of origin.envelope() and of
-# origin.averaged_envelope(), in u = 1/t: the envelopes the origin had while
-# it was declared in t, through a separate origin class
+@pytest.mark.parametrize("end", ["origin", "tail"])
+def test_declared_shape_is_checked(theta, end):
+    odd = Envelope(1.0, 2.0, -1.0)  # a power with a log factor: not declarable
+    ends = {"origin": theta.origin, "tail": theta.tail, end: odd}
+    with pytest.raises(fs.ParameterError, match=f"{end} must be declared compact"):
+        fs.TestFunction("odd", theta.pieces, theta.breakpoints, ends["origin"], ends["tail"])
+
+
+# (coeff, power, logpow, valid_from, lower) of origin and of
+# origin.averaged(), in u = 1/t: the envelopes the origin had while
+# it was declared in t, through a separate origin class.  A sum "f+g" adds
+# those of its tail and tail.averaged(), as add built them from a separate
+# declaration type (power + power, power-log + power, compact + power).
 _ORIGIN_ENVELOPES = {
     "theta": ((1.0, 2.0, 0.0, E, None), (1.0, 2.0, 0.0, E, None)),
     "f0": ((0.0, 2.0, 0.0, E, None), (0.0, 2.0, 0.0, E, None)),
@@ -229,26 +240,35 @@ _ORIGIN_ENVELOPES = {
     "log_tail(beta=2.5)": ((0.0, 2.0, 0.0, E, None), (0.0, 2.0, 0.0, E, None)),
     "box(lo=0.25,hi=4)": ((1.0, 2.0, 0.0, 4.0, None), (1.0, 2.0, 0.0, 4.0, None)),
     "box(lo=2,hi=5)": ((0.0, 2.0, 0.0, E, None), (0.0, 2.0, 0.0, E, None)),
+    "theta+power_tail(beta=1.5)": ((2.0, 2.0, 0.0, E, None), (2.0, 2.0, 0.0, E, None),
+                                   (2.0, 1.5, 0.0, E, None), (4.0, 1.5, 0.0, E, None)),
+    "power_tail(beta=1.01)+log_tail(beta=2)": (
+        (1.0, 2.0, 0.0, E, None), (1.0, 2.0, 0.0, E, None),
+        (5414.411329464499, 1.0, -2.0, E, None), (5414.411329464499, 1.0, -1.0, E, None)),
+    "box(lo=1,hi=2)+theta": ((1.0, 2.0, 0.0, E, None), (1.0, 2.0, 0.0, E, None),
+                             (1.0, 2.0, 0.0, E, None), (1.0, 2.0, 0.0, E, None)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_ORIGIN_ENVELOPES))
 def test_origin_envelopes_in_the_reciprocal_coordinate(name):
-    origin = fs.parse_function(name).origin
-    assert isinstance(origin, fs.TailClass)
+    parts = [fs.parse_function(n) for n in name.split("+")]
+    f = fs.add(*parts) if len(parts) == 2 else parts[0]
+    ends = (f.origin, f.tail) if len(parts) == 2 else (f.origin,)
+    assert all(isinstance(e, Envelope) for e in ends)
     got = tuple((e.coeff, e.power, e.logpow, e.valid_from, e.lower)
-                for e in (origin.envelope(), origin.averaged_envelope()))
+                for end in ends for e in (end, end.averaged()))
     assert got == _ORIGIN_ENVELOPES[name]
 
 
 @pytest.mark.parametrize("name,origin,message", [
     # theta(0) = 1, not 0
-    ("theta", fs.TailClass("compact", support_end=1.0), "origin declared compact"),
+    ("theta", Envelope.compact(1.0), "origin declared compact"),
     # t^-1/2 near 0 is u^-3/2 in u = 1/t, slower than a bounded f's u^-2
-    ("power_cutoff(alpha=0.5,T=1)", fs.TailClass("power", coeff=1.0, alpha=2.0),
+    ("power_cutoff(alpha=0.5,T=1)", Envelope(1.0, 2.0),
      "origin envelope violated"),
     # fe near 0 is 1/(t ln(1/t)**2), so the lower constant is 1, not 2
-    ("fe", fs.TailClass("power_log", coeff=2.0, beta=2.0, lower=2.0),
+    ("fe", Envelope(2.0, 1.0, -2.0, lower=2.0),
      "origin lower bound violated"),
 ])
 def test_origin_declaration_is_spot_checked(name, origin, message):
@@ -263,8 +283,8 @@ def test_add_absorbs_power_tail_into_power_log(alpha, beta):
     # beta=2 near ln t = 1.5e3), so the power class is absorbed with the
     # constant sup_v v**beta e**(-(alpha-1)v), reached at v = beta/(alpha-1)
     g = fs.add(fs.catalog("power_tail", beta=alpha), fs.catalog("log_tail", beta=beta))
-    assert g.tail.kind == "power_log" and g.tail.beta == beta
-    env = g.tail.envelope()
+    assert g.tail.power == 1.0 and g.tail.logpow == -beta
+    env = g.tail
     for v in (1.5, beta / (alpha - 1.0), 10.0 * beta / (alpha - 1.0)):
         la, _ = g.log_eval(v)
         assert la <= math.log(env.coeff) - env.power * v + env.logpow * math.log(v) + 1e-9
@@ -276,7 +296,7 @@ def test_add_absorbs_origin_class_into_power_log(names):
     # origin (in u = 1/t, power 2 for a bounded f) is absorbed with the sup
     # of its ratio to the power-log shape, not with the ratio at valid_from
     g = fs.add(*(fs.parse_function(n) for n in names))  # spot-checks the class
-    assert g.origin.kind == "power_log" and g.origin.beta == 2.0
+    assert g.origin.power == 1.0 and g.origin.logpow == -2.0
 
 
 def test_add_reads_each_piece_at_its_right_end(theta):

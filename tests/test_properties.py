@@ -60,8 +60,8 @@ def test_algebra_trees_construct_and_integrate_exactly(tree):
         return s * math.exp(la + v)
 
     res = integrate_halfline(density,
-                             origin_envs=(f.origin.envelope(),),
-                             tail_envs=(f.tail.envelope(),),
+                             origin_envs=(f.origin,),
+                             tail_envs=(f.tail,),
                              breakpoints=f.breakpoints)
     exact = fs.total_integral_exact(f)
     assert res.verdict in ("converged", "not-converged")
@@ -85,13 +85,13 @@ def test_averaged_envelopes_bound_the_exact_cumulatives(tree):
     f = _build(tree)
     assume(all(p.sign is not None for p in f.pieces))
     cum = cont_ops._Cumulative(f, of_abs=True)  # T and F of |f|, exact per piece
-    tail = f.tail.averaged_envelope()
+    tail = f.tail.averaged()
     for t in _decades(tail.valid_from):
         T = cum.tail(t)
         assert T / t <= tail.value(t) * (1.0 + 1e-6), (f.name, t)
         if tail.lower is not None:
             assert T / (t + 1.0) >= _lower_value(tail, t) * (1.0 - 1e-6), (f.name, t)
-    origin = f.origin.averaged_envelope()  # in u = 1/t
+    origin = f.origin.averaged()  # in u = 1/t
     for u in _decades(origin.valid_from):
         F = cum.value(1.0 / u)
         assert F / u <= origin.value(u) * (1.0 + 1e-6), (f.name, u)
@@ -104,13 +104,15 @@ def test_averaged_envelopes_bound_the_exact_cumulatives(tree):
 @given(_TREES)
 def test_tail_remainder_matches_closed_forms(tree):
     tail = _build(tree).tail
+    if tail.is_compact:  # valid from its support end, and no bound inside it
+        assert tail.remainder_past(tail.support_end / 2.0) == math.inf
     for x in _decades(tail.valid_from):
-        if tail.kind == "compact":
-            expected = 0.0 if x >= tail.support_end else math.inf
-            assert tail.remainder(x) == expected
+        if tail.is_compact:
+            assert tail.remainder_past(x) == 0.0
             continue
-        if tail.kind == "power":
-            expected = tail.coeff * x ** (1.0 - tail.alpha) / (tail.alpha - 1.0)
+        if tail.logpow == 0.0:
+            expected = tail.coeff * x ** (1.0 - tail.power) / (tail.power - 1.0)
         else:
-            expected = tail.coeff * math.log(x) ** (1.0 - tail.beta) / (tail.beta - 1.0)
-        assert math.isclose(tail.remainder(x), expected, rel_tol=1e-12), (tail, x)
+            beta = -tail.logpow
+            expected = tail.coeff * math.log(x) ** (1.0 - beta) / (beta - 1.0)
+        assert math.isclose(tail.remainder_past(x), expected, rel_tol=1e-12), (tail, x)

@@ -179,8 +179,8 @@ def test_halfline_theta():
     theta = fs.catalog("theta")
     res = integrate_halfline(
         _abs_density(theta),
-        origin_envs=(theta.origin.envelope(),),
-        tail_envs=(theta.tail.envelope(),))
+        origin_envs=(theta.origin,),
+        tail_envs=(theta.tail,))
     assert res.verdict == "converged"
     assert res.value == pytest.approx(1.0, abs=1e-10)
     assert res.total_error <= 1e-9
@@ -194,8 +194,8 @@ def test_halfline_weighted_theta():
         t = math.exp(v)
         return theta.eval(t) * math.log1p(t) * t
 
-    env_t = theta.tail.envelope().weighted_log()
-    env_o = theta.origin.envelope()
+    env_t = theta.tail.weighted_log()
+    env_o = theta.origin
     res = integrate_halfline(density, origin_envs=(env_o,), tail_envs=(env_t,))
     assert res.verdict == "converged"
     assert res.value == pytest.approx(1.0, abs=1e-9)
@@ -246,8 +246,8 @@ def test_substitution_consistency():
     density = _abs_density(g)
     direct = integrate_halfline(
         density,
-        origin_envs=(g.origin.envelope(),),
-        tail_envs=(g.tail.envelope(),))
+        origin_envs=(g.origin,),
+        tail_envs=(g.tail,))
 
     res = integrate_halfline(
         lambda v: density(-v),
@@ -301,8 +301,8 @@ def test_quadresult_converged_invariant():
     theta = fs.catalog("theta")
     res = integrate_halfline(
         _abs_density(theta),
-        origin_envs=(theta.origin.envelope(),),
-        tail_envs=(theta.tail.envelope(),))
+        origin_envs=(theta.origin,),
+        tail_envs=(theta.tail,))
     tol = max(DEFAULT_CONFIG.rel_tol * abs(res.value), DEFAULT_CONFIG.abs_tol)
     assert res.verdict == "converged"
     assert res.total_error <= SAFETY * tol

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardy import seq_ops as so
+from hardy.envelopes import Envelope
 
 GAMMA = so.EULER_GAMMA
 
@@ -95,7 +96,7 @@ def test_pointwise_operators_are_exact_only():
     built = []
     counting = so.SeqSpec(
         name="counting", vec=lambda ks: built.append(ks) or ks ** -1.5,
-        decay=so.TailClass("power", coeff=1.0, alpha=1.5, valid_from=3, lower=1.0))
+        decay=Envelope(1.0, 1.5, valid_from=3, lower=1.0))
     built.clear()  # the decay spot-check at construction reads terms
     for op in (so.cesaro, so.modified_cesaro, so.j1_term, so.j2_term):
         for seq in (pw, counting):
@@ -331,8 +332,7 @@ def _gm_head(gen, total, horizon):
 
 def _exact_generator(name, gen, exact_sum, coeff, alpha, lower, vec):
     return so.SeqSpec(name=name, gen=gen, exact_sum=exact_sum, vec=vec,
-                      decay=so.TailClass("power", coeff=coeff, alpha=alpha,
-                                         valid_from=3, lower=lower))
+                      decay=Envelope(coeff, alpha, valid_from=3, lower=lower))
 
 
 @pytest.mark.parametrize("horizon", [10 ** 3, 10 ** 4])
@@ -639,7 +639,7 @@ def test_em_stores_one_term():
 
 
 def test_only_exact_generators_give_gen():
-    decay = so.TailClass("power", coeff=1.0, alpha=2.0, valid_from=3, lower=0.5)
+    decay = Envelope(1.0, 2.0, valid_from=3, lower=0.5)
     vec = lambda ks: 1.0 / (ks * (ks + 1.0))  # noqa: E731
     with pytest.raises(so.SequenceError, match="both gen and exact_sum"):
         so.SeqSpec(name="g", gen=lambda k: Fraction(1, k * (k + 1)), decay=decay, vec=vec)
@@ -651,9 +651,23 @@ def test_only_exact_generators_give_gen():
 
 
 def test_decay_spot_check_rejects_lies():
-    with pytest.raises(so.SequenceError):
-        so.SeqSpec(name="liar", vec=lambda ks: 1.0 / ks,
-                   decay=so.TailClass("power", coeff=1.0, alpha=2.0, valid_from=3))
+    # a compact declaration is sampled past its support end N, so a rule that
+    # is nonzero there is refused for an N past the samples' first ~11,000 too
+    for decay in (Envelope(1.0, 2.0, valid_from=3),
+                  *(Envelope.compact(N) for N in (100, 5_000, 20_000, 10 ** 6))):
+        with pytest.raises(so.SequenceError, match="decay envelope violated"):
+            so.SeqSpec(name="liar", vec=lambda ks: 1.0 / ks, decay=decay)
+
+
+@pytest.mark.parametrize("decay", [
+    Envelope(1.0, 1.0),  # 1/k is not summable
+    Envelope(1.0, 1.0, -1.0),  # nor is 1/(k ln k)
+    Envelope(1.0, 2.0, -1.0),  # a shape no sequence declares
+    Envelope(0.0, 2.0),  # compact with no support end
+])
+def test_decay_shape_is_checked(decay):
+    with pytest.raises(so.SequenceError, match="must be declared compact"):
+        so.SeqSpec(name="odd", vec=lambda ks: 0.0 * ks, decay=decay)
 
 
 def test_generator_requires_decay():
