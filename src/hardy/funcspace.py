@@ -34,7 +34,8 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from functools import cached_property
 
 from .envelopes import Envelope
 from .expressions import (
@@ -94,6 +95,18 @@ class TestFunction:
 
     def __post_init__(self):
         _validate(self)
+
+    # hashed once per instance, not on each lru_cache lookup that keys on it;
+    # == compares the same fields, and a pickle leaves out the salted hash
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(tuple(getattr(self, field.name) for field in fields(self)))
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
     # -- evaluation ----------------------------------------------------------
 

@@ -206,6 +206,8 @@ def _integrate_core(
 
     while heap:
         value, err_total = totals()
+        if not (math.isfinite(value) and math.isfinite(err_total)):
+            break  # an infinite or NaN total ends the walk, not converged
         if err_total <= 0.5 * cfg.tolerance(value):
             break
         if subdivisions >= cfg.max_panels:
@@ -224,7 +226,7 @@ def _integrate_core(
     panels = sorted(list(heap) + list(frozen), key=lambda item: item[2])
     value = math.fsum(item[4] for item in panels)
     err_est = math.fsum(item[5] for item in panels)
-    converged = err_est <= SAFETY * cfg.tolerance(value)
+    converged = math.isfinite(value) and err_est <= SAFETY * cfg.tolerance(value)
     return QuadResult(value, err_est, subdivisions, converged)
 
 

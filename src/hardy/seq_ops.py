@@ -25,8 +25,10 @@ starting at n = 1 and at each stored k (the last is open), each adding a
 closed form as integer pairs over D, summed pairwise and reduced once per
 output (see ``SeqSpec.run_sums``).  The rearranged forms, the independent
 route, are integer sums too, built from the terms alone and reduced once.
-Harmonic sums join reduced aligned blocks of 64 * 2**j terms, each summed
-once per process into a bounded memo (see ``_harmonic_split``).
+A harmonic sum that starts within its first 64 terms is a kept reduced
+prefix H[1, 64 b) plus two adds of under 64 terms each; any other joins
+reduced aligned blocks of 64 * 2**j terms.  Prefixes and blocks are each
+summed once per process into a bounded memo (see ``_harmonic_split``).
 ``hardy_ratios`` builds a sequence's arrays once for all its (p, n) ratios,
 and H_k - ln k - gamma is summed from its log1p increments (see
 ``_gamma_residuals``).
@@ -62,7 +64,7 @@ __all__ = [
     "l1_log_weight", "l1_norm_mod", "total_sum",
     "harmonic", "gamma_residual", "scan_gamma_residual",
     "lp_norm", "hardy_ratio", "hardy_ratios", "disc_mean_check",
-    "disc_equivalence_ratio", "build_report",
+    "disc_equivalence_ratio", "equivalence_sums", "build_report",
 ]
 
 # Euler-Mascheroni constant, fixed 20-digit literal (never computed here).
@@ -75,8 +77,9 @@ _LN2 = math.log(2.0)
 MAX_FLOAT_TERMS = 10 ** 7
 
 # Longest support whose exact sums are taken, and so the reach of the harmonic
-# memo: their cold cost grows about as n**2 at the top (em(10**5) takes about
-# 0.5 s on a 2-core host, 2*10**5 would take 2 s; 0.2 s with the memo warm).
+# memos: their cold cost grows about as n**2 at the top (em(10**5) takes about
+# 0.3 s on a 2-core host, and 2*10**5 would take about four times that; 0.04 s
+# once its harmonic prefix is kept).
 MAX_EXACT_SUPPORT = 10 ** 5
 
 # Length of the head that l1_norm_mod sums before its certified tail bound.
@@ -235,8 +238,8 @@ class SeqSpec:
         adds P/a to J1.  (Gm a)_n = (P - (M - P) n) / (D n (n+1)) changes sign
         at most once on a run, after n* = P / (M - P), so each run is cut at
         floor(n*) into two pieces on which Gm a keeps its sign.  Each output is
-        one ``_tree_sum`` of the pieces' integer pairs, reduced once (em(10**5): 0.5 s
-        cold, 0.2 s with the harmonic memo warm)."""
+        one ``_tree_sum`` of the pieces' integer pairs, reduced once (em(10**5): 0.3 s
+        cold, 0.04 s with its harmonic prefix kept)."""
         _require_exact_cap(self.name, self.support_end)
         den, starts, prefix = self.int_runs
         m, l1, j1, j2 = prefix[-1], [], [], []
@@ -348,21 +351,13 @@ def _harmonic_node(level: int, index: int) -> tuple[int, int]:
                         _harmonic_node(level - 1, 2 * index + 1))
 
 
-def _harmonic_split(lo: int, hi: int) -> tuple[int, int]:
-    """sum_{lo <= k < hi} 1/k reduced.  The whole aligned blocks inside the
-    range come from ``_harmonic_node``, shared by every call in the process;
-    the two partial edge blocks, each under _HARMONIC_LEAF terms, are split
-    unreduced and reduced once.  1..10**5 takes about 0.45 s cold and 0.1 s
-    with its blocks in the memo."""
-    if hi - 1 > MAX_EXACT_SUPPORT:  # so no node reaches past the memo's bound
-        _require_exact_cap(f"H_{hi - 1}", hi - 1)
-    a, b = -(-lo // _HARMONIC_LEAF), hi // _HARMONIC_LEAF  # the whole leaves a..b-1
-    if a >= b:
-        return _reduced(*_harmonic_unreduced(lo, hi))
-    left = _reduced(*_harmonic_unreduced(lo, a * _HARMONIC_LEAF))
-    right = _reduced(*_harmonic_unreduced(b * _HARMONIC_LEAF, hi))
+def _harmonic_blocks(a: int, b: int, left: tuple[int, int],
+                     right: tuple[int, int]) -> tuple[int, int]:
+    """left + sum_{a L <= k < b L} 1/k + right, reduced, for reduced pairs
+    left and right and 1 <= a <= b: the largest aligned blocks of
+    ``_harmonic_node``, taken inward from both ends."""
     level = 0
-    while a < b:  # the largest aligned blocks, taken inward from both ends
+    while a < b:
         if a & 1:
             left = _add_reduced(left, _harmonic_node(level, a))
             a += 1
@@ -371,6 +366,55 @@ def _harmonic_split(lo: int, hi: int) -> tuple[int, int]:
             right = _add_reduced(_harmonic_node(level, b), right)
         a, b, level = a >> 1, b >> 1, level + 1
     return _add_reduced(left, right)
+
+
+# P(b) = H[1, b L), reduced, for the _HARMONIC_PREFIXES values of b made most
+# recently; the oldest made is evicted first.  P(b) has about 1.44 b L bits
+# in each part, so the memo holds at most about 2.3 MB at MAX_EXACT_SUPPORT.
+_HARMONIC_PREFIXES = 64
+_harmonic_prefixes: dict[int, tuple[int, int]] = {}
+
+
+def _harmonic_prefix(b: int) -> tuple[int, int]:
+    """P(b) for b >= 1, kept in the memo: a prefix not kept yet is the
+    nearest kept one below it (else P(1), one leaf) plus the aligned blocks
+    between the two, so a sweep's next prefix costs one short extension."""
+    kept = _harmonic_prefixes.get(b)
+    if kept is None:
+        c = max((c for c in _harmonic_prefixes if c < b), default=1)
+        start = _harmonic_prefixes.get(c) or _reduced(*_harmonic_unreduced(1, _HARMONIC_LEAF))
+        kept = _harmonic_blocks(c, b, start, (0, 1))
+        if len(_harmonic_prefixes) >= _HARMONIC_PREFIXES:
+            del _harmonic_prefixes[next(iter(_harmonic_prefixes))]
+        _harmonic_prefixes[b] = kept
+    return kept
+
+
+def _harmonic_split(lo: int, hi: int) -> tuple[int, int]:
+    """sum_{lo <= k < hi} 1/k reduced.  A range that starts in the first leaf
+    and ends past the second (lo <= L < 2 L < hi) is the kept prefix
+    P(hi // L), plus its right edge, minus H[1, lo): two adds whose second
+    operand spans under L terms, so no gcd takes two big numbers.  Any
+    other range joins the whole aligned blocks inside it, from
+    ``_harmonic_node``, with its two partial edges.  An edge, under L terms,
+    is split unreduced and reduced once.  Both memos are shared by every
+    call in the process.  1..10**5 takes about 0.25 s cold, 0.07 s with its
+    blocks in the memo, and 1 ms with its prefix kept."""
+    if hi - 1 > MAX_EXACT_SUPPORT:  # so no node or prefix reaches past the memos' bound
+        _require_exact_cap(f"H_{hi - 1}", hi - 1)
+    a, b = -(-lo // _HARMONIC_LEAF), hi // _HARMONIC_LEAF  # the whole leaves a..b-1
+    if lo <= _HARMONIC_LEAF < 2 * _HARMONIC_LEAF < hi:
+        total = _harmonic_prefix(b)
+        if b * _HARMONIC_LEAF < hi:
+            total = _add_reduced(total, _reduced(*_harmonic_unreduced(b * _HARMONIC_LEAF, hi)))
+        if lo > 1:
+            num, den = _reduced(*_harmonic_unreduced(1, lo))
+            total = _add_reduced(total, (-num, den))
+        return total
+    if a >= b:
+        return _reduced(*_harmonic_unreduced(lo, hi))
+    return _harmonic_blocks(a, b, _reduced(*_harmonic_unreduced(lo, a * _HARMONIC_LEAF)),
+                            _reduced(*_harmonic_unreduced(b * _HARMONIC_LEAF, hi)))
 
 
 def _gen_terms(seq: SeqSpec, n: int):
@@ -531,8 +575,8 @@ def j2_sum_by_weights(seq: SeqSpec) -> SumResult:
     """The rearranged form sum_k a_k (H_k - 1) of a finite sequence, reduced
     once: H_k - 1 is an integer h over L, the lcm of the reduced gaps H_k - H_prev
     (``_harmonic_split``, or 1/k for one step), and the sum of a_k D h runs over
-    D L, growing with h whenever L does.  em(10**5) takes about 0.5 s cold,
-    0.15 s with the harmonic memo warm."""
+    D L, growing with h whenever L does.  em(10**5) takes about 0.3 s cold,
+    0.02 s with its harmonic prefix kept."""
     _require_finite(seq, "j2_sum_by_weights")
     _require_exact_cap(seq.name, seq.support_end)
     den = math.lcm(*(v.denominator for _, v in seq.terms))
@@ -952,15 +996,22 @@ class DiscReport:
         }
 
 
-def build_report(seq: SeqSpec, horizon: int = SEQ_HORIZON) -> DiscReport:
-    total = total_sum(seq)
-    norm = l1_norm_mod(seq, horizon)
-    weight = l1_log_weight(seq)
-    nonneg = seq.nonnegative
+def equivalence_sums(seq: SeqSpec, horizon: int = SEQ_HORIZON
+                     ) -> tuple[SumResult, SumResult, SumResult, float | None]:
+    """(total, l1 norm of Gm a, L(a), R(a)): the three sums of the
+    equivalence ratio and the ratio itself, None where ``_ratio`` refuses it;
+    J1 and J2 are not summed."""
+    total, norm, weight = total_sum(seq), l1_norm_mod(seq, horizon), l1_log_weight(seq)
     try:
         ratio = _ratio(seq, total, norm, weight)
     except SequenceError:
         ratio = None
+    return total, norm, weight, ratio
+
+
+def build_report(seq: SeqSpec, horizon: int = SEQ_HORIZON) -> DiscReport:
+    total, norm, weight, ratio = equivalence_sums(seq, horizon)
+    nonneg = seq.nonnegative
     return DiscReport(
         name=seq.name,
         total=total,

@@ -1,5 +1,6 @@
 import gc
 import math
+import pickle
 import random
 import weakref
 
@@ -404,6 +405,25 @@ def test_a_signed_f_has_two_cumulatives_and_a_nonnegative_f_one(theta, f0):
     assert co._cumulative(f0) is not co._cumulative(f0, of_abs=True)
     assert co._cumulative(f0, of_abs=True) is co._cumulative(f0, of_abs=True)
     assert co._cumulative(theta) is co._cumulative(theta, of_abs=True)
+
+
+def test_equal_functions_hash_equal_and_share_one_cumulative(monkeypatch, theta, f0):
+    def build():
+        return fs.add(fs.scale(f0, -1.5), fs.add(theta, fs.catalog("box", lo=1, hi=2)))
+
+    f, g = build(), build()
+    piece_hashes = []
+    monkeypatch.setattr(fs.Piece, "__hash__",
+                        lambda p, h=fs.Piece.__hash__: piece_hashes.append(p) or h(p))
+    assert f is not g and f == g and hash(f) == hash(g)
+    assert hash(f) == hash(g) and len(piece_hashes) == 2 * len(f.pieces)  # not hashed again
+    assert hash(pickle.loads(pickle.dumps(f))) == hash(f)
+    assert {f: 1}[g] == 1
+    co._cached.cache_clear()
+    first = co._cumulative(f)
+    assert co._cumulative(f) is first and co._cumulative(g) is first
+    info = co._cached.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 def test_the_cumulative_cache_keeps_the_latest_function_within_its_cap():

@@ -149,9 +149,11 @@ def test_verdicts_do_not_depend_on_the_harmonic_memo(monkeypatch):
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
     cfg = harness.SuiteConfig(claims="disc.[es]*")
     seq_ops._harmonic_node.cache_clear()
+    seq_ops._harmonic_prefixes.clear()
     cold = [r.to_dict() for r in harness.run_suite(cfg)]
-    seq_ops.harmonic(5000)
+    seq_ops.harmonic(5000)  # a prefix, built from the blocks below it
     assert seq_ops._harmonic_node.cache_info().currsize > 0
+    assert len(seq_ops._harmonic_prefixes) == 1
     warm = [r.to_dict() for r in harness.run_suite(cfg)]
     assert [r["claim_id"] for r in cold] == ["disc.equivalence.corrected",
                                              "disc.split.exact_identities"]
@@ -299,6 +301,37 @@ def test_sweep_disc_rows():
     assert footer["ratio_max"] == pytest.approx(1.5743533488445738, rel=1e-12)
     ratios = [row["equivalence_ratio"] for row in rows]
     assert ratios == sorted(ratios, reverse=True)
+
+
+@pytest.mark.parametrize("family,param,values,fixed", [
+    ("em", "m", [1, 2, 129, 4000], {}),
+    ("power", "alpha", [1.5, 2.0, 3.0], {}),
+    ("powcut", "alpha", [0.0, 0.5, 1.0], {"N": 1000}),
+    ("logdecay", "beta", [1.5, 2.5], {}),
+])
+def test_sweep_disc_row_is_a_view_of_its_report(monkeypatch, family, param, values, fixed):
+    def cell(res):
+        return res.value if res.verdict == "converged" else None
+
+    expected = []
+    for value in values:
+        params = {**seq_ops.SEQ_DEFAULTS.get(family, {}), **fixed, param: value}
+        rep = seq_ops.build_report(seq_ops.catalog_seq(family, **params))
+        expected.append({
+            "family": family, param: value, "total_sum": cell(rep.total),
+            "log_weight": cell(rep.log_weight), "weight_verdict": rep.log_weight.verdict,
+            "l1_norm_modified": cell(rep.l1_norm_mod),
+            "norm_verdict": rep.l1_norm_mod.verdict,
+            "equivalence_ratio": rep.equivalence_ratio,
+        })
+
+    def unread(seq):
+        raise AssertionError(f"a sweep row summed J1 or J2 of {seq.name}")
+
+    monkeypatch.setattr(seq_ops, "j1_sum", unread)
+    monkeypatch.setattr(seq_ops, "j2_sum", unread)
+    rows, _ = harness.sweep_disc(family, param, values, harness.SuiteConfig(), fixed)
+    assert rows == expected
 
 
 def test_sweep_unknown_family():

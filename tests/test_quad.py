@@ -306,3 +306,14 @@ def test_quadresult_converged_invariant():
     tol = max(DEFAULT_CONFIG.rel_tol * abs(res.value), DEFAULT_CONFIG.abs_tol)
     assert res.verdict == "converged"
     assert res.total_error <= SAFETY * tol
+
+
+@pytest.mark.parametrize("g,cuts", [
+    (lambda v: math.inf if v > 0.5 else 1.0, ()),
+    (lambda v: math.inf, ()),
+    (lambda v: -math.inf if v > 0.5 else 1.0, (0.25, 0.75)),
+])
+def test_a_walk_with_a_total_that_is_not_finite_stops_at_once(g, cuts):
+    res = quad._integrate_core(g, 0.0, 1.0, breakpoints=cuts)
+    assert res.subdivisions == len(cuts) + 1  # the seed panels, none bisected
+    assert math.isinf(res.value) and not res.converged

@@ -459,11 +459,14 @@ def test_harmonic_memo_is_bounded_and_leaves_values_unchanged():
 
     memo = so._harmonic_node
     memo.cache_clear()
+    so._harmonic_prefixes.clear()
     cold = results()
     assert results() == cold  # warm
     memo.cache_clear()
+    so._harmonic_prefixes.clear()
     for n in (20000, 5000, 129, 64, 63):  # filled in reverse query order
         so.harmonic(n)
+    assert memo.cache_info().currsize > 0 and len(so._harmonic_prefixes) == 3
     assert results() == cold
     h, hs = Fraction(0), []
     for n in range(1, 101):  # across the 32-term leaves and the first aligned blocks
@@ -482,10 +485,43 @@ def test_harmonic_memo_is_bounded_and_leaves_values_unchanged():
     assert info.misses == info.currsize <= so._HARMONIC_NODES == info.maxsize
 
     memo.cache_clear()
-    for lo in (1, so.MAX_EXACT_SUPPORT):
+    so._harmonic_prefixes.clear()
+    for lo in (1, 2, so._HARMONIC_LEAF, so.MAX_EXACT_SUPPORT):  # prefix reads, then a node read
         with pytest.raises(so.SequenceError, match="exceed the cap"):
             so._harmonic_split(lo, top + 1)
-    assert memo.cache_info().currsize == 0
+    assert memo.cache_info().currsize == 0 and not so._harmonic_prefixes
+
+
+def test_harmonic_prefix_reads_are_exact_in_any_order():
+    leaf, top = so._HARMONIC_LEAF, so.MAX_EXACT_SUPPORT + 1
+    ascending = [(lo, hi) for hi in (2 * leaf - 1, 2 * leaf, 2 * leaf + 1, 4095, 4096, 4097, top)
+                 for lo in (1, 2, leaf - 1, leaf)]  # at the leaf edges and the cap
+    heads = {hi: _harmonic_pair(1, hi) for hi in {hi for _, hi in ascending}}
+    pairs = {}  # H[lo, hi) = H[1, hi) - H[1, lo), unreduced
+    for lo, hi in ascending:
+        (p1, q1), (p2, q2) = heads[hi], _harmonic_pair(1, lo) if lo > 1 else (0, 1)
+        pairs[lo, hi] = p1 * q2 - p2 * q1, q1 * q2
+    so._harmonic_prefixes.clear()
+    reads = {case: so._harmonic_split(*case) for case in ascending}
+    for (lo, hi), (num, den) in reads.items():
+        p, q = pairs[lo, hi]
+        assert num * q == p * den and math.gcd(num, den) == 1
+    shuffled = random.Random(24).sample(ascending, len(ascending))
+    for order in (ascending[::-1], shuffled):  # a reduced pair is unique
+        so._harmonic_prefixes.clear()
+        assert {case: so._harmonic_split(*case) for case in order} == reads
+
+
+def test_harmonic_prefix_memo_keeps_at_most_its_cap():
+    leaf, cap = so._HARMONIC_LEAF, so._HARMONIC_PREFIXES
+    top = so.MAX_EXACT_SUPPORT // leaf  # the longest prefix a capped range reads
+    so._harmonic_prefixes.clear()
+    for b in range(top - cap - 8, top + 1):  # past the cap, the longest last
+        so._harmonic_split(1, b * leaf + 1)
+        assert len(so._harmonic_prefixes) <= cap
+    assert list(so._harmonic_prefixes) == list(range(top - cap + 1, top + 1))  # oldest out
+    size = sum(n.bit_length() + d.bit_length() for n, d in so._harmonic_prefixes.values()) / 8
+    assert 2.0e6 < size < 2.4e6  # the worst case the memo's comment states
 
 
 def test_gamma_residual():
