@@ -22,8 +22,8 @@ D n (n+1), and a float generator is refused before any term is built.
 
 Exact sums are taken over the runs a..b of constant S_n = sum_{k<=n} a_k, one
 starting at n = 1 and at each stored k (the last is open), each adding a
-closed form as integer pairs over D, summed pairwise and reduced once per
-output (see ``SeqSpec.run_sums``).  The rearranged forms, the independent
+closed form as integer pairs over D, summed pairwise and reduced once, when
+read (see ``SeqSpec.run_sums``).  The rearranged forms, the independent
 route, are integer sums too, built from the terms alone and reduced once.
 A harmonic sum that starts within its first 64 terms is a kept reduced
 prefix H[1, 64 b) plus two adds of under 64 terms each; any other joins
@@ -138,7 +138,7 @@ class SeqSpec:
     Finite mode stores ``terms``, the nonzero (k, a_k) pairs of a_1..a_N in
     increasing k, as exact rationals; every other a_k is zero.  Its exact sums
     read integer numerators over the common denominator D (``int_runs``), with
-    one pairwise sum and one reduction per output.  Generator
+    one pairwise sum per output, reduced once, when read.  Generator
     mode supplies ``vec``, the float rule that maps an array of indices k to
     the terms a_k, plus its declared decay, a declarable
     :class:`~hardy.envelopes.Envelope` bound on |a_k| read at t = k and
@@ -202,7 +202,7 @@ class SeqSpec:
     @cached_property  # read by every sum and by the ratio's guard
     def nonnegative(self) -> bool:
         """Whether no term is negative; a generator is assumed nonnegative."""
-        return not self.finite or all(v > 0 for _, v in self.terms)
+        return not self.finite or all(v.numerator > 0 for _, v in self.terms)
 
     @property
     def support_end(self) -> int | None:
@@ -212,7 +212,7 @@ class SeqSpec:
             return self.decay.support_end
         return None
 
-    @property
+    @cached_property
     def exact_total(self) -> Fraction | None:
         """sum_k a_k as an exact rational: P/D of the last run of a finite
         sequence, or the declared ``exact_sum``; None for a float generator."""
@@ -230,16 +230,18 @@ class SeqSpec:
         return den, tuple(runs), tuple(runs.values())
 
     @cached_property
-    def run_sums(self) -> tuple[Fraction, Fraction, Fraction]:
-        """Exact (sum |Gm a|_n, sum J1, sum J2) of a finite sequence.
+    def run_sums(self) -> tuple[tuple[int, int], ...]:
+        """Exact (sum |Gm a|_n, sum J1, sum J2) of a finite sequence, as
+        unreduced (numerator, denominator) pairs.
 
         Over D, a piece lo..hi of a run of constant P = S_n D adds P (1/lo -
         1/(hi+1)) to J1 and (M - P)(H_(hi+1) - H_lo) to J2; the open run from a
         adds P/a to J1.  (Gm a)_n = (P - (M - P) n) / (D n (n+1)) changes sign
         at most once on a run, after n* = P / (M - P), so each run is cut at
         floor(n*) into two pieces on which Gm a keeps its sign.  Each output is
-        one ``_tree_sum`` of the pieces' integer pairs, reduced once (em(10**5): 0.3 s
-        cold, 0.04 s with its harmonic prefix kept)."""
+        one ``_tree_sum`` of the pieces' integer pairs, reduced once, when read
+        (``gm_l1``, ``j1_total``, ``j2_total``): em(10**5) takes 0.3 s cold; with
+        its harmonic prefix kept, 0.02 s for one output and 0.04 s for all three."""
         _require_exact_cap(self.name, self.support_end)
         den, starts, prefix = self.int_runs
         m, l1, j1, j2 = prefix[-1], [], [], []
@@ -257,7 +259,12 @@ class SeqSpec:
                 j2.append((n2, d2))
         l1.append((abs(m), starts[-1]))
         j1.append((m, starts[-1]))
-        return tuple(Fraction(num, d * den) for num, d in map(_tree_sum, (l1, j1, j2)))
+        return tuple((num, d * den) for num, d in map(_tree_sum, (l1, j1, j2)))
+
+    # each output of run_sums as a Fraction, reduced once, when first read
+    gm_l1 = cached_property(lambda self: Fraction(*self.run_sums[0]))
+    j1_total = cached_property(lambda self: Fraction(*self.run_sums[1]))
+    j2_total = cached_property(lambda self: Fraction(*self.run_sums[2]))
 
     def terms_float(self, n: int):
         """a_1..a_n as a float64 numpy array, for n up to MAX_FLOAT_TERMS."""
@@ -402,6 +409,8 @@ def _harmonic_split(lo: int, hi: int) -> tuple[int, int]:
     blocks in the memo, and 1 ms with its prefix kept."""
     if hi - 1 > MAX_EXACT_SUPPORT:  # so no node or prefix reaches past the memos' bound
         _require_exact_cap(f"H_{hi - 1}", hi - 1)
+    if hi == lo + 1:  # one term, as every run of a dense sequence has
+        return 1, lo
     a, b = -(-lo // _HARMONIC_LEAF), hi // _HARMONIC_LEAF  # the whole leaves a..b-1
     if lo <= _HARMONIC_LEAF < 2 * _HARMONIC_LEAF < hi:
         total = _harmonic_prefix(b)
@@ -510,7 +519,7 @@ def j1_sum(seq: SeqSpec) -> SumResult:
     total, so the tail adds exactly total/(N+1)."""
     _require_nonneg_finite(seq, "j1_sum")
     if seq.finite:
-        return SumResult.from_exact(seq.run_sums[1])
+        return SumResult.from_exact(seq.j1_total)
     import numpy as np
 
     total = total_sum(seq, _J_HORIZON)
@@ -534,7 +543,7 @@ def j2_sum(seq: SeqSpec) -> SumResult:
     past which every J2(n) is 0."""
     _require_nonneg_finite(seq, "j2_sum")
     if seq.finite:
-        return SumResult.from_exact(seq.run_sums[2])
+        return SumResult.from_exact(seq.j2_total)
     import numpy as np
 
     if _weighted_divergent(seq.decay):
@@ -574,15 +583,14 @@ def j1_sum_by_weights(seq: SeqSpec) -> SumResult:
 def j2_sum_by_weights(seq: SeqSpec) -> SumResult:
     """The rearranged form sum_k a_k (H_k - 1) of a finite sequence, reduced
     once: H_k - 1 is an integer h over L, the lcm of the reduced gaps H_k - H_prev
-    (``_harmonic_split``, or 1/k for one step), and the sum of a_k D h runs over
-    D L, growing with h whenever L does.  em(10**5) takes about 0.3 s cold,
-    0.02 s with its harmonic prefix kept."""
+    (``_harmonic_split``), and the sum of a_k D h runs over D L, growing with h
+    whenever L does.  em(10**5) takes about 0.3 s cold, 0.02 s with its prefix kept."""
     _require_finite(seq, "j2_sum_by_weights")
     _require_exact_cap(seq.name, seq.support_end)
     den = math.lcm(*(v.denominator for _, v in seq.terms))
     total, h, lcm, prev = 0, 0, 1, 1
     for k, v in seq.terms:
-        num, gap = (1, k) if k == prev + 1 else _harmonic_split(prev + 1, k + 1)
+        num, gap = _harmonic_split(prev + 1, k + 1)
         prev, grow = k, gap // math.gcd(lcm, gap)
         if grow > 1:
             lcm, h, total = lcm * grow, h * grow, total * grow
@@ -594,7 +602,8 @@ def j2_sum_by_weights(seq: SeqSpec) -> SumResult:
 def l1_log_weight(seq: SeqSpec) -> SumResult:
     """L(a) = sum_k |a_k| ln(k+1) with an integral-test tail bound."""
     if seq.finite:
-        total = math.fsum(abs(float(v)) * math.log(k + 1.0) for k, v in seq.terms)
+        total = math.fsum(abs(v.numerator) / v.denominator * math.log(k + 1.0)
+                          for k, v in seq.terms)
         return SumResult(total, 4e-16 * total * seq.support_end.bit_length(), "converged")
     import numpy as np
 
@@ -625,7 +634,7 @@ def l1_norm_mod(seq: SeqSpec, horizon: int = SEQ_HORIZON) -> SumResult:
     sum J2 while sum J1 stays below the finite total.
     """
     if seq.finite:
-        return SumResult.from_exact(seq.run_sums[0])
+        return SumResult.from_exact(seq.gm_l1)
     import numpy as np
 
     if _weighted_divergent(seq.decay):

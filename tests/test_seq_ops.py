@@ -273,15 +273,17 @@ def test_run_sums_match_per_index_walk():
             values.append(Fraction(rng.randint(1, 60) if i else rng.randint(-40, 60) or 1,
                                    rng.randint(1, 25)))
         gapped.append(values + [0] * rng.randint(0, 20))
-    for values in cases + gapped:
+    orders = list(itertools.permutations(range(3)))
+    for i, values in enumerate(cases + gapped):
         if not any(values):
             values[-1] = 1
         seq = so.finite_sequence("r", values)
-        l1, j1, j2 = _per_index_sums(values)
-        assert so.l1_norm_mod(seq).exact == l1
+        expected = _per_index_sums(values)
+        assert _read_run_sums(seq, orders[i % len(orders)]) == expected
+        assert so.l1_norm_mod(seq).exact == expected[0]
         if all(v >= 0 for v in values):
-            assert so.j1_sum(seq).exact == j1
-            assert so.j2_sum(seq).exact == j2
+            assert so.j1_sum(seq).exact == expected[1]
+            assert so.j2_sum(seq).exact == expected[2]
     for values in gapped:
         seq = so.finite_sequence("r", values)
         dense = np.array([float(v) for v in values])
@@ -316,9 +318,44 @@ def _signed_with_zero_runs(n):
     _signed_with_zero_runs(3000),
 ], ids=["negative-total", "zero-total", "zero-at-run-ends", "signed-3000"])
 def test_integer_run_sums_match_per_index_walk(values):
-    seq = so.finite_sequence("r", values)
-    assert seq.run_sums == _per_index_sums(values)
-    assert seq.exact_total == sum(values, Fraction(0))
+    expected = _per_index_sums(values)
+    for order in itertools.permutations(range(3)):
+        seq = so.finite_sequence("r", values)  # a new instance, with nothing cached
+        assert _read_run_sums(seq, order) == expected
+        assert seq.exact_total == sum(values, Fraction(0))
+
+
+_RUN_SUM_OUTPUTS = ("gm_l1", "j1_total", "j2_total")
+
+
+def _read_run_sums(seq, order):
+    """The three run-sum outputs of seq, read singly in the given order."""
+    read = {i: getattr(seq, _RUN_SUM_OUTPUTS[i]) for i in order}
+    return read[0], read[1], read[2]
+
+
+@pytest.mark.parametrize("build", [
+    *(lambda m=m: so.catalog_seq("em", m=m) for m in (1, 64, 4000)),
+    lambda: so.finite_sequence("dense", [Fraction(k % 7 + 1, k) for k in range(1, 301)]),
+], ids=["em1", "em64", "em4000", "dense-300"])
+def test_run_sums_are_reduced_once_and_only_when_read(build, monkeypatch):
+    seq = build()
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(so, "Fraction", counted)
+    norm = so.l1_norm_mod(seq).exact
+    assert so.l1_norm_mod(seq).exact == norm and len(built) == 1
+    assert "gm_l1" in vars(seq)
+    assert "j1_total" not in vars(seq) and "j2_total" not in vars(seq)  # left unreduced
+    j1, j2 = so.j1_sum(seq).exact, so.j2_sum(seq).exact
+    assert (so.j1_sum(seq).exact, so.j2_sum(seq).exact) == (j1, j2) and len(built) == 3
+    assert built == list(seq.run_sums)  # each output's own pair, once
+    monkeypatch.undo()
+    assert (j1, j2) == (so.j1_sum_by_weights(seq).exact, so.j2_sum_by_weights(seq).exact)
 
 
 def _gm_head(gen, total, horizon):
@@ -449,6 +486,14 @@ def test_harmonic_exact():
         num, den = so._harmonic_split(lo, lo + length)
         p, q = _harmonic_pair(lo, lo + length)
         assert num * q == p * den and math.gcd(num, den) == 1
+
+
+def test_harmonic_split_reads_one_term_at_once_within_the_cap():
+    for k in (1, 63, 64, 65, so.MAX_EXACT_SUPPORT):
+        assert so._harmonic_split(k, k + 1) == (1, k)
+    k = so.MAX_EXACT_SUPPORT + 1
+    with pytest.raises(so.SequenceError, match="exceed the cap"):
+        so._harmonic_split(k, k + 1)
 
 
 def test_harmonic_memo_is_bounded_and_leaves_values_unchanged():
