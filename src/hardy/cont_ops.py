@@ -299,15 +299,15 @@ def _env_weight_full(env: Envelope) -> Envelope:
 
 
 def log_weight_norm(f: TestFunction) -> HalflineResult:
-    """W(f) = int |f| w dt; DIVERGENT when a declared lower envelope or the
-    doubling probe certifies it."""
+    """W(f) = int |f| w dt; DIVERGENT when a declared lower envelope of f
+    certifies it, INCONCLUSIVE when an end's weighted envelope does not
+    integrate and carries no such certificate."""
     abs_density = _abs_density(f)
     return integrate_halfline(
         lambda v: abs_density(v) * _weight_logarg(v),
         origin_envs=(_env_weight_full(f.origin),),
         tail_envs=(_env_weight_full(f.tail),),
-        probe_start=_probe_start(f), breakpoints=f.breakpoints,
-        closed_tail=_closed_tail(f, "weight"),
+        breakpoints=f.breakpoints, closed_tail=_closed_tail(f, "weight"),
     )
 
 
@@ -333,7 +333,7 @@ def _single_weight_result(f: TestFunction, side: str) -> HalflineResult:
     else:
         raise ValueError(side)
     return integrate_halfline(density, origin_envs=(origin,), tail_envs=(tail,),
-                              probe_start=_probe_start(f), breakpoints=f.breakpoints,
+                              breakpoints=f.breakpoints,
                               closed_tail=_closed_tail(f, side) if side == "large" else None)
 
 
@@ -350,8 +350,7 @@ def split_i1(f: TestFunction) -> HalflineResult:
     # F(x)/(x(x+1)) <= F(x)/x at the origin and <= total/x**2 at infinity
     tail_env = Envelope(max(cum.total, 1e-300), 2.0, 0.0)
     return integrate_halfline(density, origin_envs=(f.origin.averaged(),),
-                              tail_envs=(tail_env,), probe_start=_probe_start(f),
-                              breakpoints=f.breakpoints)
+                              tail_envs=(tail_env,), breakpoints=f.breakpoints)
 
 
 def split_i2(f: TestFunction) -> HalflineResult:
@@ -374,7 +373,6 @@ def split_i2(f: TestFunction) -> HalflineResult:
     origin_env = Envelope(max(cum.total, 1e-300), 2.0, 0.0)
     return integrate_halfline(density, origin_envs=(origin_env,),
                               tail_envs=(f.tail.averaged(),),
-                              probe_start=_probe_start(f),
                               breakpoints=f.breakpoints, closed_tail=_closed_tail(f, "i2"))
 
 
@@ -431,32 +429,33 @@ def _modified_envelopes(f: TestFunction, m: float):
     Tail side, from H f(x) = m/(x(x+1)) - T(x)/x with T(x) = int_x^inf f:
         |H f(x)| <= |m| x^-2 + T(x) / x,
     bounded by the kernel term and the tail's averaged envelope A.
-    When A carries a divergence certificate and f >= 0, T(x)/x >= 2 A_lower(x)
-    (see ``Envelope.averaged``), so
-        |H f(x)| >= T(x)/x - |m| x^-2 >= A_lower(x)
-    from the first doubling of valid_from where x^2 A_lower(x) >= |m|.  The
-    origin side is the same in u = 1/x, with F(x) = int_0^x f in place of T;
-    an origin bounded like u^-2 (f bounded near 0) folds the kernel term into
-    that envelope.
+    When A carries a divergence certificate and the last piece of f, from
+    x = s on, has a declared nonzero sign, there |T(x)| = int_x^inf |f| and
+    |T(x)|/x >= 2 A_lower(x) (see ``Envelope.averaged``), so
+        |H f(x)| >= |T(x)|/x - |m| x^-2 >= A_lower(x)
+    from the first doubling of max(valid_from, s) where x^2 A_lower(x) >= |m|.
+    The origin side is the same in u = 1/x, with F(x) = int_0^x f in place
+    of T and the first piece in place of the last; an origin bounded like
+    u^-2 (f bounded near 0) folds the kernel term into that envelope.
     """
     am = abs(m)
-    nonneg = _is_nonnegative(f)
 
-    def side(avg: Envelope) -> tuple[Envelope, ...]:
-        if nonneg and avg.certified_divergent():
-            x0 = avg.valid_from  # A_lower is the upper bound scaled by lower/coeff
+    def side(avg: Envelope, sign: int | None, start: float) -> tuple[Envelope, ...]:
+        if sign and avg.certified_divergent():
+            x0 = max(avg.valid_from, start)  # A_lower is the upper bound scaled by lower/coeff
             while avg.value(x0) * x0 * x0 * avg.lower / avg.coeff < am and x0 < 1e300:
                 x0 *= 2.0
             return (replace(avg, valid_from=x0),)
         kernel = Envelope(max(am, 1e-300), 2.0, 0.0)
         return (kernel,) if avg.is_compact else (kernel, replace(avg, lower=None))
 
+    first, last = f.pieces[0], f.pieces[-1]
     org_avg = f.origin.averaged()
     if org_avg.power == 2.0:
         origin_envs = (Envelope(org_avg.coeff + am, 2.0, 0.0, org_avg.valid_from),)
     else:
-        origin_envs = side(org_avg)
-    return origin_envs, side(f.tail.averaged())
+        origin_envs = side(org_avg, first.sign, 1.0 / first.hi)
+    return origin_envs, side(f.tail.averaged(), last.sign, last.lo)
 
 
 def l1_norm_modified(f: TestFunction) -> HalflineResult:
@@ -478,8 +477,7 @@ def l1_norm_modified(f: TestFunction) -> HalflineResult:
 
     origin_envs, tail_envs = _modified_envelopes(f, m)
     return integrate_halfline(density, origin_envs=origin_envs,
-                              tail_envs=tail_envs, probe_start=_probe_start(f),
-                              breakpoints=f.breakpoints,
+                              tail_envs=tail_envs, breakpoints=f.breakpoints,
                               closed_tail=_closed_tail(f, "modified", m))
 
 

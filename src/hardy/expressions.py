@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 __all__ = [
     "Expr", "Const", "Var", "Affine", "Product", "Power", "Log",
-    "ExprDomainError", "affine", "recip",
+    "ExprDomainError", "affine",
 ]
 
 _NEG_INF = float("-inf")
@@ -196,7 +196,3 @@ class Log(Expr):
 
 def affine(terms, const=0.0) -> Affine:
     return Affine(tuple((float(c), e) for c, e in terms), float(const))
-
-
-def recip(node: Expr) -> Power:
-    return Power(node, -1.0)

@@ -39,7 +39,7 @@ from functools import cached_property
 
 from .envelopes import Envelope
 from .expressions import (
-    Const, Expr, ExprDomainError, Log, Power, Product, Var, affine,
+    Affine, Const, Expr, ExprDomainError, Log, Power, Product, Var, affine,
 )
 
 __all__ = [
@@ -154,24 +154,32 @@ def _validate(f: TestFunction) -> None:
     _spot_check(f, "origin")
 
 
+def _is_zero(e: Expr) -> bool:
+    """Whether e is zero by its form: Const(0) or an affine sum of zeros."""
+    if isinstance(e, Affine):
+        return e.const == 0.0 and all(c == 0.0 or _is_zero(x) for c, x in e.terms)
+    return e == Const(0.0)
+
+
 def _spot_check(f: TestFunction, end: str, n: int = 64) -> None:
-    """Check the shape of one end's declared envelope and sample it against
-    ln|g| at e**v: the tail reads g(t) = f(t), the origin g(u) = f(1/u) / u**2,
-    so ln|f(e**-v)| - 2v."""
+    """Check the shape of one end's declared envelope.  A compact end is read
+    exactly: every piece reaching past its support end must be zero by its
+    form.  Any other is sampled against ln|g| at e**v: the tail reads
+    g(t) = f(t), the origin g(u) = f(1/u) / u**2, so ln|f(e**-v)| - 2v."""
     if end == "tail":
         env, x, log_abs = f.tail, "t", lambda v: f.log_eval(v)[0]
+        beyond = lambda p: p.hi > env.support_end
     else:
         env, x, log_abs = f.origin, "u", lambda v: f.log_eval(-v)[0] - 2.0 * v
+        beyond = lambda p: p.lo * env.support_end < 1.0
     if not env.declarable:
         raise ParameterError(f"{f.name}: {end} must be declared compact, c {x}**-a with "
                              f"a > 1 or c / ({x} ln({x})**b) with b > 1; got {env}")
     if env.is_compact:
-        v0 = math.log(env.support_end) + 1e-9
-        for i in range(n):
-            v = v0 + 6.0 * math.log(10.0) * i / (n - 1)
-            if log_abs(v) > -math.inf:
+        for p in filter(beyond, f.pieces):
+            if not _is_zero(p.expr):
                 raise ParameterError(f"{f.name}: {end} declared compact beyond "
-                                     f"{x}={env.support_end} but f != 0 at {x}=e**{v:.3f}")
+                                     f"{x}={env.support_end} but f != 0 on ({p.lo}, {p.hi}]")
         return
     v0 = math.log(env.valid_from) + 1e-9
     for i in range(n):
@@ -280,22 +288,27 @@ def _sup_power_exp(beta: float, rate: float, v0: float) -> float:
     return v ** beta * math.exp(-rate * v)
 
 
-def _join_tail(a: Envelope, b: Envelope) -> Envelope:
+def _join_tail(a: Envelope, b: Envelope, signed_from: float) -> Envelope:
     """Conservative envelope for a sum |f + g| <= |f| + |g|, at either end.
     A compact envelope is valid from its support end, so ``valid`` starts
-    past both supports."""
+    past both supports.  The slower summand's lower bound is kept past a
+    compact summand's support, where the sum is that summand, and where the
+    sum keeps one declared sign from ``signed_from`` on, since there
+    |f + g| = |f| + |g|."""
     if a.is_compact and b.is_compact:
         return Envelope.compact(max(a.support_end, b.support_end))
     valid = max(a.valid_from, b.valid_from)
     if a.is_compact or b.is_compact:
-        return replace(b if a.is_compact else a, valid_from=valid, lower=None)
+        return replace(b if a.is_compact else a, valid_from=valid)
+    slow = min(a, b, key=lambda env: (env.power, -env.logpow))
+    lower = slow.lower if signed_from <= valid else None
     if (a.logpow == 0.0) != (b.logpow == 0.0):
         # a power into a power-log: in v = ln t the shapes differ by the factor
         # v**beta e**(-(alpha-1)v), at most its sup over v >= ln(valid)
-        slow, fast = (b, a) if a.logpow == 0.0 else (a, b)
+        fast = b if slow is a else a
         sup = _sup_power_exp(-slow.logpow, fast.power - 1.0, math.log(valid))
-        return Envelope(slow.coeff + fast.coeff * sup, 1.0, slow.logpow, valid)
-    return Envelope(a.coeff + b.coeff, min(a.power, b.power), max(a.logpow, b.logpow), valid)
+        return Envelope(slow.coeff + fast.coeff * sup, 1.0, slow.logpow, valid, lower)
+    return Envelope(a.coeff + b.coeff, slow.power, slow.logpow, valid, lower)
 
 
 def add(f: TestFunction, g: TestFunction) -> TestFunction:
@@ -321,8 +334,12 @@ def add(f: TestFunction, g: TestFunction) -> TestFunction:
     tf, tg = f.exact("total_integral"), g.exact("total_integral")
     if tf is not None and tg is not None:
         exact.append(("total_integral", tf + tg))
+    # where each end's outermost piece, and so its sign, starts: at the
+    # origin in u = 1/t
+    first, last = pieces[0], pieces[-1]
     return TestFunction(f"({f.name}+{g.name})", tuple(pieces), bps,
-                        _join_tail(f.origin, g.origin), _join_tail(f.tail, g.tail),
+                        _join_tail(f.origin, g.origin, 1.0 / first.hi if first.sign else math.inf),
+                        _join_tail(f.tail, g.tail, last.lo if last.sign else math.inf),
                         tuple(exact))
 
 

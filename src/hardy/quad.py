@@ -16,12 +16,17 @@ result as an explicit, auditable ``tail_bound``.  A power-log tail, whose walk
 can run to v = 1e12, may instead be handed over in closed form past a cut V
 (``closed_tail``); then only the head up to V is integrated.
 
-Divergence is a first-class verdict, produced two ways: a declared lower
-envelope whose integral diverges (a certificate), or the doubling-scale
-probe of partial integrals (a numerical witness of harmonic-type growth).
+Divergence is a first-class verdict, and only a proof issues it: a declared
+lower envelope whose integral diverges, spot-checked against the density.
+An end whose upper envelopes do not integrate and that carries no such
+certificate is ``inconclusive``.  The doubling-scale probe of partial
+integrals (``probe_divergence``) is a numerical witness of harmonic-type
+growth, read as a rate diagnostic, never as a verdict of a half-line integral.
 
-Half-line integrals run at the one fixed precision ``DEFAULT_CONFIG``; only
-``integrate`` takes a config, as the probe's windows run looser.
+Half-line integrals run at the one fixed precision ``DEFAULT_CONFIG``, apart
+from a tail's extension round, which is walked to its share of the whole
+integral's budget; ``integrate`` takes a config, as the probe's windows run
+looser.
 """
 
 from __future__ import annotations
@@ -255,7 +260,6 @@ class HalflineResult:
     tail_bound: float = math.inf
     subdivisions: int = 0
     divergent_side: str | None = None
-    probe: ProbeResult | None = None
 
     @property
     def total_error(self) -> float:
@@ -278,12 +282,12 @@ def _geometric_seeds(v0: float, v1: float) -> tuple[float, ...]:
     return tuple(pts)
 
 
-def _spot_check_lower(density, envs: tuple[Envelope, ...], v_from: float) -> None:
+def _spot_check_lower(density, envs: tuple[Envelope, ...]) -> None:
     """Derived divergence certificates are re-checked against the integrand."""
     for env in envs:
         if not env.certified_divergent():
             continue
-        v_lo = max(v_from, math.log(env.valid_from)) + 1e-6
+        v_lo = math.log(env.valid_from) + 1e-6
         for i in range(8):
             v = v_lo + i * 1.25
             floor = env.lower * math.exp((1.0 - env.power) * v) * v ** env.logpow
@@ -322,12 +326,14 @@ def _tail_side(density, v0: float, envs: tuple[Envelope, ...], closed=None):
 
     # One extension round: the relative tolerance may allow a much looser
     # remainder than abs_tol (this matters for slowly decaying tails), or the
-    # soft cap may have been too tight for the final scale of the value.
+    # soft cap may have been too tight for the final scale of the value.  The
+    # extension is walked to that budget of the whole integral, not to a
+    # tolerance relative to its own, often far smaller, value.
     final_target = DEFAULT_CONFIG.tolerance(value) * _TAIL_SHARE
     if bound > final_target:
         V2 = min(sum_v_for_remainder(envs, final_target), _TAIL_V_HARD)
         if V2 > V:
-            ext = _integrate_core(density, V, V2,
+            ext = _integrate_core(density, V, V2, cfg=QuadConfig(abs_tol=final_target),
                                   breakpoints=_geometric_seeds(V, V2))
             value += ext.value
             err += ext.err_est
@@ -340,7 +346,6 @@ def integrate_halfline(
     density: Callable[[float], float],
     origin_envs: tuple[Envelope, ...] = (),
     tail_envs: tuple[Envelope, ...] = (),
-    probe_start: float | None = None,
     breakpoints: Sequence[float] = (),
     closed_tail: tuple[float, float, float, float] | None = None,
 ) -> HalflineResult:
@@ -351,12 +356,11 @@ def integrate_halfline(
     each against its envelopes (origin envelopes bound g(1/u) / u**2 in
     u = 1/t); the middle [ln A0, ln B0] is integrated in v.  A lower
     envelope whose integral diverges yields the DIVERGENT verdict (after the
-    certificate is spot-checked against the density); an upper envelope
-    that fails to integrate and carries no certificate triggers the doubling
-    probe, whose inconclusive outcome is reported as such, never silently
-    converted.  ``closed_tail`` = (V, value, err, bound) hands over the tail
-    past v = V in closed form, with its rounding and remainder; the
-    divergence checks still run first.
+    certificate is spot-checked against the density); an end with an upper
+    envelope that fails to integrate and no certificate is INCONCLUSIVE,
+    with that end as ``divergent_side``.  ``closed_tail`` = (V, value, err,
+    bound) hands over the tail past v = V in closed form, with its rounding
+    and remainder; the divergence checks still run first.
     """
     if not origin_envs or not tail_envs:
         raise ValueError("half-line integration needs envelopes on both sides")
@@ -367,27 +371,12 @@ def integrate_halfline(
     for side, envs, side_density in (("origin", origin_envs, origin_density),
                                      ("tail", tail_envs, density)):
         if any(env.certified_divergent() for env in envs):
-            certified = tuple(e for e in envs if e.certified_divergent())
-            _spot_check_lower(side_density, certified, math.log(certified[0].valid_from))
+            _spot_check_lower(side_density, envs)
             return HalflineResult(verdict="divergent", divergent_side=side)
 
-    for side, envs, side_density in (("tail", tail_envs, density),
-                                     ("origin", origin_envs, origin_density)):
-        if all(env.integrable() for env in envs):
-            continue
-        # no certificate and no integrable bound: fall back to the probe,
-        # first in t (or u = 1/t), where g(t) = d(ln t) / t
-        start = probe_start if (probe_start is not None and side == "tail") else math.e
-        probe = probe_divergence(lambda t: side_density(math.log(t)) / t, start)
-        if probe.verdict == "divergent-log":
-            return HalflineResult(verdict="divergent", divergent_side=side, probe=probe)
-        if probe.verdict == "inconclusive":
-            # second look on the doubly logarithmic scale
-            probe2 = probe_divergence(side_density, max(math.e, math.log(start) + 1.0))
-            if probe2.verdict == "divergent-log":
-                return HalflineResult(verdict="divergent", divergent_side=side, probe=probe2)
-            return HalflineResult(verdict="inconclusive", divergent_side=side, probe=probe2)
-        return HalflineResult(verdict="inconclusive", divergent_side=side, probe=probe)
+    for side, envs in (("tail", tail_envs), ("origin", origin_envs)):
+        if not all(env.integrable() for env in envs):
+            return HalflineResult(verdict="inconclusive", divergent_side=side)
 
     bps = tuple(sorted(breakpoints))
     u_valid = max(env.valid_from for env in origin_envs)

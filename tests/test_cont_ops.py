@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import pickle
@@ -9,6 +10,7 @@ import pytest
 from hardy import cont_ops as co
 from hardy import funcspace as fs
 from hardy import quad
+from hardy.envelopes import Envelope
 
 E = math.e
 LN32 = math.log(1.5)
@@ -156,11 +158,53 @@ def test_split_i2_box_closed_form():
                                       abs=1e-11)
 
 
+# fe diverges at both ends under either weight: all four splits are
+# certified divergent, and divergent agrees with divergent
 @pytest.mark.parametrize("name", ["theta", "abs(f0)", "power_tail(beta=2)",
-                                  "power_tail(beta=3)"])
+                                  "power_tail(beta=3)", "fe"])
 def test_fubini_check(name):
     rep = co.fubini_check_cont(fs.parse_function(name))
     assert rep.passed
+
+
+def _record_certificates(monkeypatch) -> list:
+    """The certified envelopes that quad spot-checks from here on."""
+    seen = []
+    check = quad._spot_check_lower
+
+    def recording(density, envs):
+        check(density, envs)
+        seen.extend(env for env in envs if env.certified_divergent())
+
+    monkeypatch.setattr(quad, "_spot_check_lower", recording)
+    return seen
+
+
+def test_a_loose_tail_reads_inconclusive_never_divergent():
+    # (1+t)**-1.1 <= 14 / (t ln(t)**1.5) on t >= e holds, but is too loose to
+    # integrate against w or as T(x)/x, and carries no lower bound: W and
+    # ||Hf||_1 converge, yet the loose declaration certifies neither way
+    pt = fs.catalog("power_tail", beta=1.1)
+    loose = dataclasses.replace(pt, tail=Envelope(14.0, 1.0, -1.5))
+    for op in (co.log_weight_norm, co.l1_norm_modified):
+        assert op(pt).verdict == "converged"
+        res = op(loose)
+        assert (res.verdict, res.divergent_side) == ("inconclusive", "tail")
+    rep = co.fubini_check_cont(loose)
+    assert rep.i2_double.verdict == rep.i2_single.verdict == "inconclusive"
+    assert rep.i1_pass and not rep.i2_pass
+
+
+def test_a_sum_keeps_the_divergence_certificate_of_its_slower_summand(monkeypatch):
+    # past the box, log_tail(1.5) + box(1, 2) is log_tail(1.5) itself, so
+    # the sum keeps its lower bound and both W and ||Hf||_1 diverge by it
+    g = fs.add(fs.catalog("log_tail", beta=1.5), fs.catalog("box", lo=1.0, hi=2.0))
+    assert g.tail.lower == 1.0
+    for op in (co.log_weight_norm, co.l1_norm_modified):
+        seen = _record_certificates(monkeypatch)
+        res = op(g)
+        assert (res.verdict, res.divergent_side) == ("divergent", "tail")
+        assert seen, op.__name__
 
 
 def test_l1_norm_modified_theta(theta):
@@ -186,11 +230,14 @@ def test_l1_norm_modified_divergent(name):
     assert res.verdict == "divergent"
 
 
-def test_l1_norm_modified_fe_signed(fe):
+def test_l1_norm_modified_fe_signed(monkeypatch, fe):
     # fe has zero mean, so the corrected operator equals the raw average,
-    # whose absolute integral diverges at both ends
+    # whose absolute integral diverges at both ends; each end of fe keeps one
+    # sign, so |F| = int |fe| there and the origin's certificate holds
+    seen = _record_certificates(monkeypatch)
     res = co.l1_norm_modified(fe)
-    assert res.verdict == "divergent"
+    assert (res.verdict, res.divergent_side) == ("divergent", "origin")
+    assert seen
 
 
 # W(log_tail(2.5)): a head on v in [1, 40] plus the closed tail, in mpmath

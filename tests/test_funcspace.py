@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -215,6 +216,18 @@ def test_compact_declaration_checked():
         )
 
 
+def test_compact_end_is_read_from_the_pieces():
+    # sampling six decades past t = 2 never reached the box on (1e8, 1e9];
+    # the pieces show it is not zero there
+    box = fs.catalog("box", lo=1e8, hi=1e9)
+    with pytest.raises(fs.ParameterError, match="tail declared compact beyond t=2.0"):
+        dataclasses.replace(box, tail=Envelope.compact(2.0))
+    # in u = 1/t the box is zero past u = 1e-8, not past u = 1e-9
+    assert dataclasses.replace(box, origin=Envelope.compact(1e-8)).origin.support_end == 1e-8
+    with pytest.raises(fs.ParameterError, match="origin declared compact beyond u=1e-09"):
+        dataclasses.replace(box, origin=Envelope.compact(1e-9))
+
+
 @pytest.mark.parametrize("end", ["origin", "tail"])
 def test_declared_shape_is_checked(theta, end):
     odd = Envelope(1.0, 2.0, -1.0)  # a power with a log factor: not declarable
@@ -228,6 +241,8 @@ def test_declared_shape_is_checked(theta, end):
 # it was declared in t, through a separate origin class.  A sum "f+g" adds
 # those of its tail and tail.averaged(), as add built them from a separate
 # declaration type (power + power, power-log + power, compact + power).
+# Each sum keeps its slower summand's lower bound on the tail: the summands
+# share a sign there, or the compact one has ended.
 _ORIGIN_ENVELOPES = {
     "theta": ((1.0, 2.0, 0.0, E, None), (1.0, 2.0, 0.0, E, None)),
     "f0": ((0.0, 2.0, 0.0, E, None), (0.0, 2.0, 0.0, E, None)),
@@ -241,12 +256,12 @@ _ORIGIN_ENVELOPES = {
     "box(lo=0.25,hi=4)": ((1.0, 2.0, 0.0, 4.0, None), (1.0, 2.0, 0.0, 4.0, None)),
     "box(lo=2,hi=5)": ((0.0, 2.0, 0.0, E, None), (0.0, 2.0, 0.0, E, None)),
     "theta+power_tail(beta=1.5)": ((2.0, 2.0, 0.0, E, None), (2.0, 2.0, 0.0, E, None),
-                                   (2.0, 1.5, 0.0, E, None), (4.0, 1.5, 0.0, E, None)),
+                                   (2.0, 1.5, 0.0, E, 2.0 ** -1.5), (4.0, 1.5, 0.0, E, None)),
     "power_tail(beta=1.01)+log_tail(beta=2)": (
         (1.0, 2.0, 0.0, E, None), (1.0, 2.0, 0.0, E, None),
-        (5414.411329464499, 1.0, -2.0, E, None), (5414.411329464499, 1.0, -1.0, E, None)),
+        (5414.411329464499, 1.0, -2.0, E, 1.0), (5414.411329464499, 1.0, -1.0, E, 0.5)),
     "box(lo=1,hi=2)+theta": ((1.0, 2.0, 0.0, E, None), (1.0, 2.0, 0.0, E, None),
-                             (1.0, 2.0, 0.0, E, None), (1.0, 2.0, 0.0, E, None)),
+                             (1.0, 2.0, 0.0, E, 0.25), (1.0, 2.0, 0.0, E, None)),
 }
 
 

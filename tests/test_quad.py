@@ -227,15 +227,16 @@ def test_halfline_rejects_false_divergence_certificate():
             tail_envs=(env,))
 
 
-def test_halfline_probe_fallback_divergent():
-    # no usable upper envelope, no certificate: the probe catches 1/x
+def test_halfline_without_certificate_is_inconclusive():
+    # no usable upper envelope and no certificate: the integrand is 1/t
+    # beyond e and does diverge, but only a lower envelope may say so
     env = Envelope(2.0, 1.0, 0.0, valid_from=E)  # not integrable, no lower
     res = integrate_halfline(
         lambda v: 1.0 if v > 1.0 else 0.0,  # 1/t beyond e
         origin_envs=(Envelope.compact(E),),
         tail_envs=(env,))
-    assert res.verdict == "divergent"
-    assert res.probe is not None
+    assert res.verdict == "inconclusive"
+    assert res.divergent_side == "tail"
 
 
 def test_substitution_consistency():
@@ -267,6 +268,8 @@ def test_probe_harmonic_tail():
 def test_probe_convergent_tail():
     theta = fs.catalog("theta")
     assert probe_divergence(theta.eval, 1.0).verdict == "convergent"
+    # every late increment below the floor
+    assert probe_divergence(lambda x: 0.0, 1.0).verdict == "convergent"
 
 
 def test_probe_f0_increment():
@@ -293,6 +296,10 @@ def test_probe_inconclusive_between_rates():
     # nor summable; the three-way rule must not overclaim
     res = probe_divergence(lambda x: x ** -0.5, 1.0)
     assert res.verdict == "inconclusive"
+    # an integrand that is not eventually nonnegative is not classified
+    res = probe_divergence(lambda x: -1.0 / x, 1.0)
+    assert res.verdict == "inconclusive"
+    assert res.last_increment == pytest.approx(-math.log(2.0), rel=1e-9)
 
 
 def test_quadresult_converged_invariant():

@@ -594,9 +594,7 @@ def test_gamma_residual_margins_match_asymptotics(hi):
                                                   abs=5e-16)
 
 
-def test_lp_norm_and_ratio(lam, e1):
-    assert so.lp_norm(e1, 2.0, 100) == 1.0
-    assert so.lp_norm(lam, 1.0, 10 ** 4) == pytest.approx(1.0, abs=1e-4)
+def test_hardy_ratio_closed_forms(lam, e1):
     r = so.hardy_ratio(lam, 2.0, 10 ** 6)
     closed = (math.pi ** 2 / 6.0 - 1.0) / (math.pi ** 2 / 3.0 - 3.0)
     assert r == pytest.approx(closed, rel=1e-5)
@@ -754,6 +752,17 @@ def test_decay_shape_is_checked(decay):
 def test_generator_requires_decay():
     with pytest.raises(so.SequenceError):
         so.SeqSpec(name="bare", vec=lambda ks: 0.0 * ks)
+
+
+def test_weighted_tail_without_certificate_is_inconclusive():
+    # 1/((k+1) ln(k+2)**1.5) is summable, but a_k ln(k+1) decays only like
+    # 1/(k ln(k)**0.5); with no lower bound declared, no weighted sum is
+    # certified either way
+    seq = so.SeqSpec(name="slow", decay=Envelope(1.0, 1.0, -1.5, valid_from=3),
+                     vec=lambda ks: 1.0 / ((ks + 1.0) * np.log(ks + 2.0) ** 1.5))
+    assert so.total_sum(seq).verdict == "converged"
+    for op in (so.l1_log_weight, so.j2_sum, so.l1_norm_mod):
+        assert op(seq).verdict == "inconclusive", op.__name__
 
 
 def test_build_report(lam):
