@@ -164,14 +164,15 @@ def _is_zero(e: Expr) -> bool:
 def _spot_check(f: TestFunction, end: str, n: int = 64) -> None:
     """Check the shape of one end's declared envelope.  A compact end is read
     exactly: every piece reaching past its support end must be zero by its
-    form.  Any other is sampled against ln|g| at e**v: the tail reads
+    form, and so must no outermost piece of an end that declares a lower
+    bound.  Any other is sampled against ln|g| at e**v: the tail reads
     g(t) = f(t), the origin g(u) = f(1/u) / u**2, so ln|f(e**-v)| - 2v."""
     if end == "tail":
         env, x, log_abs = f.tail, "t", lambda v: f.log_eval(v)[0]
-        beyond = lambda p: p.hi > env.support_end
+        beyond, outer = lambda p: p.hi > env.support_end, f.pieces[-1]
     else:
         env, x, log_abs = f.origin, "u", lambda v: f.log_eval(-v)[0] - 2.0 * v
-        beyond = lambda p: p.lo * env.support_end < 1.0
+        beyond, outer = lambda p: p.lo * env.support_end < 1.0, f.pieces[0]
     if not env.declarable:
         raise ParameterError(f"{f.name}: {end} must be declared compact, c {x}**-a with "
                              f"a > 1 or c / ({x} ln({x})**b) with b > 1; got {env}")
@@ -181,6 +182,8 @@ def _spot_check(f: TestFunction, end: str, n: int = 64) -> None:
                 raise ParameterError(f"{f.name}: {end} declared compact beyond "
                                      f"{x}={env.support_end} but f != 0 on ({p.lo}, {p.hi}]")
         return
+    if env.lower is not None and _is_zero(outer.expr):
+        raise ParameterError(f"{f.name}: {end} declares a lower bound on a zero piece")
     v0 = math.log(env.valid_from) + 1e-9
     for i in range(n):
         v = v0 + 14.0 * i / (n - 1)

@@ -24,7 +24,8 @@ Exact sums are taken over the runs a..b of constant S_n = sum_{k<=n} a_k, one
 starting at n = 1 and at each stored k (the last is open), each adding a
 closed form as integer pairs over D, summed pairwise and reduced once, when
 read (see ``SeqSpec.run_sums``).  The rearranged forms, the independent
-route, are integer sums too, built from the terms alone and reduced once.
+route, read the terms' integer view (``SeqSpec.int_terms``), never the
+runs, and are integer sums reduced once too.
 A harmonic sum that starts within its first 64 terms is a kept reduced
 prefix H[1, 64 b) plus two adds of under 64 terms each; any other joins
 reduced aligned blocks of 64 * 2**j terms.  Prefixes and blocks are each
@@ -137,8 +138,9 @@ class SeqSpec:
 
     Finite mode stores ``terms``, the nonzero (k, a_k) pairs of a_1..a_N in
     increasing k, as exact rationals; every other a_k is zero.  Its exact sums
-    read integer numerators over the common denominator D (``int_runs``), with
-    one pairwise sum per output, reduced once, when read.  Generator
+    read one integer view, D and each a_k D (``int_terms``): the runs take its
+    prefix sums (``int_runs``), the rearranged forms read it directly, and
+    each output is one pairwise sum, reduced once, when read.  Generator
     mode supplies ``vec``, the float rule that maps an array of indices k to
     the terms a_k, plus its declared decay, a declarable
     :class:`~hardy.envelopes.Envelope` bound on |a_k| read at t = k and
@@ -219,15 +221,20 @@ class SeqSpec:
         return Fraction(self.int_runs[2][-1], self.int_runs[0]) if self.finite else self.exact_sum
 
     @cached_property
-    def int_runs(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-        """(D, starts, P): the terms' common denominator D, and the first n and
-        P = S_n D of each run of constant S_n (from n = 1 and each stored k)."""
+    def int_terms(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        """(D, ks, A): the terms' common denominator D, from one ``math.lcm``,
+        their indices k and the integers A_k = a_k D, in one scaling pass."""
         den = math.lcm(*(v.denominator for _, v in self.terms))
-        runs, p = {1: 0}, 0
-        for k, v in self.terms:
-            p += v.numerator * (den // v.denominator)
-            runs[k] = p
-        return den, tuple(runs), tuple(runs.values())
+        return (den, tuple(k for k, _ in self.terms),
+                tuple(v.numerator * (den // v.denominator) for _, v in self.terms))
+
+    @cached_property
+    def int_runs(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        """(D, starts, P): the first n and P = S_n D of each run of constant
+        S_n (from n = 1 and each stored k), the prefix sums of ``int_terms``."""
+        den, ks, nums = self.int_terms
+        skip = int(ks[0] == 1)  # a run starts at n = 1 anyway
+        return den, ((1,) + ks)[skip:], tuple(accumulate(nums, initial=0))[skip:]
 
     @cached_property
     def run_sums(self) -> tuple[tuple[int, int], ...]:
@@ -238,7 +245,9 @@ class SeqSpec:
         1/(hi+1)) to J1 and (M - P)(H_(hi+1) - H_lo) to J2; the open run from a
         adds P/a to J1.  (Gm a)_n = (P - (M - P) n) / (D n (n+1)) changes sign
         at most once on a run, after n* = P / (M - P), so each run is cut at
-        floor(n*) into two pieces on which Gm a keeps its sign.  Each output is
+        floor(n*) into two pieces on which Gm a keeps its sign.  A piece of one
+        index n (as every run of a dense sequence is) adds P/(n (n+1)), (M - P)/(n+1)
+        and |P - (M - P) n|/(n (n+1)), with no harmonic split.  Each output is
         one ``_tree_sum`` of the pieces' integer pairs, reduced once, when read
         (``gm_l1``, ``j1_total``, ``j2_total``): em(10**5) takes 0.3 s cold; with
         its harmonic prefix kept, 0.02 s for one output and 0.04 s for all three."""
@@ -252,9 +261,13 @@ class SeqSpec:
                 if lo > hi:
                     continue
                 n1, d1 = p * (hi + 1 - lo), lo * (hi + 1)
-                h_num, d2 = _harmonic_split(lo + 1, hi + 2)
-                n2 = (m - p) * h_num
-                l1.append((abs(n1 * d2 - n2 * d1), d1 * d2))
+                if lo == hi:  # one index n: J2 = (M - P)/(n+1), |Gm a| over n (n+1)
+                    n2, d2 = m - p, hi + 1
+                    l1.append((abs(p - n2 * lo), d1))
+                else:
+                    h_num, d2 = _harmonic_split(lo + 1, hi + 2)
+                    n2 = (m - p) * h_num
+                    l1.append((abs(n1 * d2 - n2 * d1), d1 * d2))
                 j1.append((n1, d1))
                 j2.append((n2, d2))
         l1.append((abs(m), starts[-1]))
@@ -566,30 +579,31 @@ def _require_finite(seq: SeqSpec, what: str):
 
 def j1_sum_by_weights(seq: SeqSpec) -> SumResult:
     """The rearranged form sum_k a_k / k of a finite sequence (independent
-    route for checking): with D the terms' common denominator, the integer
-    pairs (a_k D, k) summed by ``_tree_sum``, over D, reduced once."""
+    route for checking): the integer pairs (a_k D, k) of ``int_terms``, never
+    the runs, summed by ``_tree_sum``, over D, reduced once."""
     _require_finite(seq, "j1_sum_by_weights")
-    den = math.lcm(*(v.denominator for _, v in seq.terms))
-    num, k_den = _tree_sum((v.numerator * (den // v.denominator), k) for k, v in seq.terms)
+    den, ks, nums = seq.int_terms
+    num, k_den = _tree_sum(zip(nums, ks))
     return SumResult.from_exact(Fraction(num, k_den * den))
 
 
 def j2_sum_by_weights(seq: SeqSpec) -> SumResult:
     """The rearranged form sum_k a_k (H_k - 1) of a finite sequence, reduced
     once: H_k - 1 is an integer h over L, the lcm of the reduced gaps H_k - H_prev
-    (``_harmonic_split``), and the sum of a_k D h runs over D L, growing with h
-    whenever L does.  em(10**5) takes about 0.3 s cold, 0.02 s with its prefix kept."""
+    (``_harmonic_split``), and the sum of a_k D h (``int_terms``) runs over
+    D L, growing with h whenever L does.  em(10**5) takes about 0.3 s cold,
+    0.02 s with its prefix kept."""
     _require_finite(seq, "j2_sum_by_weights")
     _require_exact_cap(seq.name, seq.support_end)
-    den = math.lcm(*(v.denominator for _, v in seq.terms))
+    den, ks, nums = seq.int_terms
     total, h, lcm, prev = 0, 0, 1, 1
-    for k, v in seq.terms:
+    for k, a in zip(ks, nums):
         num, gap = _harmonic_split(prev + 1, k + 1)
         prev, grow = k, gap // math.gcd(lcm, gap)
         if grow > 1:
             lcm, h, total = lcm * grow, h * grow, total * grow
         h += num * (lcm // gap)
-        total += v.numerator * (den // v.denominator) * h
+        total += a * h
     return SumResult.from_exact(Fraction(total, den * lcm))
 
 
@@ -760,9 +774,11 @@ def hardy_ratios(seq: SeqSpec, ps, ns) -> dict[tuple[float, int], float]:
     def prefix_sums(power) -> list[float]:
         return [float(np.sum(power[:n])) for n in ns]  # one power array alive
 
+    # past a finite support each a_k**p is an exact 0: only the support is raised
+    pad = n_top - min(seq.support_end, n_top) if seq.finite else 0
     out = {}
     for p in ps:
-        dens = prefix_sums(arr ** p)
+        dens = prefix_sums(np.pad(arr[:-pad] ** p, (0, pad)) if pad else arr ** p)
         if 0.0 in dens:
             raise SequenceError("zero denominator in hardy_ratio")
         for n, num, den in zip(ns, prefix_sums(means ** p), dens):
@@ -831,10 +847,10 @@ def disc_equivalence_ratio(seq: SeqSpec, horizon: int = SEQ_HORIZON) -> float:
 # ---------------------------------------------------------------------------
 
 def finite_sequence(name: str, values) -> SeqSpec:
-    """a_1, a_2, ... = values, stored as the nonzero terms."""
+    """a_1, a_2, ... = values, stored as the nonzero terms; a Fraction is kept."""
     _require_within_cap(name, len(values))
-    return SeqSpec(name=name, terms=tuple(
-        (k, q) for k, q in enumerate(map(Fraction, values), start=1) if q))
+    qs = (v if isinstance(v, Fraction) else Fraction(v) for v in values)
+    return SeqSpec(name=name, terms=tuple((k, q) for k, q in enumerate(qs, start=1) if q))
 
 
 def _seq_lambda() -> SeqSpec:

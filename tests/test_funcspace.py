@@ -228,6 +228,21 @@ def test_compact_end_is_read_from_the_pieces():
         dataclasses.replace(box, origin=Envelope.compact(1e-9))
 
 
+def test_a_lower_bound_needs_a_nonzero_outermost_piece(fe):
+    # fe cut to (1e-10, 1/e]: sampling the origin over 14 units of v never
+    # reached u = 1e10, past which f(1/u) = 0 on the outermost piece
+    core = dataclasses.replace(fe.pieces[0], lo=1e-10)
+    zero = fe.pieces[1]
+    pieces = (dataclasses.replace(zero, lo=0.0, hi=1e-10), core,
+              dataclasses.replace(zero, hi=math.inf))
+    origin = Envelope(1.0, 1.0, -2.0, lower=1.0)
+    with pytest.raises(fs.ParameterError, match="origin declares a lower bound"):
+        fs.TestFunction("fe-cut", pieces, (1e-10, 1.0 / E), origin, Envelope.compact(1.0 / E))
+    without = fs.TestFunction("fe-cut", pieces, (1e-10, 1.0 / E),
+                              dataclasses.replace(origin, lower=None), Envelope.compact(1.0 / E))
+    assert without.origin.lower is None
+
+
 @pytest.mark.parametrize("end", ["origin", "tail"])
 def test_declared_shape_is_checked(theta, end):
     odd = Envelope(1.0, 2.0, -1.0)  # a power with a log factor: not declarable

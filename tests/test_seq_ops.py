@@ -201,6 +201,47 @@ def test_rearranged_sums_never_read_the_run_sums(monkeypatch):
             so.j1_sum(seq)
 
 
+def test_one_lcm_per_finite_sequence(monkeypatch):
+    # the runs and both rearranged forms read one integer view of the terms
+    rng = random.Random(9)
+    dense = [Fraction(rng.randint(0, 1000), rng.randint(1, 1000)) for _ in range(200)] + [1]
+    lcm, calls = math.lcm, []
+    monkeypatch.setattr(math, "lcm", lambda *args: calls.append(args) or lcm(*args))
+    for seq in (so.finite_sequence("dense", dense), so.catalog_seq("em", m=40)):
+        calls.clear()
+        so.build_report(seq)
+        so.j1_sum_by_weights(seq)
+        so.j2_sum_by_weights(seq)
+        assert len(calls) == 1
+
+
+def test_finite_sequence_keeps_a_fraction_and_converts_the_rest():
+    q = Fraction(3, 7)
+    values = [q, 2, "5/8", 0.375, "0", Fraction(-1, 3), 1.5, 0]
+    seq = so.finite_sequence("mixed", values)
+    assert seq.terms[0][1] is q
+    assert seq.terms == tuple((k, Fraction(v)) for k, v in enumerate(values, start=1)
+                              if Fraction(v))
+    assert all(type(v) is Fraction for _, v in seq.terms)
+
+
+@pytest.mark.parametrize("values", [
+    # the run 3..9 has P = 3 and M = 4, so Gm a turns at n* = 3: the piece
+    # 3..3 is its first index alone
+    [0, 0, 3] + [0] * 6 + [1],
+    # P = 8/3 and M = 3: n* = 8, so the piece 9..9 is the run's last index
+    [0, 0, Fraction(8, 3)] + [0] * 6 + [Fraction(1, 3)],
+    [0, 0, -8] + [0] * 6 + [-1],
+], ids=["first-index", "last-index", "last-index-negative"])
+def test_one_index_piece_of_a_longer_run_matches_per_index_walk(values, monkeypatch):
+    split, spans = so._harmonic_split, []
+    monkeypatch.setattr(so, "_harmonic_split",
+                        lambda lo, hi: spans.append(hi - lo) or split(lo, hi))
+    seq = so.finite_sequence("r", values)
+    assert seq.run_sums and spans and min(spans) > 1  # no one-index piece is split
+    assert _read_run_sums(seq, (0, 1, 2)) == _per_index_sums(values)
+
+
 def test_compact_generator_j_sums_close_at_the_support_end():
     # powcut(alpha=0, N) is 1 on 1..N: sum J1 = sum_k 1/k = H_N and
     # sum J2 = sum_k (H_k - 1) = (N+1) H_N - 2N; past N, every J2(n) is 0 and
@@ -636,6 +677,24 @@ def test_hardy_ratios_bit_identical_to_per_call():
             assert r == _hardy_ratio_reference(seq, p, m) == so.hardy_ratio(seq, p, m)
     with pytest.raises(so.SequenceError, match="zero denominator"):
         so.hardy_ratios(so.catalog_seq("em", m=50), (2.0,), (10, 100))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: so.catalog_seq("em", m=1), lambda: so.catalog_seq("em", m=7),
+    lambda rng=random.Random(4): so.finite_sequence(
+        "r", [Fraction(rng.randint(0, 99), k) for k in range(1, 301)] + [1]),
+], ids=["em1", "em7", "random-301"])
+def test_hardy_ratios_power_only_the_support_bit_identical(build):
+    # the full-array form raises every a_k to p, past the support too
+    seq, ps, ns = build(), (1.25, 1.5, 2.0, 3.0, 10.0), (301, 10 ** 4, 10 ** 6 - 1)
+    arr = seq.terms_float(ns[-1])
+    means = np.cumsum(arr) / np.arange(1, ns[-1] + 1, dtype=np.float64)
+    ratios = so.hardy_ratios(seq, ps, ns)
+    for p in ps:
+        power, mean_power = arr ** p, means ** p
+        for n in ns:
+            full = float(np.sum(mean_power[:n])) / float(np.sum(power[:n]))
+            assert ratios[(p, n)] == full
 
 
 def test_hardy_ratio_sharpness_trend():
