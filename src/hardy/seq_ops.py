@@ -22,10 +22,13 @@ D n (n+1), and a float generator is refused before any term is built.
 
 Exact sums are taken over the runs a..b of constant S_n = sum_{k<=n} a_k, one
 starting at n = 1 and at each stored k (the last is open), each adding a
-closed form as integer pairs over D, summed pairwise and reduced once, when
-read (see ``SeqSpec.run_sums``).  The rearranged forms, the independent
-route, read the terms' integer view (``SeqSpec.int_terms``), never the
-runs, and are integer sums reduced once too.
+closed form as integer pairs over D, summed pairwise (see
+``SeqSpec.run_sums``).  The rearranged forms, the independent route, read
+the terms' integer view (``SeqSpec.int_terms``), never the runs, and are
+integer sums too.  Every exact sum is a ``SumResult`` that keeps its
+unreduced integer pair: its float ``value`` is taken from the pair, and only
+a read of ``.exact`` reduces it, once, so a caller that prints floats only,
+as a sweep row does, takes no gcd of two big numbers.
 A harmonic sum that starts within its first 64 terms is a kept reduced
 prefix H[1, 64 b) plus two adds of under 64 terms each; any other joins
 reduced aligned blocks of 64 * 2**j terms.  Prefixes and blocks are each
@@ -140,7 +143,7 @@ class SeqSpec:
     increasing k, as exact rationals; every other a_k is zero.  Its exact sums
     read one integer view, D and each a_k D (``int_terms``): the runs take its
     prefix sums (``int_runs``), the rearranged forms read it directly, and
-    each output is one pairwise sum, reduced once, when read.  Generator
+    each output is one pairwise sum, an exact ``SumResult``.  Generator
     mode supplies ``vec``, the float rule that maps an array of indices k to
     the terms a_k, plus its declared decay, a declarable
     :class:`~hardy.envelopes.Envelope` bound on |a_k| read at t = k and
@@ -215,12 +218,6 @@ class SeqSpec:
         return None
 
     @cached_property
-    def exact_total(self) -> Fraction | None:
-        """sum_k a_k as an exact rational: P/D of the last run of a finite
-        sequence, or the declared ``exact_sum``; None for a float generator."""
-        return Fraction(self.int_runs[2][-1], self.int_runs[0]) if self.finite else self.exact_sum
-
-    @cached_property
     def int_terms(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
         """(D, ks, A): the terms' common denominator D, from one ``math.lcm``,
         their indices k and the integers A_k = a_k D, in one scaling pass."""
@@ -237,9 +234,9 @@ class SeqSpec:
         return den, ((1,) + ks)[skip:], tuple(accumulate(nums, initial=0))[skip:]
 
     @cached_property
-    def run_sums(self) -> tuple[tuple[int, int], ...]:
-        """Exact (sum |Gm a|_n, sum J1, sum J2) of a finite sequence, as
-        unreduced (numerator, denominator) pairs.
+    def run_sums(self) -> tuple[SumResult, SumResult, SumResult]:
+        """Exact (sum |Gm a|_n, sum J1, sum J2) of a finite sequence, each a
+        ``SumResult`` kept with its unreduced (numerator, denominator) pair.
 
         Over D, a piece lo..hi of a run of constant P = S_n D adds P (1/lo -
         1/(hi+1)) to J1 and (M - P)(H_(hi+1) - H_lo) to J2; the open run from a
@@ -248,9 +245,9 @@ class SeqSpec:
         floor(n*) into two pieces on which Gm a keeps its sign.  A piece of one
         index n (as every run of a dense sequence is) adds P/(n (n+1)), (M - P)/(n+1)
         and |P - (M - P) n|/(n (n+1)), with no harmonic split.  Each output is
-        one ``_tree_sum`` of the pieces' integer pairs, reduced once, when read
-        (``gm_l1``, ``j1_total``, ``j2_total``): em(10**5) takes 0.3 s cold; with
-        its harmonic prefix kept, 0.02 s for one output and 0.04 s for all three."""
+        one ``_tree_sum`` of the pieces' integer pairs, reduced only if its
+        ``.exact`` is read: em(10**5) takes 0.3 s cold; with its harmonic
+        prefix kept, 0.02 s for each output that is read exactly."""
         _require_exact_cap(self.name, self.support_end)
         den, starts, prefix = self.int_runs
         m, l1, j1, j2 = prefix[-1], [], [], []
@@ -272,12 +269,7 @@ class SeqSpec:
                 j2.append((n2, d2))
         l1.append((abs(m), starts[-1]))
         j1.append((m, starts[-1]))
-        return tuple((num, d * den) for num, d in map(_tree_sum, (l1, j1, j2)))
-
-    # each output of run_sums as a Fraction, reduced once, when first read
-    gm_l1 = cached_property(lambda self: Fraction(*self.run_sums[0]))
-    j1_total = cached_property(lambda self: Fraction(*self.run_sums[1]))
-    j2_total = cached_property(lambda self: Fraction(*self.run_sums[2]))
+        return tuple(SumResult.from_pair(num, d * den) for num, d in map(_tree_sum, (l1, j1, j2)))
 
     def terms_float(self, n: int):
         """a_1..a_n as a float64 numpy array, for n up to MAX_FLOAT_TERMS."""
@@ -297,10 +289,33 @@ class SeqSpec:
 
 @dataclass(frozen=True)
 class SumResult:
+    """A sum's float value, its error bound and its verdict.  An exact sum
+    keeps ``pair``, its value as an unreduced (numerator, denominator): its
+    ``value`` is num / den, which int true division rounds correctly, so it is
+    the float of the reduced rational, and ``exact`` reduces the pair to a
+    ``Fraction`` on its first read and keeps it."""
+
     value: float
     err: float
     verdict: str  # "converged" | "divergent" | "inconclusive"
-    exact: Fraction | None = None  # populated when the value is exact
+    pair: tuple[int, int] | None = None  # unreduced (num, den) when the value is exact
+
+    @cached_property
+    def exact(self) -> Fraction | None:
+        """The exact value, reduced once, when first read; None if inexact."""
+        return None if self.pair is None else Fraction(*self.pair)
+
+    def __eq__(self, other):
+        """Equal value, error and verdict, and the same exact rational if
+        either is exact: two pairs compare by cross-multiplication, unreduced."""
+        if not isinstance(other, SumResult):
+            return NotImplemented
+        p, q = self.pair, other.pair
+        return ((self.value, self.err, self.verdict) == (other.value, other.err, other.verdict)
+                and (p == q or None not in (p, q) and p[0] * q[1] == q[0] * p[1]))
+
+    def __hash__(self):
+        return hash((self.value, self.err, self.verdict))
 
     def require_value(self) -> float:
         if self.verdict != "converged":
@@ -308,8 +323,8 @@ class SumResult:
         return self.value
 
     @staticmethod
-    def from_exact(q: Fraction) -> "SumResult":
-        return SumResult(float(q), 0.0, "converged", exact=q)
+    def from_pair(num: int, den: int) -> "SumResult":
+        return SumResult(num / den, 0.0, "converged", pair=(num, den))
 
     @staticmethod
     def divergent() -> "SumResult":
@@ -459,8 +474,10 @@ def _tree_sum(pairs) -> tuple[int, int]:
 def total_sum(seq: SeqSpec, horizon: int = _L_HORIZON) -> SumResult:
     """sum_k a_k, exact for finite support or a declared closed form,
     tail-bounded through the decay envelope otherwise."""
-    if seq.exact_total is not None:
-        return SumResult.from_exact(seq.exact_total)
+    if seq.finite:  # P/D of the last run
+        return SumResult.from_pair(seq.int_runs[2][-1], seq.int_runs[0])
+    if seq.exact_sum is not None:
+        return SumResult.from_pair(seq.exact_sum.numerator, seq.exact_sum.denominator)
     import numpy as np
 
     end = seq.support_end
@@ -530,7 +547,7 @@ def j1_sum(seq: SeqSpec) -> SumResult:
     total, so the tail adds exactly total/(N+1)."""
     _require_nonneg_finite(seq, "j1_sum")
     if seq.finite:
-        return SumResult.from_exact(seq.j1_total)
+        return seq.run_sums[1]
     import numpy as np
 
     total = total_sum(seq, _J_HORIZON)
@@ -552,7 +569,7 @@ def j2_sum(seq: SeqSpec) -> SumResult:
     past which every J2(n) is 0."""
     _require_nonneg_finite(seq, "j2_sum")
     if seq.finite:
-        return SumResult.from_exact(seq.j2_total)
+        return seq.run_sums[2]
     import numpy as np
 
     if _weighted_divergent(seq.decay):
@@ -580,16 +597,16 @@ def _require_finite(seq: SeqSpec, what: str):
 def j1_sum_by_weights(seq: SeqSpec) -> SumResult:
     """The rearranged form sum_k a_k / k of a finite sequence (independent
     route for checking): the integer pairs (a_k D, k) of ``int_terms``, never
-    the runs, summed by ``_tree_sum``, over D, reduced once."""
+    the runs, summed by ``_tree_sum``, over D."""
     _require_finite(seq, "j1_sum_by_weights")
     den, ks, nums = seq.int_terms
     num, k_den = _tree_sum(zip(nums, ks))
-    return SumResult.from_exact(Fraction(num, k_den * den))
+    return SumResult.from_pair(num, k_den * den)
 
 
 def j2_sum_by_weights(seq: SeqSpec) -> SumResult:
-    """The rearranged form sum_k a_k (H_k - 1) of a finite sequence, reduced
-    once: H_k - 1 is an integer h over L, the lcm of the reduced gaps H_k - H_prev
+    """The rearranged form sum_k a_k (H_k - 1) of a finite sequence, as one
+    integer pair: H_k - 1 is an integer h over L, the lcm of the reduced gaps H_k - H_prev
     (``_harmonic_split``), and the sum of a_k D h (``int_terms``) runs over
     D L, growing with h whenever L does.  em(10**5) takes about 0.3 s cold,
     0.02 s with its prefix kept."""
@@ -604,7 +621,7 @@ def j2_sum_by_weights(seq: SeqSpec) -> SumResult:
             lcm, h, total = lcm * grow, h * grow, total * grow
         h += num * (lcm // gap)
         total += a * h
-    return SumResult.from_exact(Fraction(total, den * lcm))
+    return SumResult.from_pair(total, den * lcm)
 
 
 def l1_log_weight(seq: SeqSpec) -> SumResult:
@@ -642,7 +659,7 @@ def l1_norm_mod(seq: SeqSpec, horizon: int = SEQ_HORIZON) -> SumResult:
     sum J2 while sum J1 stays below the finite total.
     """
     if seq.finite:
-        return SumResult.from_exact(seq.gm_l1)
+        return seq.run_sums[0]
     import numpy as np
 
     if _weighted_divergent(seq.decay):
@@ -661,12 +678,13 @@ def l1_norm_mod(seq: SeqSpec, horizon: int = SEQ_HORIZON) -> SumResult:
     if math.isinf(wrem):
         return SumResult.inconclusive()
     if seq.gen is not None:
-        m, pieces = total.exact, []
+        (m_num, m_den), pieces = total.pair, []
         prefix = accumulate(_gen_terms(seq, horizon), _add_reduced)  # S_n = s / s_den
         for n, (s, s_den) in enumerate(prefix, start=1):  # |(n+1) S_n - n m| / (n (n+1))
-            gm = (n + 1) * s * m.denominator - n * m.numerator * s_den
-            pieces.append((abs(gm), n * (n + 1) * s_den * m.denominator))
-        head, head_err = float(Fraction(*_tree_sum(pieces))), 0.0
+            gm = (n + 1) * s * m_den - n * m_num * s_den
+            pieces.append((abs(gm), n * (n + 1) * s_den * m_den))
+        num, den = _tree_sum(pieces)
+        head, head_err = num / den, 0.0
     else:
         arr = seq.terms_float(horizon)
         csum = np.cumsum(arr)

@@ -137,6 +137,9 @@ def test_exact_identities_random():
         seq = so.finite_sequence(f"r{i}", values)
         assert so.j1_sum(seq).exact == so.j1_sum_by_weights(seq).exact
         assert so.j2_sum(seq).exact == so.j2_sum_by_weights(seq).exact
+        # results compare by their rationals, not by the pairs that carry them
+        assert so.j1_sum(seq) == so.j1_sum_by_weights(seq) != so.j2_sum(seq)
+        assert len({so.j2_sum(seq), so.j2_sum_by_weights(seq)}) == 1
 
 
 def _j1_by_weights_reference(seq):
@@ -294,15 +297,23 @@ def test_l1_norm_mod_em_closed_form():
     assert so.l1_norm_mod(so.catalog_seq("em", m=4000)).exact == h - 1 + Fraction(1, 4000)
 
 
+def _signed_zero_run_cases(rng):
+    """150 seeded signed sequences of up to 60 terms, most of them zero; an
+    all-zero draw gets a last term 1."""
+    cases = [[0 if rng.random() < 0.6 else Fraction(rng.randint(-40, 60), rng.randint(1, 25))
+              for _ in range(rng.randint(1, 60))] for _ in range(150)]
+    for values in cases:
+        if not any(values):
+            values[-1] = 1
+    return cases
+
+
 def test_run_sums_match_per_index_walk():
     # a sign change of (Gm a)_n inside a run: S = 5 on n = 1..9 with total
     # 6 turns at n = 5; the negative mirror turns at the same place
     cases = [[5] + [0] * 8 + [1], [-5] + [0] * 8 + [-1]]
     rng = random.Random(31)
-    for _ in range(150):
-        cases.append([0 if rng.random() < 0.6 else
-                      Fraction(rng.randint(-40, 60), rng.randint(1, 25))
-                      for _ in range(rng.randint(1, 60))])
+    cases += _signed_zero_run_cases(rng)
     # zero runs of 10^3..10^4 between nonzeros, then a few trailing zeros;
     # the first case may be signed, the others are nonnegative, so the
     # j-sums are checked too
@@ -316,8 +327,6 @@ def test_run_sums_match_per_index_walk():
         gapped.append(values + [0] * rng.randint(0, 20))
     orders = list(itertools.permutations(range(3)))
     for i, values in enumerate(cases + gapped):
-        if not any(values):
-            values[-1] = 1
         seq = so.finite_sequence("r", values)
         expected = _per_index_sums(values)
         assert _read_run_sums(seq, orders[i % len(orders)]) == expected
@@ -363,21 +372,32 @@ def test_integer_run_sums_match_per_index_walk(values):
     for order in itertools.permutations(range(3)):
         seq = so.finite_sequence("r", values)  # a new instance, with nothing cached
         assert _read_run_sums(seq, order) == expected
-        assert seq.exact_total == sum(values, Fraction(0))
-
-
-_RUN_SUM_OUTPUTS = ("gm_l1", "j1_total", "j2_total")
+        assert so.total_sum(seq).exact == sum(values, Fraction(0))
 
 
 def _read_run_sums(seq, order):
-    """The three run-sum outputs of seq, read singly in the given order."""
-    read = {i: getattr(seq, _RUN_SUM_OUTPUTS[i]) for i in order}
+    """The exact values of the three run sums of seq, read singly in the
+    given order."""
+    read = {i: seq.run_sums[i].exact for i in order}
     return read[0], read[1], read[2]
 
 
+def _dense_300():
+    return so.finite_sequence("dense", [Fraction(k % 7 + 1, k) for k in range(1, 301)])
+
+
+def _exact_results(seq):
+    """Every exact sum of seq: the total and the norm, and on a nonnegative
+    sequence the two split sums and their two rearranged forms."""
+    results = [so.total_sum(seq), so.l1_norm_mod(seq)]
+    if seq.nonnegative:
+        results += [so.j1_sum(seq), so.j2_sum(seq),
+                    so.j1_sum_by_weights(seq), so.j2_sum_by_weights(seq)]
+    return results
+
+
 @pytest.mark.parametrize("build", [
-    *(lambda m=m: so.catalog_seq("em", m=m) for m in (1, 64, 4000)),
-    lambda: so.finite_sequence("dense", [Fraction(k % 7 + 1, k) for k in range(1, 301)]),
+    *(lambda m=m: so.catalog_seq("em", m=m) for m in (1, 64, 4000)), _dense_300,
 ], ids=["em1", "em64", "em4000", "dense-300"])
 def test_run_sums_are_reduced_once_and_only_when_read(build, monkeypatch):
     seq = build()
@@ -388,15 +408,60 @@ def test_run_sums_are_reduced_once_and_only_when_read(build, monkeypatch):
         return Fraction(*args)
 
     monkeypatch.setattr(so, "Fraction", counted)
+    results = _exact_results(seq)
+    assert built == [] and not any("exact" in vars(res) for res in results)  # left unreduced
     norm = so.l1_norm_mod(seq).exact
     assert so.l1_norm_mod(seq).exact == norm and len(built) == 1
-    assert "gm_l1" in vars(seq)
-    assert "j1_total" not in vars(seq) and "j2_total" not in vars(seq)  # left unreduced
+    assert [i for i, res in enumerate(results) if "exact" in vars(res)] == [1]  # the norm only
     j1, j2 = so.j1_sum(seq).exact, so.j2_sum(seq).exact
     assert (so.j1_sum(seq).exact, so.j2_sum(seq).exact) == (j1, j2) and len(built) == 3
-    assert built == list(seq.run_sums)  # each output's own pair, once
+    assert built == [res.pair for res in seq.run_sums]  # each output's own pair, once
+    for res in results:
+        assert res.exact == res.exact
+    assert built[3:] == [results[0].pair] + [res.pair for res in results[4:]]
     monkeypatch.undo()
     assert (j1, j2) == (so.j1_sum_by_weights(seq).exact, so.j2_sum_by_weights(seq).exact)
+
+
+def test_exact_value_is_the_float_of_the_reduced_rational():
+    # int true division of the unreduced pair rounds like float(Fraction)
+    seqs = [so.catalog_seq("em", m=m) for m in (*range(1, 301), 4000)]
+    seqs += [so.finite_sequence("r", values)
+             for values in _signed_zero_run_cases(random.Random(31))]
+    seqs.append(_dense_300())
+    top = so.catalog_seq("em", m=so.MAX_EXACT_SUPPORT)
+    assert min(map(int.bit_length, so.l1_norm_mod(top).pair)) > 140000
+    for seq in seqs + [top]:
+        for res in _exact_results(seq):
+            assert res.verdict == "converged" and res.value == float(res.exact)
+
+
+def test_em_sweep_rows_take_the_norm_float_without_reducing_it(monkeypatch):
+    from hardy import harness
+
+    ms = [*range(1, 301), 4000]
+    norms, l1_norm_mod, built = [], so.l1_norm_mod, []
+
+    class Spy(Fraction):  # still a type, for the terms' isinstance check
+        def __new__(cls, *args):
+            built.append(args)
+            return super().__new__(cls, *args)
+
+    monkeypatch.setattr(so, "l1_norm_mod", lambda *a: norms.append(l1_norm_mod(*a)) or norms[-1])
+    monkeypatch.setattr(so, "Fraction", Spy)
+    rows, _ = harness.sweep_disc("em", "m", ms, harness.SuiteConfig())
+    monkeypatch.undo()
+    assert len(norms) == len(ms)
+    assert not {res.pair for res in norms} & set(built)  # no norm pair became a Fraction
+    assert not any("exact" in vars(res) for res in norms)
+    h, hs = Fraction(0), {}
+    for k in range(1, max(ms) + 1):
+        h += Fraction(1, k)
+        hs[k] = h
+    for m, row, res in zip(ms, rows, norms):
+        closed = hs[m] - 1 + Fraction(1, m)
+        assert row["m"] == m and row["l1_norm_modified"] == float(closed)
+        assert res.exact == closed  # still exact, when read
 
 
 def _gm_head(gen, total, horizon):
