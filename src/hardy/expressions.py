@@ -132,6 +132,15 @@ class Product(Expr):
         return la_total, sign
 
 
+def _pow(b: float, p) -> float:
+    """b ** p, or the signed infinity where a finite result is past the float
+    range, as IEEE overflow gives it (float ** raises there)."""
+    try:
+        return b ** p
+    except OverflowError:
+        return -math.inf if b < 0.0 and p % 2 else math.inf
+
+
 @dataclass(frozen=True)
 class Power(Expr):
     """base ** exponent with a constant real exponent.
@@ -148,14 +157,14 @@ class Power(Expr):
         b = self.base.eval(t)
         p = self.exponent
         if b > 0.0:
-            return b ** p
+            return _pow(b, p)
         if b == 0.0:
             if p >= 0:
                 return 0.0 if p > 0 else 1.0
             raise ExprDomainError("0 raised to a negative power")
         if p != int(p):
             raise ExprDomainError("negative base with fractional exponent")
-        return b ** int(p)
+        return _pow(b, int(p))
 
     def log_eval(self, v):
         la, s = self.base.log_eval(v)

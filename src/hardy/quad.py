@@ -3,6 +3,7 @@
 The finite-interval workhorse is QUADPACK's Gauss(7)/Kronrod(15) pair QK15
 (Piessens et al., 1983), driven by a worst-panel-first heap; panels never
 straddle caller-supplied breakpoints, so jump discontinuities cost nothing.
+A walk stops at a worst panel that cannot be split: depth 60 or 4 eps wide.
 
 The half line is integrated in the one coordinate v = ln t, which maps
 (0, inf) onto the whole real line, the map double-exponential quadrature
@@ -78,14 +79,12 @@ class EvaluationError(RuntimeError):
 class QuadConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-14
-    max_depth: int = 60
+    max_depth: ClassVar[int] = 60
     max_panels: ClassVar[int] = 4000
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
             raise ValueError("tolerances must be positive and finite")
-        if self.max_depth < 10:
-            raise ValueError("max_depth must be at least 10")
 
     def tolerance(self, value: float) -> float:
         return max(self.rel_tol * abs(value), self.abs_tol)
@@ -174,8 +173,9 @@ def integrate(
 
     Panels are seeded so that none straddles a supplied breakpoint.  The
     worst panel (largest error estimate) is bisected until the summed error
-    meets the tolerance, a panel hits ``max_depth``, or the panel budget runs
-    out; the last two cases yield ``converged=False`` and the caller decides.
+    meets half the tolerance, the panel budget runs out, or that panel cannot
+    be split (it is at depth ``max_depth`` = 60, or 4 eps wide); in every case
+    ``converged`` means err_est <= SAFETY * tolerance, and the caller decides.
     """
     if not (0.0 < a < b < math.inf):
         raise ValueError(f"need 0 < a < b < inf, got [{a}, {b}]")
@@ -195,32 +195,23 @@ def _integrate_core(
         raise ValueError(f"need a finite nonempty interval, got [{a}, {b}]")
     cuts = sorted({a, b} | {p for p in breakpoints if a < p < b})
     heap = []
-    frozen = []  # panels at max depth, no longer refinable
-    serial = 0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         val, err, _ = _panel(g, lo, hi)
-        heap.append((-err, serial, lo, hi, val, err, 0))
-        serial += 1
+        heap.append((-err, len(heap), lo, hi, val, err, 0))
     heapq.heapify(heap)
-    subdivisions = len(heap)
+    subdivisions = serial = len(heap)
 
-    def totals():
-        vals = [item[4] for item in heap] + [item[4] for item in frozen]
-        errs = [item[5] for item in heap] + [item[5] for item in frozen]
-        return math.fsum(vals), math.fsum(errs)
-
-    while heap:
-        value, err_total = totals()
-        if not (math.isfinite(value) and math.isfinite(err_total)):
+    while True:
+        value = math.fsum(item[4] for item in heap)
+        err_est = math.fsum(item[5] for item in heap)
+        if not (math.isfinite(value) and math.isfinite(err_est)):
             break  # an infinite or NaN total ends the walk, not converged
-        if err_total <= 0.5 * cfg.tolerance(value):
+        if err_est <= 0.5 * cfg.tolerance(value) or subdivisions >= cfg.max_panels:
             break
-        if subdivisions >= cfg.max_panels:
-            break
-        _, _, lo, hi, val, err, depth = heapq.heappop(heap)
+        _, _, lo, hi, _, _, depth = heap[0]
         if depth >= cfg.max_depth or (hi - lo) <= 4.0 * _EPS * max(abs(lo), abs(hi)):
-            frozen.append((0.0, 0, lo, hi, val, err, depth))
-            continue
+            break  # the worst panel cannot be split, and its error stays in the total
+        heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         for s, e in ((lo, mid), (mid, hi)):
             val, err, _ = _panel(g, s, e)
@@ -228,9 +219,6 @@ def _integrate_core(
             serial += 1
         subdivisions += 1
 
-    panels = sorted(list(heap) + list(frozen), key=lambda item: item[2])
-    value = math.fsum(item[4] for item in panels)
-    err_est = math.fsum(item[5] for item in panels)
     converged = math.isfinite(value) and err_est <= SAFETY * cfg.tolerance(value)
     return QuadResult(value, err_est, subdivisions, converged)
 

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -411,14 +412,20 @@ _harmonic_prefixes: dict[int, tuple[int, int]] = {}
 
 
 def _harmonic_prefix(b: int) -> tuple[int, int]:
-    """P(b) for b >= 1, kept in the memo: a prefix not kept yet is the
-    nearest kept one below it (else P(1), one leaf) plus the aligned blocks
-    between the two, so a sweep's next prefix costs one short extension."""
+    """P(b) for b >= 1, kept in the memo: a prefix not kept yet is built from
+    the nearer of the nearest kept ones on either side, the one below (else
+    P(1), one leaf) plus the aligned blocks between the two, or the one above
+    minus them, so a sweep's next prefix, up or down, costs one short join."""
     kept = _harmonic_prefixes.get(b)
     if kept is None:
         c = max((c for c in _harmonic_prefixes if c < b), default=1)
-        start = _harmonic_prefixes.get(c) or _reduced(*_harmonic_unreduced(1, _HARMONIC_LEAF))
-        kept = _harmonic_blocks(c, b, start, (0, 1))
+        d = min((d for d in _harmonic_prefixes if d > b), default=math.inf)
+        if d - b < b - c:
+            num, den = _harmonic_blocks(b, d, (0, 1), (0, 1))
+            kept = _add_reduced(_harmonic_prefixes[d], (-num, den))
+        else:
+            start = _harmonic_prefixes.get(c) or _reduced(*_harmonic_unreduced(1, _HARMONIC_LEAF))
+            kept = _harmonic_blocks(c, b, start, (0, 1))
         if len(_harmonic_prefixes) >= _HARMONIC_PREFIXES:
             del _harmonic_prefixes[next(iter(_harmonic_prefixes))]
         _harmonic_prefixes[b] = kept
@@ -973,10 +980,23 @@ def load_rational_file(path) -> SeqSpec:
                         f"{path}:{lineno}: {line!r} is not an integer or p/q rational")
                 k += 1
                 _require_within_cap(f"file:{path}", k)
-                if q := Fraction(line):
+                try:
+                    q = Fraction(line)
+                except ValueError as exc:  # past the int-string limit of Python
+                    raise SequenceError(f"{path}:{lineno}: an integer of more than "
+                                        f"{sys.get_int_max_str_digits()} digits") from exc
+                if q:
                     terms.append((k, q))
     except (OSError, UnicodeDecodeError) as exc:
         raise SequenceError(f"cannot read {path}: {exc}") from exc
+    # every sum a report prints (|Gm a|_1, J1, J2, L(a), the total) is at most
+    # sum |a_k| (2 ln(N+1) + 3), so that bound keeps each of their floats finite
+    try:
+        size = sum(abs(q.numerator) / q.denominator for _, q in terms)
+    except OverflowError:
+        size = math.inf
+    if not size * (2.0 * math.log(k + 1) + 3.0) < sys.float_info.max:
+        raise SequenceError(f"{path}: sum |a_k| is too large for the floats of its sums")
     return SeqSpec(name=f"file:{path}", terms=tuple(terms))
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 import time
@@ -160,6 +161,28 @@ def test_main_callable_in_process(capsys):
     assert float(capsys.readouterr().out) == 0.25
 
 
+@pytest.mark.parametrize("fn,x", [
+    ("fe", "1e-320"), ("abs(fe)", "5e-324"), ("power_cutoff(alpha=0.99,T=1e300)", "5e-324"),
+])
+def test_cont_eval_past_the_float_range_prints_inf(capsys, fn, x):
+    assert main(["cont", "eval", "--fn", fn, "--x", x]) == 0
+    assert capsys.readouterr().out == "inf\n"
+
+
+def test_cont_eval_exits_0_or_2_over_the_float_range(capsys):
+    fns = ("theta", "f0", "fe", "abs(f0)", "abs(fe)", "power_tail(beta=1.5)",
+           "log_tail(beta=1.5)", "box(lo=1,hi=2)", "power_cutoff(alpha=0.5,T=1)",
+           "power_cutoff(alpha=0.99,T=1e300)")
+    for fn in fns:
+        for x in ("5e-324", "1e-320", "1e-300", "1", "1e300", "1.7e308", "inf"):
+            code = main(["cont", "eval", "--fn", fn, "--x", x])  # raises nothing
+            out, err = capsys.readouterr()
+            if code == 0:
+                assert err == "" and not math.isnan(float(out)), (fn, x)
+            else:
+                assert code == 2 and out == "" and err.count("\n") == 1, (fn, x)
+
+
 @pytest.mark.parametrize("m", [10 ** 5 + 1, 10 ** 7])
 def test_exact_sums_past_the_support_cap_exit_2_at_once(capsys, m):
     t0 = time.perf_counter()
@@ -272,6 +295,9 @@ def test_sweep_parameter_names_are_checked_before_any_row(capsys, argv):
 @pytest.mark.parametrize("name,content,where", [
     ("missing.txt", None, ""), ("dir", None, ""),
     ("binary.txt", b"\xff\xfe\n", ""), ("zero.txt", b"1\n1/0\n", ":2:"),
+    # past the int-string limit of Python, and a sum past the float range
+    pytest.param("long.txt", b"1\n" + b"1" * 4301 + b"\n", ":2:", id="long.txt"),
+    pytest.param("huge.txt", b"1" + b"0" * 400, "", id="huge.txt"),
 ])
 def test_bad_sequence_files_exit_2(tmp_path, capsys, name, content, where):
     path = tmp_path / name

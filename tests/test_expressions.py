@@ -33,6 +33,15 @@ def test_negative_base_needs_integer_exponent():
         Power(neg, 0.5).eval(2.0)
 
 
+def test_power_past_the_float_range_is_the_signed_infinity():
+    neg = affine([(-1.0, T)])
+    assert Power(T, -2.0).eval(1e-320) == math.inf
+    assert Power(T, 1.5).eval(1e300) == math.inf
+    assert Power(neg, -3.0).eval(1e-200) == -math.inf  # odd exponent keeps the sign
+    assert Power(neg, -2.0).eval(1e-200) == math.inf
+    assert Power(neg, 3.0).eval(1e200) == -math.inf
+
+
 def test_log_domain_error():
     with pytest.raises(ExprDomainError):
         Log(affine([(-1.0, T)])).eval(1.0)

@@ -47,8 +47,6 @@ def test_integrate_nan_is_an_error():
 def test_config_validation():
     with pytest.raises(ValueError):
         QuadConfig(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadConfig(max_depth=5)
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError):
             QuadConfig(rel_tol=bad)
@@ -324,3 +322,17 @@ def test_a_walk_with_a_total_that_is_not_finite_stops_at_once(g, cuts):
     res = quad._integrate_core(g, 0.0, 1.0, breakpoints=cuts)
     assert res.subdivisions == len(cuts) + 1  # the seed panels, none bisected
     assert math.isinf(res.value) and not res.converged
+
+
+@pytest.mark.parametrize("g,a,b,exact,converged", [
+    # bisection reaches depth 60 at the singular point v = 0, a panel edge
+    pytest.param(lambda v: abs(v) ** -0.5 if v else 0.0, -1.0, 1.0, 4.0, True, id="depth"),
+    # 1/3 is no float, so the panels around it shrink to 4 eps wide first
+    pytest.param(lambda v: abs(v - 1 / 3) ** -0.5 if v != 1 / 3 else 0.0, 0.0, 1.0,
+                 2.0 * (math.sqrt(1 / 3) + math.sqrt(2 / 3)), False, id="width"),
+])
+def test_a_walk_ends_at_its_first_worst_panel_that_cannot_be_split(g, a, b, exact, converged):
+    res = quad._integrate_core(g, a, b)
+    assert res.converged is converged
+    assert abs(res.value - exact) <= res.err_est
+    assert res.subdivisions < QuadConfig.max_panels // 20  # not run to the budget

@@ -663,6 +663,19 @@ def test_harmonic_prefix_reads_are_exact_in_any_order():
         assert {case: so._harmonic_split(*case) for case in order} == reads
 
 
+def test_a_descending_prefix_read_joins_only_the_blocks_in_its_gap():
+    memo = so._harmonic_node
+    so._harmonic_prefixes.clear()
+    so._harmonic_split(1, 10 ** 5 + 1)  # keeps P(1562), as 1562 * 64 <= 10**5 + 1
+    before = memo.cache_info()
+    num, den = so._harmonic_split(1, 10 ** 5 - 63)  # P(1561), one leaf below it
+    after = memo.cache_info()
+    assert (after.hits + after.misses) - (before.hits + before.misses) == 1
+    assert list(so._harmonic_prefixes) == [1562, 1561]
+    so._harmonic_prefixes.clear()  # the same reduced pair, built up from P(1)
+    assert so._harmonic_split(1, 10 ** 5 - 63) == (num, den)
+
+
 def test_harmonic_prefix_memo_keeps_at_most_its_cap():
     leaf, cap = so._HARMONIC_LEAF, so._HARMONIC_PREFIXES
     top = so.MAX_EXACT_SUPPORT // leaf  # the longest prefix a capped range reads
