@@ -22,7 +22,10 @@ where the far tail and the origin need different cancellation-free forms,
 the density branches on the sign of v.  Cumulative integrals F and T come
 exactly from the piecewise antiderivatives, so every piece must carry one.
 A last piece that declares a log moment has its far tails closed exactly
-past a cut (``_closed_tail``) instead of walked.
+past a cut (``_closed_tail``) instead of walked.  Where f vanishes, before
+its first nonzero piece and past its last, the integrands of ||Hf||_1, I1
+and I2 are kernel terms, closed in form too (``_closed_ends``); the
+||Hf||_1 walk is cut where Hf changes sign, at the kink of |Hf|.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from functools import lru_cache
 from itertools import accumulate
 
 from .envelopes import Envelope
-from .funcspace import DomainError, TestFunction, abs_piece, total_integral_exact
+from .funcspace import DomainError, TestFunction, _is_zero, abs_piece, total_integral_exact
 from .quad import (
     _EPS, _TAIL_SHARE, DEFAULT_CONFIG, HalflineResult, ProbeResult,
     integrate_halfline, probe_divergence,
@@ -251,9 +254,42 @@ def _abs_density(f: TestFunction):
     return density
 
 
+def _support(f: TestFunction) -> tuple[float, float]:
+    """(a, X) with f = 0 on (0, a] and on (X, inf), read from the pieces that
+    are zero by their form: the lo of the first other piece and the hi of
+    the last; (0, inf) when no end vanishes or f is zero throughout."""
+    nonzero = [p for p in f.pieces if not _is_zero(p.expr)]
+    if not nonzero:
+        return 0.0, math.inf
+    return nonzero[0].lo, nonzero[-1].hi
+
+
+def _closed_ends(f: TestFunction, origin_c: float, tail_c: float):
+    """(``closed_origin``, ``closed_tail``) where f vanishes, each None at an
+    end where it does not.  Before the support start a, a functional's
+    integrand is a kernel term origin_c/(1+x), and past the support end X it
+    is tail_c/(x(x+1)); they integrate to origin_c ln(1+a) and
+    tail_c ln(1+1/X).  Each err counts the rounding of that value and the
+    ulp by which the cut ln a or ln X may be off, at the density there."""
+    a, X = _support(f)
+    origin = tail = None
+    if a > 0.0:
+        W = -math.log(a)
+        origin = _kernel_end(W, origin_c * math.log1p(a), origin_c / (1.0 + 1.0 / a))
+    if X < math.inf:
+        V = math.log(X)
+        tail = _kernel_end(V, tail_c * math.log1p(1.0 / X), tail_c / (1.0 + X))
+    return origin, tail
+
+
+def _kernel_end(cut: float, value: float, edge: float):
+    return cut, value, 4.0 * _EPS * value + _EPS * max(1.0, abs(cut)) * edge, 0.0
+
+
 def _closed_tail(f: TestFunction, functional: str, m: float = 0.0):
     """The ``closed_tail`` (V, value, err, bound) of a functional of f past
     X = e**V, or None unless the last piece of f declares a log moment.
+    (Where f vanishes past a support end, ``_closed_ends`` closes the tail.)
 
     With s the sign of that piece, T = int_X^inf |f| and M = int_X^inf |f| ln t
     are exact, and by parts int_X^inf T(x)/x dx = M - V T.  With theta in
@@ -349,8 +385,10 @@ def split_i1(f: TestFunction) -> HalflineResult:
 
     # F(x)/(x(x+1)) <= F(x)/x at the origin and <= total/x**2 at infinity
     tail_env = Envelope(max(cum.total, 1e-300), 2.0, 0.0)
+    closed_origin, closed_tail = _closed_ends(f, 0.0, cum.total)
     return integrate_halfline(density, origin_envs=(f.origin.averaged(),),
-                              tail_envs=(tail_env,), breakpoints=f.breakpoints)
+                              tail_envs=(tail_env,), breakpoints=f.breakpoints,
+                              closed_tail=closed_tail, closed_origin=closed_origin)
 
 
 def split_i2(f: TestFunction) -> HalflineResult:
@@ -371,9 +409,11 @@ def split_i2(f: TestFunction) -> HalflineResult:
 
     # T(x)/(x+1) <= T(x)/x at infinity and <= total/u**2 at the origin
     origin_env = Envelope(max(cum.total, 1e-300), 2.0, 0.0)
+    closed_origin, closed_tail = _closed_ends(f, cum.total, 0.0)
     return integrate_halfline(density, origin_envs=(origin_env,),
-                              tail_envs=(f.tail.averaged(),),
-                              breakpoints=f.breakpoints, closed_tail=_closed_tail(f, "i2"))
+                              tail_envs=(f.tail.averaged(),), breakpoints=f.breakpoints,
+                              closed_tail=closed_tail or _closed_tail(f, "i2"),
+                              closed_origin=closed_origin)
 
 
 @dataclass(frozen=True)
@@ -436,49 +476,117 @@ def _modified_envelopes(f: TestFunction, m: float):
     from the first doubling of max(valid_from, s) where x^2 A_lower(x) >= |m|.
     The origin side is the same in u = 1/x, with F(x) = int_0^x f in place
     of T and the first piece in place of the last; an origin bounded like
-    u^-2 (f bounded near 0) folds the kernel term into that envelope.
+    u^-2 (f bounded near 0) folds the kernel term into that envelope.  A
+    compact end keeps its compact A alone: past the support |H f| is the
+    kernel term, which ``_closed_ends`` integrates in closed form.
     """
     am = abs(m)
 
     def side(avg: Envelope, sign: int | None, start: float) -> tuple[Envelope, ...]:
+        if avg.is_compact:
+            return (avg,)
         if sign and avg.certified_divergent():
             x0 = max(avg.valid_from, start)  # A_lower is the upper bound scaled by lower/coeff
             while avg.value(x0) * x0 * x0 * avg.lower / avg.coeff < am and x0 < 1e300:
                 x0 *= 2.0
             return (replace(avg, valid_from=x0),)
-        kernel = Envelope(max(am, 1e-300), 2.0, 0.0)
-        return (kernel,) if avg.is_compact else (kernel, replace(avg, lower=None))
+        return (Envelope(max(am, 1e-300), 2.0, 0.0), replace(avg, lower=None))
 
     first, last = f.pieces[0], f.pieces[-1]
     org_avg = f.origin.averaged()
-    if org_avg.power == 2.0:
+    if org_avg.power == 2.0 and not org_avg.is_compact:
         origin_envs = (Envelope(org_avg.coeff + am, 2.0, 0.0, org_avg.valid_from),)
     else:
         origin_envs = side(org_avg, first.sign, 1.0 / first.hi)
     return origin_envs, side(f.tail.averaged(), last.sign, last.lo)
 
 
+# past this many multiples of eps times the scale of its terms, x H f(x) has a sign
+_NOISE_ULPS = 64.0
+# scan steps beyond the outermost mark on a side that is not closed
+_SCAN_STEPS = (1.0, 3.0, 7.0, 15.0, 31.0)
+
+
+def _refine(g, a: float, ga: float, b: float, gb: float, noise: float) -> float:
+    """A zero of g in (a, b), where g(a) and g(b) have opposite signs, by the
+    Illinois variant of regula falsi, bisecting where one end has moved three
+    times in a row: to where g reads within noise, or the bracket is two
+    adjacent floats."""
+    a_neg = ga < 0.0  # a keeps its sign, however far ga is halved
+    run = 0  # moves of a in a row if positive, of b if negative
+    for _ in range(200):
+        c = b - gb * (b - a) / (gb - ga) if abs(run) < 3 and gb != ga else math.nan
+        if not a < c < b:
+            c = 0.5 * (a + b)
+            if not a < c < b:
+                break
+        gc = g(c)
+        if abs(gc) <= noise:
+            return c
+        if (gc < 0.0) == a_neg:
+            a, ga, run = c, gc, max(run, 0) + 1
+            if run >= 2:
+                gb *= 0.5
+        else:
+            b, gb, run = c, gc, min(run, 0) - 1
+            if run <= -2:
+                ga *= 0.5
+    return 0.5 * (a + b)
+
+
+def _sign_changes(g, marks, lo: float, hi: float, noise: float) -> tuple[float, ...]:
+    """The t = e**v in (e**lo, e**hi) where g changes sign, each refined to
+    float resolution.  g is read at the marks inside, at lo and hi where
+    finite, on an open side at _SCAN_STEPS past the outermost of those, and
+    midway between each two of these points; a read within noise has no
+    sign.  Two zeros between reads go unseen, which costs panels, not
+    accuracy."""
+    pts = sorted({v for v in (0.0, *marks) if lo < v < hi} | {lo, hi} - {-math.inf, math.inf})
+    if lo == -math.inf:
+        pts[:0] = [pts[0] - s for s in reversed(_SCAN_STEPS)]
+    if hi == math.inf:
+        pts += [pts[-1] + s for s in _SCAN_STEPS]
+    pts += [0.5 * (u + w) for u, w in zip(pts, pts[1:])]
+    reads = [(v, y) for v in sorted(pts) if abs(y := g(v)) > noise]
+    zeros = (_refine(g, a, ga, b, gb, noise)
+             for (a, ga), (b, gb) in zip(reads, reads[1:]) if (ga < 0.0) != (gb < 0.0))
+    # e**v and its reciprocal must be finite to be a breakpoint
+    return tuple(math.exp(v) for v in zeros if abs(v) < 700.0)
+
+
 def l1_norm_modified(f: TestFunction) -> HalflineResult:
-    """int_0^inf |H f(x)| dx, with DIVERGENT as a first-class outcome."""
+    """int_0^inf |H f(x)| dx, with DIVERGENT as a first-class outcome.
+
+    The walk covers only what has no closed form: an end where f vanishes
+    is closed as its kernel term (``_closed_ends``), and the walk is cut
+    where H f changes sign, as |H f| has a kink there."""
     m = total_integral(f)
     cum = _cumulative(f)
 
-    def density(v: float) -> float:
+    def signed(v: float) -> float:
+        # x H f(x) at x = e^v, stable for any v
         if v >= 0.0:
-            # |H f(e^v)| e^v = |m/(e^v + 1) - T(e^v)|
+            # m/(e^v + 1) - T(e^v)
             if v > 690.0:
-                return abs(math.exp(math.log(abs(m)) - v) - cum.tail_logarg(v)) \
-                    if m != 0.0 else abs(cum.tail_logarg(v))
+                kernel = math.copysign(math.exp(math.log(abs(m)) - v), m) if m != 0.0 else 0.0
+                return kernel - cum.tail_logarg(v)
             t = math.exp(v)
-            return abs(m / (t + 1.0) - cum.tail(t))
-        # |H f(e^v)| e^v = |F(e^v) - m e^v/(1 + e^v)|
+            return m / (t + 1.0) - cum.tail(t)
+        # F(e^v) - m e^v/(1 + e^v)
         t = math.exp(v) if v > -690.0 else 0.0
-        return abs(cum.value_logarg(v) - m * t / (1.0 + t))
+        return cum.value_logarg(v) - m * t / (1.0 + t)
 
+    am = abs(m)
     origin_envs, tail_envs = _modified_envelopes(f, m)
-    return integrate_halfline(density, origin_envs=origin_envs,
-                              tail_envs=tail_envs, breakpoints=f.breakpoints,
-                              closed_tail=_closed_tail(f, "modified", m))
+    closed_origin, closed_tail = _closed_ends(f, am, am)
+    lo = -math.inf if closed_origin is None else -closed_origin[0]
+    hi = math.inf if closed_tail is None else closed_tail[0]
+    noise = _NOISE_ULPS * _EPS * (am + math.fsum(map(abs, cum._at_lo + cum._at_hi)))
+    zeros = _sign_changes(signed, map(math.log, f.breakpoints), lo, hi, noise)
+    return integrate_halfline(lambda v: abs(signed(v)), origin_envs=origin_envs,
+                              tail_envs=tail_envs, breakpoints=f.breakpoints + zeros,
+                              closed_tail=closed_tail or _closed_tail(f, "modified", m),
+                              closed_origin=closed_origin)
 
 
 # ---------------------------------------------------------------------------
@@ -646,11 +754,24 @@ class ContReport:
         }
 
 
+def _representable(f: TestFunction, op) -> HalflineResult:
+    """op(f), refused as a DomainError where its walk overflows or its value
+    or error is not a finite float, so no report prints one."""
+    try:
+        res = op(f)
+    except OverflowError as exc:
+        raise DomainError(f"{f.name}: {op.__name__} overflows the float range") from exc
+    if res.verdict in ("converged", "not-converged") and not (
+            math.isfinite(res.value) and math.isfinite(res.err_est)):
+        raise DomainError(f"{f.name}: {op.__name__} is past the float range")
+    return res
+
+
 def build_report(f: TestFunction) -> ContReport:
     m = total_integral(f)  # first, so a missing antiderivative is named for f
     l1 = _l1_norm(f)
-    wf = log_weight_norm(f)
-    hf = l1_norm_modified(f)
+    wf, hf, i1, i2 = (_representable(f, op) for op in (
+        log_weight_norm, l1_norm_modified, split_i1, split_i2))
     try:
         ratio = _ratio(f, wf, hf, l1)
     except DomainError:
@@ -661,7 +782,7 @@ def build_report(f: TestFunction) -> ContReport:
         l1_norm=l1,
         weighted_norm=wf,
         l1_norm_modified=hf,
-        i1=split_i1(f),
-        i2=split_i2(f),
+        i1=i1,
+        i2=i2,
         equivalence_ratio=ratio,
     )

@@ -13,9 +13,10 @@ decay e**-(a-1)v as v -> +inf, and the origin becomes the mirror tail
 v -> -inf, walked in w = -v = ln(1/t).  A caller therefore writes one
 log-stable density d(v) = g(e**v) * e**v.  Each tail's truncation point is
 chosen from a declared decay envelope and the discarded remainder enters the
-result as an explicit, auditable ``tail_bound``.  A power-log tail, whose walk
-can run to v = 1e12, may instead be handed over in closed form past a cut V
-(``closed_tail``); then only the head up to V is integrated.
+result as an explicit, auditable ``tail_bound``.  An end with a closed form
+past a cut (a power-log tail, whose walk can run to v = 1e12, or an end where
+g is a kernel term alone) may instead be handed over (``closed_tail``,
+``closed_origin``); then only the part up to the cut is integrated.
 
 Divergence is a first-class verdict, and only a proof issues it: a declared
 lower envelope whose integral diverges, spot-checked against the density.
@@ -287,14 +288,17 @@ def _spot_check_lower(density, envs: tuple[Envelope, ...]) -> None:
 
 def _tail_side(density, v0: float, envs: tuple[Envelope, ...], closed=None):
     """Integrate a log-coordinate tail from v0 with a certified remainder,
-    or only up to the cut of a ``closed`` tail (see ``integrate_halfline``).
+    or only up to the cut V >= v0 of a ``closed`` tail, none of it when
+    V = v0 (see ``integrate_halfline``).
 
     Returns (value, err, tail_bound, subdivisions).
     """
     if not envs:
         raise ValueError("tail integration requires at least one envelope")
-    if closed is not None and closed[0] > v0:
+    if closed is not None:
         V, c_val, c_err, c_bound = closed
+        if V <= v0:
+            return c_val, c_err, c_bound, 0
         res = _integrate_core(density, v0, V, breakpoints=_geometric_seeds(v0, V))
         return res.value + c_val, res.err_est + c_err, c_bound, res.subdivisions
     if all(env.is_compact for env in envs):
@@ -336,9 +340,11 @@ def integrate_halfline(
     tail_envs: tuple[Envelope, ...] = (),
     breakpoints: Sequence[float] = (),
     closed_tail: tuple[float, float, float, float] | None = None,
+    closed_origin: tuple[float, float, float, float] | None = None,
 ) -> HalflineResult:
     """Integral over (0, inf) of g, given as its density d(v) = g(e**v) * e**v
-    on the whole real line; ``breakpoints`` are jumps of g, given in t.
+    on the whole real line; ``breakpoints`` are jumps or kinks of g, given
+    in t.
 
     The tail walks d(v) from ln B0 and the origin walks d(-w) from ln(1/A0),
     each against its envelopes (origin envelopes bound g(1/u) / u**2 in
@@ -348,7 +354,11 @@ def integrate_halfline(
     envelope that fails to integrate and no certificate is INCONCLUSIVE,
     with that end as ``divergent_side``.  ``closed_tail`` = (V, value, err,
     bound) hands over the tail past v = V in closed form, with its rounding
-    and remainder; the divergence checks still run first.
+    and remainder; ``closed_origin`` = (W, value, err, bound) is its mirror,
+    the origin past w = -v = W.  A closed end at or inside the middle ends
+    the middle there and replaces that end's walk; one farther out is walked
+    up to its cut.  The divergence checks still run first.  A value or error
+    that is not finite is never ``converged``.
     """
     if not origin_envs or not tail_envs:
         raise ValueError("half-line integration needs envelopes on both sides")
@@ -372,17 +382,23 @@ def integrate_halfline(
     B0 = max([1.0] + list(bps) + [
         env.valid_from for env in tail_envs if not env.is_compact])
     w0, v0 = math.log(1.0 / A0), math.log(B0)
+    if closed_origin is not None:
+        w0 = min(w0, closed_origin[0])
+    if closed_tail is not None:
+        v0 = min(v0, closed_tail[0])
     inner = tuple(math.log(b) for b in bps if A0 < b < B0)
 
-    middle = _integrate_core(density, -w0, v0, breakpoints=inner)
+    middle = (_integrate_core(density, -w0, v0, breakpoints=inner) if -w0 < v0
+              else QuadResult(0.0, 0.0, 0, True))
     t_val, t_err, t_bound, t_sub = _tail_side(density, v0, tail_envs, closed_tail)
-    o_val, o_err, o_bound, o_sub = _tail_side(origin_density, w0, origin_envs)
+    o_val, o_err, o_bound, o_sub = _tail_side(origin_density, w0, origin_envs, closed_origin)
 
     value = math.fsum((middle.value, t_val, o_val))
     err = math.fsum((middle.err_est, t_err, o_err))
     bound = t_bound + o_bound
     subdivisions = middle.subdivisions + t_sub + o_sub
-    converged = (err + bound) <= SAFETY * DEFAULT_CONFIG.tolerance(value)
+    converged = (math.isfinite(value) and math.isfinite(err)
+                 and (err + bound) <= SAFETY * DEFAULT_CONFIG.tolerance(value))
     return HalflineResult(
         verdict="converged" if converged else "not-converged",
         value=value, err_est=err, tail_bound=bound, subdivisions=subdivisions)

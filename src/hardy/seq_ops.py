@@ -802,12 +802,16 @@ def hardy_ratios(seq: SeqSpec, ps, ns) -> dict[tuple[float, int], float]:
     # past a finite support each a_k**p is an exact 0: only the support is raised
     pad = n_top - min(seq.support_end, n_top) if seq.finite else 0
     out = {}
-    for p in ps:
-        dens = prefix_sums(np.pad(arr[:-pad] ** p, (0, pad)) if pad else arr ** p)
-        if 0.0 in dens:
-            raise SequenceError("zero denominator in hardy_ratio")
-        for n, num, den in zip(ns, prefix_sums(means ** p), dens):
-            out[(p, n)] = num / den
+    with np.errstate(over="ignore"):  # a sum past the float range is refused below
+        for p in ps:
+            dens = prefix_sums(np.pad(arr[:-pad] ** p, (0, pad)) if pad else arr ** p)
+            if 0.0 in dens:
+                raise SequenceError("zero denominator in hardy_ratio")
+            nums = prefix_sums(means ** p)
+            if not all(map(math.isfinite, nums + dens)):
+                raise SequenceError(f"a sum of p-th powers, p={p:g}, is past the float range")
+            for n, num, den in zip(ns, nums, dens):
+                out[(p, n)] = num / den
     return out
 
 

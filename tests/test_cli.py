@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 import time
+import warnings
 
 import pytest
 
@@ -315,6 +316,8 @@ def test_bad_sequence_files_exit_2(tmp_path, capsys, name, content, where):
     # a breakpoint whose reciprocal overflows: the origin is walked in u = 1/t
     "power_cutoff(alpha=0,T=1e-310)", "power_cutoff(alpha=0.5,T=1e-310)",
     "box(lo=1e-310,hi=1e-309)", "box(lo=1e-320,hi=1)",
+    # functionals past the float range: an infinite value, or a walk that overflows
+    "box(lo=1,hi=1e307)", "box(lo=1,hi=1e308)", "power_cutoff(alpha=0,T=1e308)",
 ])
 def test_unrepresentable_envelopes_exit_2(capsys, fn):
     assert main(["cont", "report", "--fn", fn]) == 2
@@ -333,6 +336,19 @@ def test_far_range_reports_are_strict_json(capsys, fn):
     assert main(["cont", "report", "--fn", fn]) == 0
     payload = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
     assert payload["i2"]["verdict"] == "converged"
+
+
+def test_disc_hardy_ratio_refuses_a_power_sum_past_the_float_range(tmp_path, capsys):
+    # (10**300)**2 is past the float range: refused, not printed as NaN, and
+    # with no overflow warning on the way
+    path = tmp_path / "big.txt"
+    path.write_text("1" + "0" * 300 + "\n" + "0\n" * 300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["disc", "hardy-ratio", "--p", "2", "--n", "300",
+                     "--seq-file", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: a sum of p-th powers, p=2, is past the float range\n"
 
 
 @pytest.mark.parametrize("p,n", [("2", "-5"), ("inf", "100")])

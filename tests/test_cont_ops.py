@@ -240,6 +240,106 @@ def test_l1_norm_modified_fe_signed(monkeypatch, fe):
     assert seen
 
 
+def _box_hf_closed_form(lo, hi):
+    """||H f||_1 of box(lo, hi) by its own route, with the rounding slack of
+    its terms: m ln(1+lo) before the box, m ln((1+hi)/hi) past it, and
+    between them G(x) = x - lo ln x - m ln(1+x), an antiderivative of H f,
+    taken apart at the root r of x**2 + (1-lo-m)x - lo, where H f changes
+    sign."""
+    m = hi - lo
+    b = 1.0 - hi  # 1 - lo - m
+    d = math.sqrt(b * b + 4.0 * lo)
+    r = 2.0 * lo / (d + b) if b > 0.0 else 0.5 * (d - b)
+
+    def g(x):
+        return (x, -lo * math.log(x), -m * math.log1p(x))
+
+    terms = (m * math.log1p(lo), m * math.log1p(1.0 / hi), *g(lo), *g(hi),
+             *(-2.0 * x for x in g(r)))
+    return math.fsum(terms), 4.0 * quad._EPS * math.fsum(map(abs, terms))
+
+
+# box(0.3, 1.7) changes sign at exactly t = 1, where the scan reads v = 0
+# within its noise floor; the zero is found from the reads on either side
+@pytest.mark.parametrize("lo,hi", [(0.3, 1.7), (1.0, 2.0), (0.1, 30.0), (0.01, 0.03),
+                                   (5.0, 6.0), (2.0, 8.0), (1e-3, 10.0)])
+def test_l1_norm_modified_of_a_box_matches_its_closed_form(lo, hi):
+    res = co.l1_norm_modified(fs.catalog("box", lo=lo, hi=hi))
+    exact, slack = _box_hf_closed_form(lo, hi)
+    assert res.verdict == "converged"
+    assert abs(res.value - exact) <= res.total_error + slack, (res, exact)
+
+
+def test_l1_norm_modified_of_a_power_cutoff_is_4():
+    # H f = 2/sqrt(x) - 2/(1+x) on (0, 1] and 2/(x(x+1)) past it: 4 - 2 ln 2 + 2 ln 2
+    res = co.l1_norm_modified(fs.catalog("power_cutoff", alpha=0.5, T=1.0))
+    assert res.verdict == "converged"
+    assert abs(res.value - 4.0) <= res.total_error
+
+
+def _walks_and_cuts(monkeypatch, op, f):
+    """op(f), the [a, b] of each adaptive walk it made and the breakpoints it
+    passed beyond those of f."""
+    walks, cuts = [], []
+    core, halfline = quad._integrate_core, co.integrate_halfline
+
+    def recording_core(g, a, b, **kw):
+        walks.append((a, b))
+        return core(g, a, b, **kw)
+
+    def recording(density, **kw):
+        cuts.extend(b for b in kw["breakpoints"] if b not in f.breakpoints)
+        return halfline(density, **kw)
+
+    monkeypatch.setattr(quad, "_integrate_core", recording_core)
+    monkeypatch.setattr(co, "integrate_halfline", recording)
+    return op(f), walks, cuts
+
+
+@pytest.mark.parametrize("op", [co.l1_norm_modified, co.split_i1, co.split_i2])
+def test_a_box_is_walked_over_its_support_alone(monkeypatch, op):
+    # |H f|, F/(x(x+1)) and T/(x+1) outside [lo, hi] are kernel terms or 0,
+    # closed in form; across the cont-sweep box range the walks take 2 panels
+    # or fewer, where they took 8 to 34
+    for lo in (0.01, 0.1, 0.5, 1.0, 3.0, 10.0):
+        for hi in (1.05 * lo, 2.0 * lo, 3.05 * lo):
+            f = fs.catalog("box", lo=lo, hi=hi)
+            res, walks, _ = _walks_and_cuts(monkeypatch, op, f)
+            assert res.verdict == "converged"
+            assert res.subdivisions <= 2, (lo, hi, res)
+            assert all(math.log(lo) <= a < b <= math.log(hi) for a, b in walks), (lo, hi, walks)
+
+
+@pytest.mark.parametrize("name,zeros", [
+    ("theta", ()), ("power_tail(beta=1.5)", ()), ("box(lo=0.3,hi=1.7)", (1.0,)),
+    ("f0", (1.2529,)), ("abs(f0)", (1.9019, 2.4094, 3.1598)),
+    ("power_cutoff(alpha=0.5,T=10)", (4.0 - math.sqrt(15.0), 4.0 + math.sqrt(15.0))),
+    # two zeros between the scan steps v = 2 and 4 past the closed origin at e,
+    # seen from the read midway at v = 3
+    ("log_tail(beta=3.8)", (13.1325, 28.635)),
+])
+def test_the_hf_walk_is_cut_at_the_sign_changes_of_hf(monkeypatch, name, zeros):
+    # theta has H f = 0, so x H f(x) reads rounding noise alone: no cut
+    f = fs.parse_function(name)
+    res, _, cuts = _walks_and_cuts(monkeypatch, co.l1_norm_modified, f)
+    assert res.verdict == "converged"
+    assert len(cuts) == len(zeros)
+    for cut, zero in zip(sorted(cuts), zeros):
+        assert cut == pytest.approx(zero, rel=1e-4)
+        assert abs(co.modified_hardy(f, cut)) <= 1e-12
+    if name == "box(lo=0.3,hi=1.7)":
+        assert abs(cuts[0] - 1.0) <= 4.0 * quad._EPS
+
+
+def test_a_functional_past_the_float_range_is_refused_in_a_report():
+    f = fs.catalog("box", lo=1.0, hi=1e307)
+    assert co.l1_norm_modified(f).verdict == "not-converged"  # its value is inf
+    with pytest.raises(fs.DomainError, match="is past the float range"):
+        co.build_report(f)
+    with pytest.raises(fs.DomainError, match="l1_norm_modified overflows the float range"):
+        co._representable(fs.catalog("box", lo=1.0, hi=1e308), co.l1_norm_modified)
+
+
 # W(log_tail(2.5)): a head on v in [1, 40] plus the closed tail, in mpmath
 # at 30 digits
 W_LOG_TAIL_25 = 2.2247981944274122

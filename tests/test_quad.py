@@ -237,6 +237,47 @@ def test_halfline_without_certificate_is_inconclusive():
     assert res.divergent_side == "tail"
 
 
+def _record_walks(monkeypatch) -> list:
+    """The [a, b] of every adaptive walk from here on."""
+    walks = []
+    core = quad._integrate_core
+
+    def recording(g, a, b, **kw):
+        walks.append((a, b))
+        return core(g, a, b, **kw)
+
+    monkeypatch.setattr(quad, "_integrate_core", recording)
+    return walks
+
+
+@pytest.mark.parametrize("x_tail,tail_value", [(2.0, 1.0 / 3.0), (8.0, 1.0 / 9.0)])
+def test_closed_ends_end_the_middle_or_are_walked_up_to(monkeypatch, x_tail, tail_value):
+    # int_0^inf (1+t)**-2 dt = 1: the origin closed before t = 1/2 and the tail
+    # past x_tail, as 1/3 and 1/(1+x_tail).  A cut inside the middle ends the
+    # middle there; one past ln B0 = 0 is walked from 0 up to it
+    walks = _record_walks(monkeypatch)
+    env = Envelope(1.0, 2.0)
+    res = integrate_halfline(lambda v: math.exp(v) / (1.0 + math.exp(v)) ** 2,
+                             origin_envs=(env,), tail_envs=(env,),
+                             breakpoints=(0.5, 2.0),
+                             closed_origin=(-math.log(0.5), 1.0 / 3.0, 0.0, 0.0),
+                             closed_tail=(math.log(x_tail), tail_value, 0.0, 0.0))
+    assert res.verdict == "converged" and res.tail_bound == 0.0
+    assert abs(res.value - 1.0) <= res.total_error
+    assert min(a for a, _ in walks) == math.log(0.5)
+    assert max(b for _, b in walks) == math.log(x_tail)
+
+
+def test_a_value_past_the_float_range_is_never_converged():
+    # one middle panel of width 8 sums past the float range: the value and its
+    # error are inf, which the tolerance inf * rel_tol used to let through
+    env = Envelope(1.0, 2.0)
+    res = integrate_halfline(lambda v: 8e307 if abs(v) <= 4.0 else 0.0,
+                             origin_envs=(env,), tail_envs=(env,),
+                             breakpoints=(math.exp(-4.0), math.exp(4.0)))
+    assert res.value == math.inf and res.verdict == "not-converged"
+
+
 def test_substitution_consistency():
     # int_0^inf g(t) dt = int_0^inf g(1/u)/u^2 du with sides exchanged; in
     # v = ln u the density of the mirrored integrand is the density of g at -v
