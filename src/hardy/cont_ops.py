@@ -21,11 +21,13 @@ in v = ln t on the whole real line (see :func:`hardy.quad.integrate_halfline`);
 where the far tail and the origin need different cancellation-free forms,
 the density branches on the sign of v.  Cumulative integrals F and T come
 exactly from the piecewise antiderivatives, so every piece must carry one.
-A last piece that declares a log moment has its far tails closed exactly
-past a cut (``_closed_tail``) instead of walked.  Where f vanishes, before
-its first nonzero piece and past its last, the integrands of ||Hf||_1, I1
-and I2 are kernel terms, closed in form too (``_closed_ends``); the
-||Hf||_1 walk is cut where Hf changes sign, at the kink of |Hf|.
+Where f vanishes, before its first nonzero piece and past its last, each
+functional's integrand is a kernel term or 0, closed in form, so no
+integral here walks where f is 0.  ``_closed_ends`` is the one place that
+reads those ends from the pieces; it also closes a tail where f does not
+vanish past a cut, when the last piece declares a log moment
+(``_closed_tail``).  The ||Hf||_1 walk is cut where Hf changes sign, at the
+kink of |Hf|.
 """
 
 from __future__ import annotations
@@ -264,22 +266,28 @@ def _support(f: TestFunction) -> tuple[float, float]:
     return nonzero[0].lo, nonzero[-1].hi
 
 
-def _closed_ends(f: TestFunction, origin_c: float, tail_c: float):
-    """(``closed_origin``, ``closed_tail``) where f vanishes, each None at an
-    end where it does not.  Before the support start a, a functional's
-    integrand is a kernel term origin_c/(1+x), and past the support end X it
-    is tail_c/(x(x+1)); they integrate to origin_c ln(1+a) and
-    tail_c ln(1+1/X).  Each err counts the rounding of that value and the
-    ulp by which the cut ln a or ln X may be off, at the density there."""
+def _closed_ends(f: TestFunction, origin_c: float | None, tail_c: float | None,
+                 functional: str | None = None, m: float = 0.0) -> dict:
+    """The ``closed_origin`` and ``closed_tail`` keywords of a functional of f
+    for ``integrate_halfline``, None at an end left to its walk.  Before the
+    support start a and past the support end X (``_support``) its integrand
+    is a kernel term origin_c/(1+x) or tail_c/(x(x+1)), c = 0 for one of |f|
+    alone, so it integrates to origin_c ln(1+a) and tail_c ln(1+1/X); each
+    err counts the rounding of that value and the ulp by which the cut ln a
+    or ln X may be off, at the density there.  A constant of None leaves its
+    end walked; a tail where f does not vanish is closed by ``_closed_tail``
+    for a ``functional`` with a log-moment closure."""
     a, X = _support(f)
     origin = tail = None
-    if a > 0.0:
+    if a > 0.0 and origin_c is not None:
         W = -math.log(a)
         origin = _kernel_end(W, origin_c * math.log1p(a), origin_c / (1.0 + 1.0 / a))
-    if X < math.inf:
+    if X < math.inf and tail_c is not None:
         V = math.log(X)
         tail = _kernel_end(V, tail_c * math.log1p(1.0 / X), tail_c / (1.0 + X))
-    return origin, tail
+    elif functional is not None:
+        tail = _closed_tail(f, functional, m)
+    return {"closed_origin": origin, "closed_tail": tail}
 
 
 def _kernel_end(cut: float, value: float, edge: float):
@@ -289,7 +297,7 @@ def _kernel_end(cut: float, value: float, edge: float):
 def _closed_tail(f: TestFunction, functional: str, m: float = 0.0):
     """The ``closed_tail`` (V, value, err, bound) of a functional of f past
     X = e**V, or None unless the last piece of f declares a log moment.
-    (Where f vanishes past a support end, ``_closed_ends`` closes the tail.)
+    (``_closed_ends`` reads it for a tail where f does not vanish.)
 
     With s the sign of that piece, T = int_X^inf |f| and M = int_X^inf |f| ln t
     are exact, and by parts int_X^inf T(x)/x dx = M - V T.  With theta in
@@ -343,7 +351,7 @@ def log_weight_norm(f: TestFunction) -> HalflineResult:
         lambda v: abs_density(v) * _weight_logarg(v),
         origin_envs=(_env_weight_full(f.origin),),
         tail_envs=(_env_weight_full(f.tail),),
-        breakpoints=f.breakpoints, closed_tail=_closed_tail(f, "weight"),
+        breakpoints=f.breakpoints, **_closed_ends(f, 0.0, 0.0, "weight"),
     )
 
 
@@ -370,7 +378,7 @@ def _single_weight_result(f: TestFunction, side: str) -> HalflineResult:
         raise ValueError(side)
     return integrate_halfline(density, origin_envs=(origin,), tail_envs=(tail,),
                               breakpoints=f.breakpoints,
-                              closed_tail=_closed_tail(f, side) if side == "large" else None)
+                              **_closed_ends(f, 0.0, 0.0, "large" if side == "large" else None))
 
 
 def split_i1(f: TestFunction) -> HalflineResult:
@@ -385,10 +393,9 @@ def split_i1(f: TestFunction) -> HalflineResult:
 
     # F(x)/(x(x+1)) <= F(x)/x at the origin and <= total/x**2 at infinity
     tail_env = Envelope(max(cum.total, 1e-300), 2.0, 0.0)
-    closed_origin, closed_tail = _closed_ends(f, 0.0, cum.total)
     return integrate_halfline(density, origin_envs=(f.origin.averaged(),),
                               tail_envs=(tail_env,), breakpoints=f.breakpoints,
-                              closed_tail=closed_tail, closed_origin=closed_origin)
+                              **_closed_ends(f, 0.0, cum.total))
 
 
 def split_i2(f: TestFunction) -> HalflineResult:
@@ -409,11 +416,9 @@ def split_i2(f: TestFunction) -> HalflineResult:
 
     # T(x)/(x+1) <= T(x)/x at infinity and <= total/u**2 at the origin
     origin_env = Envelope(max(cum.total, 1e-300), 2.0, 0.0)
-    closed_origin, closed_tail = _closed_ends(f, cum.total, 0.0)
     return integrate_halfline(density, origin_envs=(origin_env,),
                               tail_envs=(f.tail.averaged(),), breakpoints=f.breakpoints,
-                              closed_tail=closed_tail or _closed_tail(f, "i2"),
-                              closed_origin=closed_origin)
+                              **_closed_ends(f, cum.total, 0.0, "i2"))
 
 
 @dataclass(frozen=True)
@@ -476,15 +481,11 @@ def _modified_envelopes(f: TestFunction, m: float):
     from the first doubling of max(valid_from, s) where x^2 A_lower(x) >= |m|.
     The origin side is the same in u = 1/x, with F(x) = int_0^x f in place
     of T and the first piece in place of the last; an origin bounded like
-    u^-2 (f bounded near 0) folds the kernel term into that envelope.  A
-    compact end keeps its compact A alone: past the support |H f| is the
-    kernel term, which ``_closed_ends`` integrates in closed form.
+    u^-2 (f bounded near 0) folds the kernel term into that envelope.
     """
     am = abs(m)
 
     def side(avg: Envelope, sign: int | None, start: float) -> tuple[Envelope, ...]:
-        if avg.is_compact:
-            return (avg,)
         if sign and avg.certified_divergent():
             x0 = max(avg.valid_from, start)  # A_lower is the upper bound scaled by lower/coeff
             while avg.value(x0) * x0 * x0 * avg.lower / avg.coeff < am and x0 < 1e300:
@@ -494,7 +495,7 @@ def _modified_envelopes(f: TestFunction, m: float):
 
     first, last = f.pieces[0], f.pieces[-1]
     org_avg = f.origin.averaged()
-    if org_avg.power == 2.0 and not org_avg.is_compact:
+    if org_avg.power == 2.0:
         origin_envs = (Envelope(org_avg.coeff + am, 2.0, 0.0, org_avg.valid_from),)
     else:
         origin_envs = side(org_avg, first.sign, 1.0 / first.hi)
@@ -578,15 +579,14 @@ def l1_norm_modified(f: TestFunction) -> HalflineResult:
 
     am = abs(m)
     origin_envs, tail_envs = _modified_envelopes(f, m)
-    closed_origin, closed_tail = _closed_ends(f, am, am)
-    lo = -math.inf if closed_origin is None else -closed_origin[0]
-    hi = math.inf if closed_tail is None else closed_tail[0]
+    a, X = _support(f)  # the scan stops where the kernel ends are closed
+    lo = math.log(a) if a > 0.0 else -math.inf
+    hi = math.log(X) if X < math.inf else math.inf
     noise = _NOISE_ULPS * _EPS * (am + math.fsum(map(abs, cum._at_lo + cum._at_hi)))
     zeros = _sign_changes(signed, map(math.log, f.breakpoints), lo, hi, noise)
     return integrate_halfline(lambda v: abs(signed(v)), origin_envs=origin_envs,
                               tail_envs=tail_envs, breakpoints=f.breakpoints + zeros,
-                              closed_tail=closed_tail or _closed_tail(f, "modified", m),
-                              closed_origin=closed_origin)
+                              **_closed_ends(f, am, am, "modified", m))
 
 
 # ---------------------------------------------------------------------------
@@ -696,8 +696,10 @@ def cont_hardy_ratio(f: TestFunction, p: float) -> float:
     env = f.tail  # raised to the p for |f|^p at infinity
     den_tail = Envelope(env.coeff ** p, p * env.power, p * env.logpow, env.valid_from)
 
+    # the ends where f = 0 close as 0, but the numerator's tail is (m/x)^p
     num = integrate_halfline(num_density, origin_envs=(num_origin,),
-                             tail_envs=(num_tail,), breakpoints=f.breakpoints)
+                             tail_envs=(num_tail,), breakpoints=f.breakpoints,
+                             **_closed_ends(f, 0.0, None))
     if num.verdict not in ("converged", "not-converged"):
         raise ArithmeticError(
             f"{f.name}: p-norm of the average did not resolve ({num.verdict}); "
@@ -705,7 +707,7 @@ def cont_hardy_ratio(f: TestFunction, p: float) -> float:
 
     den = integrate_halfline(lambda v: math.exp(p * f.log_eval(v)[0] + v),
                              origin_envs=(den_origin,), tail_envs=(den_tail,),
-                             breakpoints=f.breakpoints)
+                             breakpoints=f.breakpoints, **_closed_ends(f, 0.0, 0.0))
     den_val = den.require_value()
     if den_val <= den.total_error:
         raise DomainError(f"{f.name}: p-norm denominator vanishes")

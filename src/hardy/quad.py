@@ -11,12 +11,13 @@ The half line is integrated in the one coordinate v = ln t, which maps
 two ends of one line: power decay t**-a at infinity becomes exponential
 decay e**-(a-1)v as v -> +inf, and the origin becomes the mirror tail
 v -> -inf, walked in w = -v = ln(1/t).  A caller therefore writes one
-log-stable density d(v) = g(e**v) * e**v.  Each tail's truncation point is
-chosen from a declared decay envelope and the discarded remainder enters the
-result as an explicit, auditable ``tail_bound``.  An end with a closed form
-past a cut (a power-log tail, whose walk can run to v = 1e12, or an end where
-g is a kernel term alone) may instead be handed over (``closed_tail``,
-``closed_origin``); then only the part up to the cut is integrated.
+log-stable density d(v) = g(e**v) * e**v.  An end is either closed or walked
+against its envelopes.  A caller hands over an end with a closed form past a
+cut (``closed_tail``, ``closed_origin``): a power-log tail, whose walk can
+run to v = 1e12, or an end where g is a kernel term or 0; then only the part
+up to the cut is integrated.  Any other end's truncation point is chosen from
+its declared decay envelopes and the discarded remainder enters the result
+as an explicit, auditable ``tail_bound``.
 
 Divergence is a first-class verdict, and only a proof issues it: a declared
 lower envelope whose integral diverges, spot-checked against the density.
@@ -287,32 +288,25 @@ def _spot_check_lower(density, envs: tuple[Envelope, ...]) -> None:
 
 
 def _tail_side(density, v0: float, envs: tuple[Envelope, ...], closed=None):
-    """Integrate a log-coordinate tail from v0 with a certified remainder,
-    or only up to the cut V >= v0 of a ``closed`` tail, none of it when
-    V = v0 (see ``integrate_halfline``).
+    """Integrate a log-coordinate tail from v0, closed or walked: a
+    ``closed`` tail only up to its cut V >= v0, none of it when V = v0 (see
+    ``integrate_halfline``); any other up to where the remainder of ``envs``
+    meets its target, that remainder being its bound (0 from a compact
+    envelope's valid_from, which the middle reaches up to rounding).
 
     Returns (value, err, tail_bound, subdivisions).
     """
-    if not envs:
-        raise ValueError("tail integration requires at least one envelope")
     if closed is not None:
         V, c_val, c_err, c_bound = closed
         if V <= v0:
             return c_val, c_err, c_bound, 0
         res = _integrate_core(density, v0, V, breakpoints=_geometric_seeds(v0, V))
         return res.value + c_val, res.err_est + c_err, c_bound, res.subdivisions
-    if all(env.is_compact for env in envs):
-        v_end = max(math.log(env.valid_from) for env in envs)
-        if v_end <= v0:
-            return 0.0, 0.0, 0.0, 0
-        res = _integrate_core(density, v0, v_end,
-                              breakpoints=_geometric_seeds(v0, v_end))
-        return res.value, res.err_est, 0.0, res.subdivisions
 
     target = DEFAULT_CONFIG.abs_tol * _TAIL_SHARE
-    V = min(sum_v_for_remainder(envs, target), _TAIL_V_SOFT)
-    V = max(V, v0 + 1e-9)
-    res = _integrate_core(density, v0, V, breakpoints=_geometric_seeds(v0, V))
+    V = max(min(sum_v_for_remainder(envs, target), _TAIL_V_SOFT), v0)
+    res = (_integrate_core(density, v0, V, breakpoints=_geometric_seeds(v0, V)) if V > v0
+           else QuadResult(0.0, 0.0, 0, True))
     value, err, subdivisions = res.value, res.err_est, res.subdivisions
     bound = sum_remainder(envs, V)
 
@@ -346,13 +340,15 @@ def integrate_halfline(
     on the whole real line; ``breakpoints`` are jumps or kinks of g, given
     in t.
 
-    The tail walks d(v) from ln B0 and the origin walks d(-w) from ln(1/A0),
-    each against its envelopes (origin envelopes bound g(1/u) / u**2 in
-    u = 1/t); the middle [ln A0, ln B0] is integrated in v.  A lower
-    envelope whose integral diverges yields the DIVERGENT verdict (after the
-    certificate is spot-checked against the density); an end with an upper
-    envelope that fails to integrate and no certificate is INCONCLUSIVE,
-    with that end as ``divergent_side``.  ``closed_tail`` = (V, value, err,
+    The middle [ln A0, ln B0] is integrated in v; it spans every breakpoint
+    and each envelope's valid_from (an origin envelope's at t = 1/u).  Each
+    end is closed or walked: the tail walks d(v) from ln B0 and the origin
+    walks d(-w) from -ln A0, each against its envelopes (origin envelopes
+    bound g(1/u) / u**2 in u = 1/t).  A lower envelope whose integral
+    diverges yields the DIVERGENT verdict (after the certificate is
+    spot-checked against the density); an end with an upper envelope that
+    fails to integrate and no certificate is INCONCLUSIVE, with that end as
+    ``divergent_side``.  ``closed_tail`` = (V, value, err,
     bound) hands over the tail past v = V in closed form, with its rounding
     and remainder; ``closed_origin`` = (W, value, err, bound) is its mirror,
     the origin past w = -v = W.  A closed end at or inside the middle ends
@@ -379,9 +375,8 @@ def integrate_halfline(
     bps = tuple(sorted(breakpoints))
     u_valid = max(env.valid_from for env in origin_envs)
     A0 = min([1.0, 1.0 / u_valid] + [b for b in bps if b > 0.0])
-    B0 = max([1.0] + list(bps) + [
-        env.valid_from for env in tail_envs if not env.is_compact])
-    w0, v0 = math.log(1.0 / A0), math.log(B0)
+    B0 = max([1.0] + list(bps) + [env.valid_from for env in tail_envs])
+    w0, v0 = -math.log(A0), math.log(B0)
     if closed_origin is not None:
         w0 = min(w0, closed_origin[0])
     if closed_tail is not None:

@@ -296,11 +296,21 @@ def _walks_and_cuts(monkeypatch, op, f):
     return op(f), walks, cuts
 
 
-@pytest.mark.parametrize("op", [co.l1_norm_modified, co.split_i1, co.split_i2])
+def i1_single(f):
+    return co._single_weight_result(f, "small")
+
+
+def i2_single(f):
+    return co._single_weight_result(f, "large")
+
+
+@pytest.mark.parametrize("op", [co.l1_norm_modified, co.split_i1, co.split_i2,
+                                co.log_weight_norm, i1_single, i2_single])
 def test_a_box_is_walked_over_its_support_alone(monkeypatch, op):
     # |H f|, F/(x(x+1)) and T/(x+1) outside [lo, hi] are kernel terms or 0,
-    # closed in form; across the cont-sweep box range the walks take 2 panels
-    # or fewer, where they took 8 to 34
+    # and |f| w, |f| ln(1 + 1/t) and |f| ln(1 + t) are 0, all closed in form;
+    # across the cont-sweep box range the walks take 2 panels or fewer,
+    # where they took 8 to 34 (4 to 10 for W and the single-weight forms)
     for lo in (0.01, 0.1, 0.5, 1.0, 3.0, 10.0):
         for hi in (1.05 * lo, 2.0 * lo, 3.05 * lo):
             f = fs.catalog("box", lo=lo, hi=hi)
@@ -308,6 +318,55 @@ def test_a_box_is_walked_over_its_support_alone(monkeypatch, op):
             assert res.verdict == "converged"
             assert res.subdivisions <= 2, (lo, hi, res)
             assert all(math.log(lo) <= a < b <= math.log(hi) for a, b in walks), (lo, hi, walks)
+
+
+def _reads_of_f(monkeypatch) -> list:
+    """The v = ln t at which a functional built on ``_abs_density`` reads |f|
+    from here on, whichever end's coordinate its walk runs in."""
+    reads = []
+    make = co._abs_density
+
+    def recording(f):
+        density = make(f)
+
+        def read(v):
+            reads.append(v)
+            return density(v)
+        return read
+
+    monkeypatch.setattr(co, "_abs_density", recording)
+    return reads
+
+
+@pytest.mark.parametrize("name,lo,hi", [
+    ("log_tail(beta=2.5)", 1.0, math.inf),
+    ("power_cutoff(alpha=0.5,T=2)", -math.inf, math.log(2.0)),
+], ids=["log_tail", "power_cutoff"])
+def test_w_reads_f_only_where_it_does_not_vanish(monkeypatch, name, lo, hi):
+    # log_tail is 0 on (0, e] and power_cutoff past T = 2: W closes those
+    # ends as 0, where it walked the zeros from v = -1 to 1, or from ln 2 to 1
+    reads = _reads_of_f(monkeypatch)
+    res = co.log_weight_norm(fs.parse_function(name))
+    assert res.verdict == "converged"
+    assert reads and all(lo < v < hi for v in reads), (min(reads), max(reads))
+
+
+@pytest.mark.parametrize("lo", [1e-20, 1e-305])
+def test_a_small_box_has_an_equivalence_ratio(lo):
+    # W is far below abs_tol here; a walk over the zero origin reported a
+    # tail bound above W itself, and the ratio read "weighted norm vanishes"
+    hi = 2.0 * lo
+    rep = co.build_report(fs.catalog("box", lo=lo, hi=hi))
+    assert rep.weighted_norm.tail_bound == 0.0
+    assert rep.equivalence_ratio is not None
+    hf, hf_slack = _box_hf_closed_form(lo, hi)
+    w = _box_closed_forms(lo, hi)[0]
+    num = hf + (hi - lo)
+    closed = num / w
+    num_err = rep.l1_norm_modified.total_error + hf_slack
+    w_err = rep.weighted_norm.total_error + 4.0 * quad._EPS * w
+    bound = closed * (num_err / num + w_err / w + 2.0 * quad._EPS)
+    assert abs(rep.equivalence_ratio - closed) <= bound, (rep.equivalence_ratio, closed)
 
 
 @pytest.mark.parametrize("name,zeros", [
@@ -436,6 +495,33 @@ def test_cont_hardy_ratio_closed_forms():
         f = fs.catalog("power_cutoff", alpha=alpha, T=1.0)
         assert co.cont_hardy_ratio(f, 2.0) == pytest.approx(
             2.0 / (1.0 - alpha), rel=1e-9)
+
+
+def test_the_p_ratio_of_a_box_matches_its_closed_form(monkeypatch):
+    # for the indicator of (lo, hi], int (Qf)^2 / int f^2 is
+    # 2 - 2 lo ln(hi/lo) / (hi - lo); f^2 = 0 outside [lo, hi], so the
+    # denominator walks that stretch alone
+    calls = []
+    core, halfline = quad._integrate_core, co.integrate_halfline
+
+    def recording_core(g, a, b, **kw):
+        calls[-1].append((a, b))
+        return core(g, a, b, **kw)
+
+    def recording(density, **kw):
+        calls.append([])
+        return halfline(density, **kw)
+
+    monkeypatch.setattr(quad, "_integrate_core", recording_core)
+    monkeypatch.setattr(co, "integrate_halfline", recording)
+    for lo in (0.01, 0.1, 0.5, 1.0, 3.0, 10.0):
+        for hi in (1.05 * lo, 2.0 * lo, 4.0 * lo):
+            calls.clear()
+            ratio = co.cont_hardy_ratio(fs.catalog("box", lo=lo, hi=hi), 2.0)
+            exact = 2.0 - 2.0 * lo * math.log(hi / lo) / (hi - lo)
+            assert ratio == pytest.approx(exact, rel=1e-9), (lo, hi)
+            _, den = calls
+            assert den == [(math.log(lo), math.log(hi))], (lo, hi, den)
 
 
 def test_cont_hardy_ratio_under_bound():

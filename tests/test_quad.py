@@ -268,6 +268,25 @@ def test_closed_ends_end_the_middle_or_are_walked_up_to(monkeypatch, x_tail, tai
     assert max(b for _, b in walks) == math.log(x_tail)
 
 
+@pytest.mark.parametrize("lo,hi", [(0.1, 5.0), (0.125, 4.0), (1e-3, 30.0)])
+def test_compact_ends_with_no_closed_form_are_cut_at_their_valid_from(lo, hi):
+    # the indicator of (lo, hi] as its density e**v on [ln lo, ln hi], with
+    # compact envelopes at both ends and no closed end: each end takes the
+    # envelope route, whose remainder is 0 from its valid_from on
+    reads = []
+
+    def density(v):
+        reads.append(v)
+        return math.exp(v) if math.log(lo) < v <= math.log(hi) else 0.0
+
+    origin, tail = Envelope.compact(1.0 / lo), Envelope.compact(hi)
+    res = integrate_halfline(density, origin_envs=(origin,), tail_envs=(tail,),
+                             breakpoints=(lo, hi))
+    assert res.verdict == "converged" and res.tail_bound == 0.0
+    assert abs(res.value - (hi - lo)) <= res.total_error
+    assert all(-math.log(origin.valid_from) <= v <= math.log(tail.valid_from) for v in reads)
+
+
 def test_a_value_past_the_float_range_is_never_converged():
     # one middle panel of width 8 sums past the float range: the value and its
     # error are inf, which the tolerance inf * rel_tol used to let through
